@@ -78,6 +78,7 @@ SERVICE_COUNTERS = (
     "service.retries",
     "service.attempts",
     "service.corpus_refreshes",
+    "service.corpus_rebases",
 )
 
 #: Default bounded-queue capacity (concurrent in-flight submits).
@@ -143,8 +144,10 @@ class Service:
     dataset:
         The strings to serve, a prebuilt :class:`ShardedCorpus`, or a
         :class:`repro.live.Corpus` (frozen or live). A live corpus is
-        tracked by epoch: every submit re-shards and refreshes the
-        planner statistics when the corpus drifted since the last one.
+        tracked by epoch: every submit lets the shards catch up with
+        the corpus when it drifted since the last one, and the planner
+        statistics are refreshed whenever that catch-up was a rebase
+        (see :meth:`ShardedCorpus.refresh`).
     shards:
         Shard count when building the corpus here.
     capacity:
@@ -182,9 +185,9 @@ class Service:
         a span tree; submits already inside a trace (the gateway's)
         just add child spans to it.
     events:
-        Optional :class:`repro.obs.EventLog` receiving ``admission``
-        and ``ladder_rung`` lines, each stamped with the ambient
-        trace_id.
+        Optional :class:`repro.obs.EventLog` receiving ``admission``,
+        ``ladder_rung`` and ``corpus_rebase`` lines, each stamped with
+        the ambient trace_id.
     sleep:
         Injectable sleep function (tests pass a recorder).
 
@@ -244,6 +247,7 @@ class Service:
         self._last_seconds = 0.0
         self._planner: Planner | None = None
         self._planner_lock = threading.Lock()
+        self._analyzed_rebases = 0
 
     @property
     def corpus(self) -> ShardedCorpus:
@@ -314,6 +318,20 @@ class Service:
             return {name: hist.copy()
                     for name, hist in self._hists.items()}
 
+    def gauges_snapshot(self) -> dict[str, float]:
+        """Current ``service.*`` gauges.
+
+        Over a live corpus, ``service.delta_strings``: the strings the
+        shards carry as an overlay rather than in their base (see
+        :meth:`ShardedCorpus.refresh`). Empty over a frozen one.
+        """
+        source = self._corpus.source
+        if source is None or not source.mutable:
+            return {}
+        shape = self._corpus.describe()
+        return {"service.delta_strings":
+                float(shape["added"] + shape["removed"])}
+
     def estimate_retry_after_ms(self) -> float | None:
         """How long a rejected caller should wait before retrying.
 
@@ -335,21 +353,40 @@ class Service:
         self._metrics.inc(name, value)
 
     def _sync_live_corpus(self) -> None:
-        """Track a live source corpus: re-shard + refresh the planner.
+        """Track a live source corpus: catch the shards up, re-ANALYZE
+        on a rebase.
 
         When the service serves a mutable :class:`repro.live.Corpus`,
-        each submit first lets the sharded corpus re-snapshot on epoch
-        drift and, when it did, refreshes the planner's ANALYZE
-        statistics so the ladder ordering keeps pricing the corpus
-        that actually exists. Counted under
-        ``service.corpus_refreshes``.
+        each submit first lets the sharded corpus swap in a view of the
+        drifted corpus (``service.corpus_refreshes``, one per swap;
+        the overlay it carries is the ``service.delta_strings``
+        gauge). Only when that swap was a rebase — the overlay folded
+        into a fresh partitioning — are the planner's ANALYZE
+        statistics refreshed too (``service.corpus_rebases`` and a
+        ``corpus_rebase`` event line): between rebases the statistics
+        lag the corpus by at most the overlay, sqrt(2n) of n strings —
+        too little to reorder the ladder, and not worth an O(n) pass
+        on every write.
         """
+        started = time.perf_counter()
         if not self._corpus.refresh():
             return
         self._count("service.corpus_refreshes")
+        shape = self._corpus.describe()
+        self._metrics.gauge("service.delta_strings",
+                            shape["added"] + shape["removed"])
         with self._planner_lock:
+            # Concurrent submits may both see the new base; the first
+            # one in pays for the ANALYZE, once per rebase.
+            if shape["rebases"] <= self._analyzed_rebases:
+                return
+            self._analyzed_rebases = shape["rebases"]
             if self._planner is not None:
                 self._planner.refresh_statistics(self._corpus.strings)
+        self._count("service.corpus_rebases")
+        self._emit_event("corpus_rebase", base=shape["base"],
+                         delta=shape["folded"],
+                         seconds=time.perf_counter() - started)
 
     def _record_event(self, query: str, k: int, seconds: float,
                       kind: str, *, matches: int = -1,
@@ -627,7 +664,9 @@ class Service:
         ``mode="service"``; the ``counters`` section holds the
         cumulative ``service.*`` series and the ``histograms`` section
         summarizes the cumulative ``service.submit_seconds``
-        distribution. Benchmarks embed this in their ``BENCH_*.json``
+        distribution; over a live corpus the ``gauges`` section holds
+        ``service.delta_strings``, the overlay the shards currently
+        carry. Benchmarks embed this in their ``BENCH_*.json``
         records like any engine report.
         """
         return build_report(
@@ -640,6 +679,7 @@ class Service:
             seconds=self._last_seconds,
             counters=self.counters_snapshot(),
             histograms=self.hists_snapshot(),
+            gauges=self.gauges_snapshot(),
             choice_backend="service",
             choice_reason=(
                 f"degradation ladder over {self._corpus.shard_count} "

@@ -79,7 +79,9 @@ class AsyncService:
         gateway subscribes to its mutation events and invalidates the
         cache on every insert (drop everything — an insert can only
         add matches) and delete (drop the entries mentioning the
-        string), so a hit is never staler than the corpus.
+        string), and does not store an answer whose submit was
+        overtaken by a write, so a hit is never staler than the
+        corpus.
     shedder:
         Optional :class:`LoadShedder`; without one every request is
         admitted (the service's own slot pool still applies).
@@ -323,6 +325,11 @@ class AsyncService:
                 retry_after_ms=decision.retry_after_ms,
             )
         loop = asyncio.get_running_loop()
+        # Read before the answer is computed: if the corpus moves while
+        # the request is in flight, the answer may predate the write
+        # whose invalidation has already run, and must not be cached.
+        live = self._live_source
+        epoch = live.epoch if live is not None else 0
         started = time.perf_counter()
         self._pending += 1
         self._set_gauges()
@@ -361,7 +368,8 @@ class AsyncService:
             self._finish_root(tracer, context, wall, submit_started,
                               outcome=outcome)
             self._set_gauges()
-        if self._cache is not None:
+        if self._cache is not None \
+                and (live is None or live.epoch == epoch):
             self._cache.put(request, result)
             self._set_gauges()
         return result
@@ -454,6 +462,7 @@ class AsyncService:
         distributions; the ``gauges`` section snapshots
         ``service.queue_depth``, ``service.cache.size``, pool worker
         counts and — when the service fronts a live corpus — the
+        shards' ``service.delta_strings`` overlay and the
         ``live.memtable_size`` / ``live.segments`` /
         ``live.compactions_in_flight`` write-path gauges.
         """
@@ -465,6 +474,7 @@ class AsyncService:
         hists.update(self._service.hists_snapshot())
         gauges: dict[str, float] = {
             "service.queue_depth": float(self._pending),
+            **self._service.gauges_snapshot(),
         }
         if self._cache is not None:
             counters.update(self._cache.counters_snapshot())

@@ -334,7 +334,11 @@ class ShardPools:
     Parameters
     ----------
     corpus:
-        The sharded data side (or the strings to shard here).
+        The sharded data side (or the strings to shard here). The
+        crews compile the shards once, so a corpus over a mutable
+        :class:`repro.live.Corpus` is refused: serve live data through
+        the ladder (``AsyncService(service)`` with no pools), which
+        follows the corpus across writes.
     shards:
         Shard count when building the corpus here.
     kind:
@@ -388,6 +392,13 @@ class ShardPools:
             )
         if not isinstance(corpus, ShardedCorpus):
             corpus = ShardedCorpus(corpus, shards)
+        if corpus.source is not None and corpus.source.mutable:
+            raise ReproError(
+                "ShardPools compiles its shards once and would keep "
+                "answering from this snapshot after the next write to "
+                "the live corpus; serve a live corpus through the "
+                "ladder instead (AsyncService(service) without pools=)"
+            )
         self._corpus = corpus
         self._kind = kind
         self._batch_limit = batch_limit
