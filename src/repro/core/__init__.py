@@ -17,7 +17,7 @@ with:
   heuristic).
 """
 
-from repro.core.engine import EngineChoice, SearchEngine
+from repro.core.engine import SearchEngine
 from repro.core.explain import PairExplanation, explain_pair
 from repro.core.indexed import IndexedSearcher
 from repro.core.planner import (
@@ -78,7 +78,6 @@ __all__ = [
     "UpdatableIndex",
     "PairExplanation",
     "explain_pair",
-    "EngineChoice",
     "Planner",
     "PlannerPolicy",
     "QueryPlan",

@@ -28,7 +28,7 @@ class LRUCache(Generic[K, V]):
     maxsize:
         Maximum number of entries; must be positive. (A disabled cache
         is represented by *not having one*, see
-        :class:`repro.scan.executor.BatchScanExecutor`.)
+        :class:`repro.core.batch.BatchExecutor`.)
 
     Examples
     --------

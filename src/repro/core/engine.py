@@ -18,16 +18,17 @@ so the estimates track the hardware they run on.
 The batch engines add the second axis: a scan-regime workload goes
 through the compiled-corpus batch path (:mod:`repro.scan`); an
 index-regime workload through the compiled flat-trie batch path
-(:mod:`repro.index.batch`). Both deduplicate queries and amortize
-query-side setup, and a mixed-length batch may be *split* between them
-when the planner estimates the split pays for the extra executor.
+(:mod:`repro.index.batch`). Both are the one
+:class:`repro.core.batch.BatchExecutor` — dedup, memo, fan-out,
+bookkeeping — under a different probe, and a mixed-length batch may be
+*split* between them when the planner estimates the split pays for the
+extra executor.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.core.deadline import Budget, Deadline
@@ -68,14 +69,6 @@ SMALL_ALPHABET_CUTOFF = 8
 #: dispatch overhead, so they are not fed back into the planner's
 #: corrections (multi-query windows always are).
 SEARCH_FEEDBACK_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class EngineChoice:
-    """Deprecated view of the engine's plan (see :attr:`choice`)."""
-
-    backend: str
-    reason: str
 
 
 class SearchEngine:
@@ -164,7 +157,6 @@ class SearchEngine:
         self._batch_searcher: Searcher | None = None
         self._batch_index = None
         self._override_searchers: dict[str, Searcher] = {}
-        self._last_batch_executor = None
         self._last_call: dict | None = None
         self._last_report_cache: SearchReport | None = None
         if isinstance(profile, str):
@@ -326,29 +318,6 @@ class SearchEngine:
         )
 
     @property
-    def choice(self) -> EngineChoice:
-        """Deprecated: the dataset-level decision, as an
-        :class:`EngineChoice`.
-
-        .. deprecated::
-            Slated for removal in 2.0. ``engine.choice`` is now a view
-            of :attr:`default_plan` — use that (or :meth:`plan` /
-            :meth:`explain` for per-request decisions); unlike the old
-            attribute it reports every strategy, including
-            ``compiled``.
-        """
-        warnings.warn(
-            "SearchEngine.choice is deprecated and will be removed in "
-            "2.0; use engine.default_plan (or engine.plan(request) / "
-            "engine.explain(request) for per-request decisions) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return EngineChoice(self._default_plan.strategy,
-                            self._default_plan.reason)
-
-    @property
     def searcher(self) -> Searcher:
         """The underlying searcher (for inspection)."""
         return self._searcher
@@ -383,50 +352,18 @@ class SearchEngine:
             self._last_report_cache = build_report(**call)
         return self._last_report_cache
 
-    @property
-    def batch_stats(self):
-        """Deprecated: dedup/memo counters of the last-used batch path.
-
-        .. deprecated::
-            Slated for removal in 2.0. Use
-            ``search_many(..., report=True)`` or
-            ``engine.last_report.batch`` — the report's ``batch``
-            section is the per-call delta of these counters and always
-            describes the executor that served the last call.
-        """
-        warnings.warn(
-            "SearchEngine.batch_stats is deprecated and will be "
-            "removed in 2.0; use search_many(..., report=True) or "
-            "engine.last_report.batch instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._last_batch_executor is not None:
-            return self._last_batch_executor.stats
-        if self._batch_searcher is not None:
-            return self._batch_searcher.executor.stats
-        if self._batch_index is not None:
-            return self._batch_index.stats
-        return None
-
     # ----------------------------------------------------------------
     # report plumbing
 
     @staticmethod
-    def _batch_state(executor) -> tuple[int, int, int, int]:
-        stats = executor.stats
+    def _batch_state(component) -> tuple[int, int, int, int] | None:
+        """The dedup/memo totals of a component's batch executor."""
+        stats = getattr(getattr(component, "executor", component),
+                        "stats", None)
+        if stats is None:
+            return None
         return (stats.queries_seen, stats.unique_queries,
                 stats.cache_hits, stats.scans_executed)
-
-    @staticmethod
-    def _batch_delta(before: tuple[int, int, int, int],
-                     after: tuple[int, int, int, int]) -> BatchCounters:
-        return BatchCounters(
-            queries_seen=after[0] - before[0],
-            unique_queries=after[1] - before[1],
-            cache_hits=after[2] - before[2],
-            scans_executed=after[3] - before[3],
-        )
 
     def _timers_delta(self, before: dict) -> dict:
         if self._metrics is None:
@@ -448,28 +385,36 @@ class SearchEngine:
         except Exception:  # pragma: no cover - observation is advisory
             pass
 
-    def _observed_call(self, *, component, backend: str, engine_name: str,
-                       mode: str, queries: list[str], k: int,
+    def _observed_call(self, *, served: list[tuple], engine_name: str,
+                       mode: str, k: int,
                        call: Callable[[], ResultSet | list[Match]],
-                       batch_executor=None,
-                       plan: QueryPlan | None = None):
+                       plan: QueryPlan):
         """Run one engine call and capture its report window.
 
-        Counters and histograms are cumulative in the serving
-        component; the window is the before/after difference, so the
-        report holds exactly this call's work no matter how many calls
-        came before. The window also feeds the planner's online
-        corrections.
+        ``served`` lists what the plan names: one ``(component,
+        strategy, queries)`` per searcher or batch executor taking part
+        (several when a batch is split). Counters and histograms are
+        cumulative in each component; the window is the before/after
+        difference, so the report holds exactly this call's work no
+        matter how many calls came before. Components count in disjoint
+        namespaces, so their deltas merge; their batch dedup counters
+        sum. The window also feeds the planner's online corrections.
         """
-        snapshot = getattr(component, "counters_snapshot", None)
-        before_counters = snapshot() if snapshot is not None else {}
-        hist_snapshot = getattr(component, "hists_snapshot", None)
-        before_hists = (hist_snapshot() if hist_snapshot is not None
-                        else {})
+        def snapshots() -> list[tuple]:
+            window = []
+            for component, _, _ in served:
+                counters = getattr(component, "counters_snapshot", None)
+                hists = getattr(component, "hists_snapshot", None)
+                window.append((
+                    counters() if counters is not None else {},
+                    hists() if hists is not None else {},
+                    self._batch_state(component),
+                ))
+            return window
+
+        before = snapshots()
         before_timers = (dict(self._metrics.timers())
                          if self._metrics is not None else {})
-        before_batch = (self._batch_state(batch_executor)
-                        if batch_executor is not None else None)
         started = time.perf_counter()
         if self._metrics is not None:
             with self._metrics.trace(f"engine.{mode}"):
@@ -477,48 +422,52 @@ class SearchEngine:
         else:
             result = call()
         seconds = time.perf_counter() - started
-        after_counters = snapshot() if snapshot is not None else {}
-        after_hists = (hist_snapshot() if hist_snapshot is not None
-                       else {})
-        matches = (result.total_matches if isinstance(result, ResultSet)
-                   else len(result))
-        if plan is not None:
-            choice_backend, choice_reason = plan.strategy, plan.reason
-        else:
-            choice_backend = self._default_plan.strategy
-            choice_reason = self._default_plan.reason
+        counters: dict = {}
+        histograms: dict = {}
+        batch = None
+        for (counters_before, hists_before, batch_before), \
+                (counters_after, hists_after, batch_after) \
+                in zip(before, snapshots()):
+            counters.update(counter_delta(counters_before, counters_after))
+            # Live Histogram deltas; build_report summarizes lazily.
+            histograms.update(hists_delta(hists_before, hists_after))
+            if batch_after is not None:
+                batch = [total + after - prior for total, after, prior
+                         in zip(batch or (0, 0, 0, 0), batch_after,
+                                batch_before)]
         self._last_call = {
-            "backend": backend,
+            "backend": plan.strategy,
             "engine": engine_name,
             "mode": mode,
-            "queries": len(queries),
+            "queries": sum(len(subset) for _, _, subset in served),
             "k": k,
-            "matches": matches,
+            "matches": (result.total_matches
+                        if isinstance(result, ResultSet) else len(result)),
             "seconds": seconds,
-            "counters": counter_delta(before_counters, after_counters),
+            "counters": counters,
             "timers": self._timers_delta(before_timers),
-            # Live Histogram deltas; build_report summarizes lazily.
-            "histograms": hists_delta(before_hists, after_hists),
-            "batch": (self._batch_delta(before_batch,
-                                        self._batch_state(batch_executor))
-                      if batch_executor is not None else None),
-            "choice_backend": choice_backend,
-            "choice_reason": choice_reason,
+            "histograms": histograms,
+            "batch": BatchCounters(*batch) if batch is not None else None,
+            "choice_backend": plan.strategy,
+            "choice_reason": plan.reason,
             "plan_obj": plan,
         }
         self._last_report_cache = None
-        if batch_executor is not None:
-            self._last_batch_executor = batch_executor
         if mode != "search" or seconds >= SEARCH_FEEDBACK_FLOOR:
             # Single-query windows only carry signal once the measured
             # work dwarfs Python dispatch overhead; below the floor
             # the observation would teach the planner the overhead,
-            # not the strategy.
-            self._feed_planner(
-                backend, k,
-                sorted({len(query) for query in queries}) or [1],
-                seconds,
-            )
+            # not the strategy. A split window's wall clock is shared
+            # out by the plan's own estimates; good enough for an
+            # EWMA step.
+            weights = ([plan.cost_for(strategy) for _, strategy, _ in served]
+                       if len(served) > 1 else [1.0])
+            for (_, strategy, subset), weight in zip(served, weights):
+                self._feed_planner(
+                    strategy, k,
+                    sorted({len(query) for query in subset}) or [1],
+                    seconds * weight / max(1e-12, sum(weights)),
+                )
         return result
 
     def _make_compiled_searcher(self) -> Searcher:
@@ -646,15 +595,12 @@ class SearchEngine:
         qplan = self._plan_request(request)
         component, served = self._component_for(qplan.strategy)
         matches = self._observed_call(
-            component=component,
-            backend=served,
+            served=[(component, served, [request.query])],
             engine_name=getattr(component, "name", served),
             mode="search",
-            queries=[request.query],
             k=request.k,
             call=lambda: component.search(request.query, request.k,
                                           deadline=request.deadline),
-            batch_executor=getattr(component, "executor", None),
             plan=qplan,
         )
         if request.options.report:
@@ -684,8 +630,8 @@ class SearchEngine:
         ``backend=`` string spelling is deprecated):
         ``PlannerPolicy(strategy="compiled")`` forces the batch scan,
         ``PlannerPolicy(strategy="indexed")`` the batch index.
-        :attr:`last_report` (and the deprecated ``batch_stats``)
-        always reflect the executor(s) that actually served this call.
+        :attr:`last_report` always reflects the executor(s) that
+        actually served this call.
         A :class:`SearchRequest` may be passed instead of
         ``queries``/``k``; its fields supply the same information.
 
@@ -707,14 +653,22 @@ class SearchEngine:
         return results
 
     def _batch_executor_for(self, strategy: str):
-        """(executor, engine name, callable factory) for a batch slice."""
+        """(executor, engine name, ``search_many``) for a batch slice."""
         if strategy == "indexed":
             executor = self._ensure_batch_index()
             return executor, "batch-index[flat]", executor.search_many
         searcher = self._ensure_batch_searcher()
         return searcher.executor, searcher.name, searcher.search_many
+
     def _execute_batch(self, request: SearchRequest, *,
                        mode: str) -> ResultSet:
+        """Serve one batch through the executor(s) its plan names.
+
+        Each plan group runs through its own batch executor; rows come
+        back in input order, identical to a single-executor run. The
+        planner never splits a deadline'd batch, so only a one-group
+        plan is ever bounded.
+        """
         policy = request.plan if request.plan is not None \
             else self._default_policy
         if policy.strategy is not None \
@@ -736,120 +690,45 @@ class SearchEngine:
             deadline=request.deadline is not None, batch=True,
             policy=policy,
         )
-        strategy = qplan.strategy
-        if strategy not in ("compiled", "indexed"):
+        if qplan.strategy not in ("compiled", "indexed"):
             raise ReproError(
-                f"unknown batch backend {strategy!r}; expected None, "
-                "'compiled' or 'indexed' (the other strategies have no "
-                "batch executor)"
+                f"unknown batch backend {qplan.strategy!r}; expected "
+                "None, 'compiled' or 'indexed' (the other strategies "
+                "have no batch executor)"
             )
         query_list = list(request.queries)
         k = request.k
         deadline = request.deadline
-        if len(qplan.groups) > 1:
-            return self._execute_split_batch(request, qplan, mode=mode)
-        executor, engine_name, search_many = \
-            self._batch_executor_for(strategy)
-        call = lambda: search_many(  # noqa: E731
-            query_list, k, runner=self._runner, deadline=deadline)
+        groups = qplan.groups
+        executors, names, entry_points = zip(*(
+            self._batch_executor_for(group.strategy) for group in groups))
+        subsets = [[query_list[index] for index in group.indices]
+                   for group in groups]
+
+        def call() -> ResultSet:
+            if len(groups) == 1:
+                return entry_points[0](query_list, k, runner=self._runner,
+                                       deadline=deadline)
+            rows: list = [None] * len(query_list)
+            for group, search_many, subset in zip(groups, entry_points,
+                                                  subsets):
+                result = search_many(subset, k, runner=self._runner)
+                for index, row in zip(group.indices, result.rows):
+                    rows[index] = list(row)
+            return ResultSet(query_list, rows)
+
         return self._observed_call(
-            component=executor,
-            backend=strategy,
-            engine_name=engine_name,
+            served=[(executor, group.strategy, subset)
+                    for executor, group, subset in zip(executors, groups,
+                                                       subsets)],
+            engine_name=names[0] if len(groups) == 1 else
+            "batch-split[" + "+".join(
+                group.strategy for group in groups) + "]",
             mode=mode,
-            queries=query_list,
             k=k,
             call=call,
-            batch_executor=executor,
             plan=qplan,
         )
-
-    def _execute_split_batch(self, request: SearchRequest,
-                             qplan: QueryPlan, *,
-                             mode: str) -> ResultSet:
-        """Serve one batch through several executors, per the plan.
-
-        Each plan group runs through its own batch executor; rows come
-        back in input order, identical to a single-executor run. The
-        report window merges the per-executor counter deltas (their
-        namespaces are disjoint) and sums the batch dedup counters.
-        The planner never splits a deadline'd batch, so each slice runs
-        unbounded.
-        """
-        query_list = list(request.queries)
-        k = request.k
-        sides = []
-        for group in qplan.groups:
-            executor, engine_name, search_many = \
-                self._batch_executor_for(group.strategy)
-            sides.append((group, executor, engine_name, search_many))
-        before = [
-            (executor.counters_snapshot(), executor.hists_snapshot(),
-             self._batch_state(executor))
-            for _, executor, _, _ in sides
-        ]
-        before_timers = (dict(self._metrics.timers())
-                         if self._metrics is not None else {})
-        rows: list = [None] * len(query_list)
-        started = time.perf_counter()
-        for group, executor, engine_name, search_many in sides:
-            subset = [query_list[index] for index in group.indices]
-            result = search_many(subset, k, runner=self._runner)
-            for index, row in zip(group.indices, result.rows):
-                rows[index] = list(row)
-        seconds = time.perf_counter() - started
-        results = ResultSet(query_list, rows)
-        counters: dict = {}
-        histograms: dict = {}
-        batch_total = BatchCounters()
-        for (group, executor, engine_name, _), \
-                (counters_before, hists_before, batch_before) \
-                in zip(sides, before):
-            counters.update(counter_delta(counters_before,
-                                          executor.counters_snapshot()))
-            histograms.update(hists_delta(hists_before,
-                                          executor.hists_snapshot()))
-            delta = self._batch_delta(batch_before,
-                                      self._batch_state(executor))
-            batch_total = BatchCounters(
-                queries_seen=batch_total.queries_seen
-                + delta.queries_seen,
-                unique_queries=batch_total.unique_queries
-                + delta.unique_queries,
-                cache_hits=batch_total.cache_hits + delta.cache_hits,
-                scans_executed=batch_total.scans_executed
-                + delta.scans_executed,
-            )
-            self._last_batch_executor = executor
-        self._last_call = {
-            "backend": qplan.strategy,
-            "engine": "batch-split[" + "+".join(
-                group.strategy for group in qplan.groups) + "]",
-            "mode": mode,
-            "queries": len(query_list),
-            "k": k,
-            "matches": results.total_matches,
-            "seconds": seconds,
-            "counters": counters,
-            "timers": self._timers_delta(before_timers),
-            "histograms": histograms,
-            "batch": batch_total,
-            "choice_backend": qplan.strategy,
-            "choice_reason": qplan.reason,
-            "plan_obj": qplan,
-        }
-        self._last_report_cache = None
-        for group, executor, engine_name, _ in sides:
-            subset_lengths = sorted(
-                {len(query_list[index]) for index in group.indices})
-            # Attribute the window's wall clock proportionally by the
-            # plan's own estimates; good enough for an EWMA step.
-            share = qplan.cost_for(group.strategy) / max(
-                1e-12, sum(qplan.cost_for(g.strategy)
-                           for g in qplan.groups))
-            self._feed_planner(group.strategy, k, subset_lengths,
-                               seconds * share)
-        return results
 
     def run_workload(self, workload: Workload | SearchRequest, *,
                      deadline: Deadline | Budget | None = None,
@@ -883,17 +762,12 @@ class SearchEngine:
         # every strategy is feasible regardless of batch size.
         qplan = self._plan_request(request, batch=False)
         component, served = self._component_for(qplan.strategy)
-        queries = request.queries
-        k = request.k
         results = self._observed_call(
-            component=component,
-            backend=served,
+            served=[(component, served, list(request.queries))],
             engine_name=getattr(component, "name", served),
             mode="workload",
-            queries=list(queries),
-            k=k,
+            k=request.k,
             call=lambda: component.run_workload(run, self._runner),
-            batch_executor=getattr(component, "executor", None),
             plan=qplan,
         )
         if request.options.report:

@@ -26,7 +26,6 @@ changes.
 from __future__ import annotations
 
 import threading
-import warnings
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -309,27 +308,6 @@ class IndexedSearcher(Searcher):
         without freezing it twice.
         """
         return self._flat_trie
-
-    @property
-    def last_stats(self) -> TraversalStats | None:
-        """Deprecated: the previous call's raw :class:`TraversalStats`.
-
-        .. deprecated::
-            Slated for removal in 2.0. Use
-            ``SearchEngine.search(..., report=True)`` /
-            ``SearchEngine.last_report`` — the unified
-            :class:`repro.obs.SearchReport` carries the same numbers as
-            ``trie.*`` counters with one schema across all backends.
-        """
-        warnings.warn(
-            "IndexedSearcher.last_stats is deprecated and will be "
-            "removed in 2.0; use the SearchReport API "
-            "(SearchEngine.search(..., report=True) or "
-            "engine.last_report) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_stats
 
     def attach_metrics(self, registry) -> None:
         """Attach a :class:`repro.obs.MetricsRegistry` (or ``None``).

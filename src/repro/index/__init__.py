@@ -12,9 +12,11 @@ and the related-work alternatives it is positioned against:
 * :func:`trie_similarity_search` — threshold search over either trie.
 * :class:`FlatTrie` / :func:`flat_similarity_search` — either trie
   frozen into flat CSR arrays with an iterative, allocation-free
-  descent (see :mod:`repro.index.flat`), plus
-  :class:`BatchIndexExecutor` / :class:`FlatIndexSearcher` for
-  batch-amortized execution (see :mod:`repro.index.batch`).
+  descent (see :mod:`repro.index.flat`), plus :class:`TrieProbe` —
+  that descent as a probe of the shared
+  :class:`repro.core.batch.BatchExecutor` — and
+  :class:`BatchIndexExecutor` / :class:`FlatIndexSearcher`, the core
+  with that probe built in (see :mod:`repro.index.batch`).
 * :class:`QGramIndex` — inverted q-gram index, the "well-known index"
   family most mature systems use.
 * :class:`SuffixArray` — Navarro-style suffix-array substrate with
@@ -23,7 +25,11 @@ and the related-work alternatives it is positioned against:
 
 from repro.index.autocomplete import Completion, autocomplete
 from repro.index.automaton import LevenshteinAutomaton, automaton_trie_search
-from repro.index.batch import BatchIndexExecutor, FlatIndexSearcher
+from repro.index.batch import (
+    BatchIndexExecutor,
+    FlatIndexSearcher,
+    TrieProbe,
+)
 from repro.index.bktree import BKTree, bktree_from
 from repro.index.compressed import CompressedTrie
 from repro.index.dawg import Dawg
@@ -44,6 +50,7 @@ __all__ = [
     "flat_similarity_search",
     "BatchIndexExecutor",
     "FlatIndexSearcher",
+    "TrieProbe",
     "LevenshteinAutomaton",
     "automaton_trie_search",
     "Completion",

@@ -1,18 +1,15 @@
 """Batch query execution over a compiled flat trie.
 
-The index-side mirror of :mod:`repro.scan.executor`: where
-:class:`repro.scan.executor.BatchScanExecutor` amortizes a workload
-against a :class:`repro.scan.corpus.CompiledCorpus`,
-:class:`BatchIndexExecutor` amortizes it against a
+The index side of the batch path: :class:`BatchIndexExecutor` is the
+shared :class:`repro.core.batch.BatchExecutor` — dedup, result memo,
+runner fan-out, deadlines, bookkeeping — probing a
 :class:`repro.index.flat.FlatTrie`:
 
-* identical queries are deduplicated — each distinct ``(query, k)``
-  pair descends the trie once per batch, however often it repeats;
-* DP row buffers live in a per-executor ``row_bank`` and are reused
-  across every query in the batch (and across batches), so the serial
-  path allocates one fresh row — row 0 — per query;
-* finished rows live in a bounded :class:`repro.scan.cache.LRUCache`,
-  so repeats *across* batches are lookups too;
+* :func:`probe_query` descends the trie once per distinct ``(query,
+  k)`` pair, however often it repeats;
+* :class:`TrieProbe` keeps the DP row buffers in the scratch the core
+  holds per executor and thread, so the serial path allocates one fresh
+  row — row 0 — per query and concurrent callers never share rows;
 * distinct queries fan out over any :mod:`repro.parallel` runner; the
   flat trie is plain tuples, so a process pool ships it once per chunk.
 
@@ -24,42 +21,19 @@ that before any benchmark timing counts.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from time import perf_counter, time
-from typing import Iterable, Sequence
+from typing import Iterable
 
+from repro.core.batch import DEFAULT_CACHE_SIZE, BatchExecutor
 from repro.core.deadline import Budget, Deadline
 from repro.core.result import Match, ResultSet
 from repro.core.searcher import QueryRunner, Searcher
 from repro.data.alphabet import Alphabet
 from repro.data.workload import Workload
-from repro.distance.banded import check_threshold
-from repro.exceptions import DeadlineExceeded, ReproError
+from repro.exceptions import DeadlineExceeded
 from repro.index.flat import FlatTrie, flat_similarity_search
 from repro.index.traversal import TraversalStats
 from repro.obs.hist import Histogram
-from repro.obs.recorder import QueryExemplar
-from repro.obs.tracing import (
-    adopt_spans,
-    emit_span,
-    ship_context,
-    worker_span,
-)
-from repro.scan.cache import LRUCache
-from repro.scan.executor import (
-    DEFAULT_CACHE_SIZE,
-    BatchStats,
-    _pool_payload,
-    _resolve_artifact,
-)
-
-#: Histogram names the executor records per executed probe.
-TRIE_HISTOGRAMS = (
-    "trie.query_seconds",
-    "trie.nodes_per_query",
-    "trie.symbols_per_query",
-)
 
 
 def _flush_trie_counters(counters: dict, stats: TraversalStats) -> None:
@@ -125,44 +99,45 @@ def probe_query(flat: FlatTrie, query: str, k: int, *,
 
 
 @dataclass(frozen=True)
-class _ProbeTask:
-    """Picklable per-query work unit for runner fan-out.
+class TrieProbe:
+    """The flat-trie descent as a :class:`BatchExecutor` probe."""
 
-    Stateless on purpose: thread runners share one task object across
-    workers, so the DP row bank cannot live here — each call brings its
-    own rows and the executor keeps the reusable bank on the serial
-    path only. With ``collect`` set, each call returns ``(row,
-    counters, timers, seconds, spans)`` so worker processes ship their
-    work profile — including the ``index.probe`` timer observation and
-    any trace spans recorded under the shipped ``trace`` context —
-    back with their rows.
-    """
+    artifact: FlatTrie
+    use_frequency: bool = True
 
-    flat: FlatTrie
-    k: int
-    use_frequency: bool
-    collect: bool = False
-    trace: dict | None = None
+    backend = "flat-index"
+    what = "flat trie"
+    timer = "index.probe"
+    histograms = {
+        "trie.query_seconds": None,
+        "trie.nodes_per_query": "trie.nodes_visited",
+        "trie.symbols_per_query": "trie.symbols_processed",
+    }
 
-    def __call__(self, query: str):
-        flat = _resolve_artifact(self.flat)
-        if not self.collect:
-            return tuple(probe_query(flat, query, self.k,
-                                     use_frequency=self.use_frequency))
-        counters: dict = {}
-        wall = time()
-        started = perf_counter()
-        row = tuple(probe_query(flat, query, self.k,
-                                use_frequency=self.use_frequency,
-                                counters=counters))
-        seconds = perf_counter() - started
-        spans = worker_span("index.probe", self.trace, wall, seconds,
-                            tags={"query": query})
-        return row, counters, {"index.probe": (seconds, 1)}, seconds, \
-            spans
+    def run(self, flat: FlatTrie, query: str, k: int, *,
+            counters: dict, deadline: Deadline | Budget | None = None,
+            scratch: list | None = None) -> list[Match]:
+        """Descend with ``scratch`` as the DP row bank.
+
+        Row-bank reuse is counted here — rows the bank already held are
+        reuses; any growth is fresh allocation — and only where a bank
+        exists (worker probes bring their own rows).
+        """
+        held = len(scratch) if scratch is not None else 0
+        row = probe_query(flat, query, k,
+                          use_frequency=self.use_frequency,
+                          row_bank=scratch, counters=counters,
+                          deadline=deadline)
+        if scratch is not None:
+            grown = len(scratch) - held
+            counters["trie.rows_allocated"] = grown
+            if grown == 0 and held:
+                # The descent ran entirely on previously banked rows.
+                counters["trie.bank_reuses"] = 1
+        return row
 
 
-class BatchIndexExecutor:
+class BatchIndexExecutor(BatchExecutor):
     """Answer whole workloads against one :class:`FlatTrie`.
 
     Parameters
@@ -194,266 +169,17 @@ class BatchIndexExecutor:
                  runner: QueryRunner | None = None,
                  cache_size: int = DEFAULT_CACHE_SIZE,
                  use_frequency: bool = True) -> None:
-        if cache_size < 0:
-            raise ReproError(
-                f"cache_size must be non-negative, got {cache_size}"
-            )
-        self._flat = flat
-        self._runner = runner
-        self._cache: LRUCache[tuple[str, int], tuple[Match, ...]] | None = (
-            LRUCache(cache_size) if cache_size else None
-        )
-        self._use_frequency = use_frequency
-        self._row_bank: list = []
-        self.stats = BatchStats()
-        # Cumulative trie.* work counters, merged back from every probe
-        # (including ones executed in worker processes).
-        self._counters: dict[str, int] = {}
-        self._hists = {name: Histogram() for name in TRIE_HISTOGRAMS}
-        self._counters_lock = threading.Lock()
-        self._metrics = None
-        self._recorder = None
+        super().__init__(TrieProbe(flat, use_frequency),
+                         runner=runner, cache_size=cache_size)
 
-    def attach_metrics(self, registry) -> None:
-        """Attach a :class:`repro.obs.MetricsRegistry` (or ``None``).
-
-        With a registry attached, the executor mirrors its ``trie.*``
-        work counters into it and records ``index.probe`` timer
-        observations per executed descent.
-        """
-        self._metrics = registry
-
-    def counters_snapshot(self) -> dict[str, int]:
-        """Cumulative ``trie.*`` work counters since construction.
-
-        Monotonic and thread-safe; includes work done in worker
-        processes (tasks ship their counters back with their rows) and
-        the serial path's row-bank reuse profile.
-        """
-        with self._counters_lock:
-            return dict(self._counters)
-
-    def hists_snapshot(self) -> dict[str, Histogram]:
-        """Cumulative per-probe histograms since construction.
-
-        Same contract as :meth:`counters_snapshot`: monotonic,
-        thread-safe, exact to delta, and inclusive of worker-process
-        probes (which ship their seconds back with their rows).
-        """
-        with self._counters_lock:
-            return {name: hist.copy()
-                    for name, hist in self._hists.items()}
-
-    def attach_recorder(self, recorder) -> None:
-        """Attach a :class:`repro.obs.FlightRecorder` (or ``None``)."""
-        self._recorder = recorder
-
-    def _merge_counters(self, counters: dict, seconds: float, *,
-                        started: float | None = None,
-                        timers: dict | None = None) -> None:
-        """Fold one executed probe's profile into the cumulative state.
-
-        Every merge here is a whole query (the trie has no chunk
-        fan-out), so the per-query histograms record unconditionally.
-        ``started`` (serial probes only) upgrades the timer observation
-        to a real span for trace export; ``timers`` merges a
-        worker-shipped ``{name: (seconds, calls)}`` mapping instead.
-        """
-        with self._counters_lock:
-            own = self._counters
-            for name, value in counters.items():
-                own[name] = own.get(name, 0) + value
-            hists = self._hists
-            hists["trie.query_seconds"].record(seconds)
-            hists["trie.nodes_per_query"].record(
-                counters.get("trie.nodes_visited", 0))
-            hists["trie.symbols_per_query"].record(
-                counters.get("trie.symbols_processed", 0))
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.merge_counts(counters)
-            if timers:
-                metrics.merge_timers(timers)
-            elif started is not None:
-                metrics.record_span("index.probe", started, seconds)
-            else:
-                metrics.observe("index.probe", seconds)
-
-    def _offer_exemplar(self, query: str, k: int, seconds: float,
-                        matches: int, counters: dict) -> None:
-        """Offer a completed probe to the flight recorder, if any."""
-        recorder = self._recorder
-        if recorder is not None and recorder.interested(seconds):
-            recorder.record(QueryExemplar(
-                query=query, k=k, backend="flat-index",
-                seconds=seconds, matches=matches,
-                stages={"index.probe": seconds},
-                counters=dict(counters),
-            ))
-
-    def _probe_with_bank(self, query: str, k: int,
-                         deadline: Deadline | Budget | None = None
-                         ) -> tuple[Match, ...]:
-        """Serial-path probe: reuse the executor's DP row bank.
-
-        Row-bank reuse is counted here — rows the bank already held are
-        reuses; any growth is fresh allocation — because only the
-        serial path owns a bank (worker probes bring their own rows).
-        """
-        counters: dict = {}
-        bank = self._row_bank
-        held = len(bank)
-        started = perf_counter()
-        try:
-            row = tuple(probe_query(self._flat, query, k,
-                                    use_frequency=self._use_frequency,
-                                    row_bank=bank,
-                                    counters=counters,
-                                    deadline=deadline))
-        except DeadlineExceeded:
-            self._merge_counters(counters, perf_counter() - started,
-                                 started=started)
-            raise
-        seconds = perf_counter() - started
-        grown = len(bank) - held
-        counters["trie.rows_allocated"] = grown
-        if grown == 0 and held:
-            # The descent ran entirely on previously banked rows.
-            counters["trie.bank_reuses"] = 1
-        self._merge_counters(counters, seconds, started=started)
-        self._offer_exemplar(query, k, seconds, len(row), counters)
-        emit_span("index.probe", seconds, {"query": query})
-        return row
+    # Re-bound here because benchmarks/e2e traces it as
+    # ``BatchIndexExecutor.search_many`` (span ``index.search_many``).
+    search_many = BatchExecutor.search_many
 
     @property
     def flat(self) -> FlatTrie:
         """The compiled index."""
-        return self._flat
-
-    @property
-    def cache(self) -> LRUCache | None:
-        """The result memo (``None`` when disabled)."""
-        return self._cache
-
-    def search(self, query: str, k: int, *,
-               deadline: Deadline | Budget | None = None) -> list[Match]:
-        """One query's matches (memoized like any batch member).
-
-        With a ``deadline`` set, an expiring descent raises
-        :class:`DeadlineExceeded` carrying the matches proven so far;
-        partial rows are never stored in the memo.
-        """
-        check_threshold(k)
-        row = self._cached_row(query, k)
-        if row is None:
-            row = self._probe_with_bank(query, k, deadline)
-            self.stats.scans_executed += 1
-            self._store_row(query, k, row)
-        else:
-            self.stats.cache_hits += 1
-        self.stats.queries_seen += 1
-        self.stats.unique_queries += 1
-        return list(row)
-
-    def search_many(self, queries: Sequence[str], k: int, *,
-                    runner: QueryRunner | None = None,
-                    deadline: Deadline | Budget | None = None
-                    ) -> ResultSet:
-        """Answer a whole batch, amortizing per-query work.
-
-        Returns a :class:`ResultSet` with one row per input query, in
-        input order — duplicate queries share one descent but still get
-        their own (identical) rows, so the result is directly
-        comparable to any per-query searcher's.
-
-        With a ``deadline`` set, distinct queries execute serially (so
-        the abort point is well-defined) and an expiry raises
-        :class:`DeadlineExceeded` whose ``partial`` is a mapping of the
-        *completed* queries to their full rows.
-        """
-        check_threshold(k)
-        queries = list(queries)
-        runner = runner if runner is not None else self._runner
-
-        order: dict[str, None] = dict.fromkeys(queries)
-        resolved: dict[str, tuple[Match, ...]] = {}
-        misses: list[str] = []
-        for query in order:
-            row = self._cached_row(query, k)
-            if row is None:
-                misses.append(query)
-            else:
-                resolved[query] = row
-                self.stats.cache_hits += 1
-
-        if misses:
-            if deadline is not None:
-                self._execute_bounded(misses, k, deadline, resolved,
-                                      total=len(order))
-            else:
-                rows = self._execute(misses, k, runner)
-                for query, row in zip(misses, rows):
-                    resolved[query] = row
-                    self._store_row(query, k, row)
-                self.stats.scans_executed += len(misses)
-
-        self.stats.queries_seen += len(queries)
-        self.stats.unique_queries += len(order)
-        return ResultSet(queries, [resolved[query] for query in queries])
-
-    def _execute_bounded(self, misses: list[str], k: int,
-                         deadline: Deadline | Budget,
-                         resolved: dict[str, tuple[Match, ...]],
-                         total: int) -> None:
-        """Serial deadline-bounded execution, filling ``resolved``."""
-        for query in misses:
-            try:
-                row = self._probe_with_bank(query, k, deadline)
-            except DeadlineExceeded as error:
-                raise DeadlineExceeded(
-                    f"batch index probe exceeded its deadline with "
-                    f"{len(resolved)} of {total} distinct queries "
-                    f"complete (in-flight: {error})",
-                    partial=dict(resolved), scope="queries",
-                    completed=len(resolved), total=total,
-                ) from error
-            self.stats.scans_executed += 1
-            resolved[query] = row
-            self._store_row(query, k, row)
-
-    def run_workload(self, workload: Workload,
-                     runner: QueryRunner | None = None) -> ResultSet:
-        """Workload adapter mirroring :meth:`Searcher.run_workload`."""
-        return self.search_many(list(workload.queries), workload.k,
-                                runner=runner)
-
-    # ------------------------------------------------------------------
-
-    def _cached_row(self, query: str, k: int) -> tuple[Match, ...] | None:
-        if self._cache is None:
-            return None
-        return self._cache.get((query, k))
-
-    def _store_row(self, query: str, k: int,
-                   row: tuple[Match, ...]) -> None:
-        if self._cache is not None:
-            self._cache.put((query, k), row)
-
-    def _execute(self, misses: list[str], k: int,
-                 runner: QueryRunner | None) -> list[tuple[Match, ...]]:
-        if runner is None or len(misses) == 1:
-            return [self._probe_with_bank(query, k) for query in misses]
-        task = _ProbeTask(_pool_payload(self._flat, runner, "flat trie"),
-                          k, self._use_frequency, collect=True,
-                          trace=ship_context())
-        rows: list[tuple[Match, ...]] = []
-        for query, (row, counters, timers, seconds, spans) in zip(
-                misses, runner.run(task, misses)):
-            self._merge_counters(counters, seconds, timers=timers)
-            self._offer_exemplar(query, k, seconds, len(row), counters)
-            adopt_spans(spans)
-            rows.append(row)
-        return rows
+        return self._probe.artifact
 
 
 class FlatIndexSearcher(Searcher):

@@ -50,8 +50,7 @@ instrumentation layer both engines share:
     ``python -m repro.obs.regress BASELINE CURRENT`` — the noise-aware
     regression gate CI runs over committed ``BENCH_*.json`` baselines.
 
-See ``docs/OBSERVABILITY.md`` for the tour and the migration notes for
-the deprecated ``last_stats`` / ``batch_stats`` surfaces.
+See ``docs/OBSERVABILITY.md`` for the tour.
 """
 
 from repro.obs.events import (

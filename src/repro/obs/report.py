@@ -13,7 +13,7 @@ The report is **frozen** — a value, not a live view — and has one
 documented schema (:data:`REPORT_SCHEMA`, enforced by
 :func:`validate_report`) across all four execution paths: the
 per-query sequential scan, the compiled batch scan, the (object or
-flat) trie index, and both batch executors. CI validates the reports
+flat) trie index, and the batch executor under either probe. CI validates the reports
 the benchmark harnesses emit against the same schema, so the JSON on
 disk can never drift from the API.
 """
@@ -87,7 +87,7 @@ REPORT_MODES = ("search", "batch", "workload", "service")
 class BatchCounters:
     """Frozen dedup/memo counters of one batch window.
 
-    The immutable face of :class:`repro.scan.executor.BatchStats`,
+    The immutable face of :class:`repro.core.batch.BatchStats`,
     usually holding the *delta* a single call contributed rather than
     the executor's cumulative totals.
     """

@@ -8,8 +8,7 @@ one immutable dataset, so everything that depends only on the data side
 exactly once in :class:`CompiledCorpus`, and everything that depends
 only on the query side — the Myers ``peq`` table, the length window,
 the query's frequency vector — is computed exactly once per *distinct*
-query by :class:`BatchScanExecutor` and shared across every bucket it
-probes.
+query by :func:`scan_query` and shared across every bucket it probes.
 
 Layers
 ------
@@ -19,19 +18,25 @@ Layers
     with sorted offsets (equation 5's length filter becomes one binary
     search instead of a per-candidate branch), and per-string frequency
     vectors for the PETER-style prefilter.
+:func:`scan_query` / :class:`ScanProbe`
+    One query against (a bucket slice of) the corpus — the scan as a
+    probe of the shared batch core.
 :class:`BatchScanExecutor`
-    The query side, amortized: deduplicates identical queries, memoizes
-    recent results in a bounded :class:`LRUCache`, and fans work out
-    across any :mod:`repro.parallel` runner.
+    :class:`repro.core.batch.BatchExecutor` with the scan probe built
+    in: the core deduplicates identical queries, memoizes recent
+    results in a bounded :class:`LRUCache`, fans work out across any
+    :mod:`repro.parallel` runner and keeps the books; the same core
+    runs the flat trie in :mod:`repro.index.batch`.
 :class:`CompiledScanSearcher`
     The :class:`repro.core.searcher.Searcher` adapter, so the compiled
     path plugs into :class:`repro.core.engine.SearchEngine`, workload
     execution and result verification unchanged.
 """
 
-from repro.scan.cache import LRUCache
+from repro.core.batch import BatchStats
+from repro.core.cache import LRUCache
 from repro.scan.corpus import CompiledCorpus, LengthBucket
-from repro.scan.executor import BatchScanExecutor, BatchStats, scan_query
+from repro.scan.executor import BatchScanExecutor, ScanProbe, scan_query
 from repro.scan.searcher import CompiledScanSearcher
 
 __all__ = [
@@ -41,5 +46,6 @@ __all__ = [
     "CompiledScanSearcher",
     "LRUCache",
     "LengthBucket",
+    "ScanProbe",
     "scan_query",
 ]

@@ -2,19 +2,17 @@
 
 Where :class:`repro.core.sequential.SequentialScanSearcher` treats every
 ``search()`` call as an isolated event, :class:`BatchScanExecutor`
-treats the *workload* as the unit of work and amortizes aggressively:
+treats the *workload* as the unit of work. Dedup, the result memo,
+runner fan-out, deadlines and all bookkeeping are the shared
+:class:`repro.core.batch.BatchExecutor`; this module supplies the scan
+as its probe:
 
-* identical queries are deduplicated — each distinct ``(query, k)``
-  pair is scanned once per batch, however often it repeats;
-* the Myers ``peq`` table and the query's frequency vector are built
-  once per distinct query and reused across every length bucket in the
-  ``[len(q) - k, len(q) + k]`` window;
-* finished rows live in a bounded :class:`repro.scan.cache.LRUCache`,
-  so repeats *across* batches are lookups too;
-* distinct queries fan out over any :mod:`repro.parallel` runner, and a
-  single expensive query fans its bucket window out instead — the
-  compiled corpus is built once in the parent and chunk-scanned in
-  workers.
+* :func:`scan_query` builds the Myers ``peq`` table and the query's
+  frequency vector once per distinct query and reuses them across every
+  length bucket in the ``[len(q) - k, len(q) + k]`` window;
+* :class:`ScanProbe` can split that bucket window, so a single
+  expensive query fans out over a runner too — the compiled corpus is
+  built once in the parent and chunk-scanned in workers.
 
 Results are byte-identical to the reference scan by construction (the
 kernel is the same Myers recurrence; the filters are the same sound
@@ -24,14 +22,11 @@ checks exactly that.
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass
-from time import perf_counter, time
-from typing import Sequence
 
+from repro.core.batch import DEFAULT_CACHE_SIZE, BatchExecutor
 from repro.core.deadline import Budget, Deadline
-from repro.core.result import Match, ResultSet
+from repro.core.result import Match
 from repro.core.searcher import QueryRunner
 from repro.distance.banded import check_threshold
 from repro.distance.bitparallel import build_peq
@@ -41,72 +36,10 @@ from repro.distance.vectorized import (
     prepare_query,
 )
 from repro.exceptions import DeadlineExceeded, ReproError
-from repro.obs.hist import Histogram
-from repro.obs.recorder import QueryExemplar
-from repro.obs.tracing import (
-    adopt_spans,
-    emit_span,
-    ship_context,
-    worker_span,
-)
-from repro.scan.cache import LRUCache
 from repro.scan.corpus import CompiledCorpus
-
-#: Default capacity of the per-executor result memo.
-DEFAULT_CACHE_SIZE = 1024
 
 #: Kernel choices ``scan_query`` (and the executors above it) accept.
 SCAN_KERNELS = ("auto", "scalar", "vectorized")
-
-#: How many bucket chunks a single-query fan-out produces per worker
-#: hint when the runner does not advertise a worker count.
-DEFAULT_BUCKET_CHUNKS = 4
-
-#: Histogram names the executor records per executed query scan.
-SCAN_HISTOGRAMS = (
-    "scan.query_seconds",
-    "scan.candidates_per_query",
-    "scan.kernel_calls_per_query",
-)
-
-
-def _resolve_artifact(obj):
-    """Materialize a :class:`repro.speed.SegmentRef`, pass others through.
-
-    Duck-typed on ``resolve()`` so worker processes only import
-    :mod:`repro.speed` when a ref actually arrives.
-    """
-    resolve = getattr(obj, "resolve", None)
-    return resolve() if resolve is not None else obj
-
-
-def _pool_payload(artifact, runner, what: str):
-    """The value a task should carry for ``runner`` — artifact or ref.
-
-    Thread runners share memory, so they always get the artifact
-    itself. Process pools get a :class:`repro.speed.SegmentRef` when
-    the artifact is segment-backed (workers mmap the file: ~1x resident
-    memory however many workers run); otherwise the artifact is
-    pickled, which is deprecated — each worker then holds a private
-    copy.
-    """
-    if getattr(runner, "processes", None) is None:
-        return artifact
-    path = getattr(artifact, "segment_path", None)
-    if path is not None:
-        from repro.speed import SegmentRef
-
-        return SegmentRef(path)
-    warnings.warn(
-        f"pickling a {what} to process-pool workers is deprecated and "
-        f"will be removed in 2.0; save it with "
-        f"repro.speed.save_segment and search the "
-        f"repro.speed.load_segment result so workers mmap the segment "
-        f"instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return artifact
 
 
 def _flush_scan_counters(counters: dict, *, buckets: int, candidates: int,
@@ -418,99 +351,49 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
 
 
 @dataclass(frozen=True)
-class _QueryTask:
-    """Picklable per-query work unit for runner fan-out.
+class ScanProbe:
+    """The compiled scan as a :class:`BatchExecutor` probe.
 
-    With ``collect`` set, each call returns
-    ``(row, counters, timers, seconds, spans)`` instead of the bare row
-    — counters *and* timer observations cross process boundaries as
-    plain dicts and merge back in the parent, so process-pool runs
-    report the same work profile serial runs do. ``timers`` maps
-    timer name to ``(seconds, calls)``. ``spans`` is the worker-side
-    trace-span dicts recorded under the shipped ``trace`` context
-    (empty when no sampled trace shipped), rejoined in the parent
-    with :func:`repro.obs.tracing.adopt_spans`.
+    Per-query histograms are only recorded for whole queries, never
+    bucket chunks, so chunked fan-out cannot skew the distribution.
     """
 
-    corpus: CompiledCorpus
-    k: int
-    use_frequency: bool
-    collect: bool = False
+    artifact: CompiledCorpus
+    use_frequency: bool = True
     kernel: str = "auto"
-    trace: dict | None = None
 
-    def __call__(self, query: str):
-        corpus = _resolve_artifact(self.corpus)
-        if not self.collect:
-            return tuple(scan_query(corpus, query, self.k,
-                                    use_frequency=self.use_frequency,
-                                    kernel=self.kernel))
-        counters: dict = {}
-        wall = time()
-        started = perf_counter()
-        row = tuple(scan_query(corpus, query, self.k,
-                               use_frequency=self.use_frequency,
-                               counters=counters, kernel=self.kernel))
-        seconds = perf_counter() - started
-        spans = worker_span("scan.query", self.trace, wall, seconds,
-                            tags={"query": query})
-        return row, counters, {"scan.query": (seconds, 1)}, seconds, \
-            spans
+    backend = "compiled-scan"
+    what = "compiled corpus"
+    timer = "scan.query"
+    chunk_timer = "scan.chunk"
+    histograms = {
+        "scan.query_seconds": None,
+        "scan.candidates_per_query": "scan.candidates",
+        "scan.kernel_calls_per_query": "scan.kernel_calls",
+    }
 
-
-@dataclass(frozen=True)
-class _BucketChunkTask:
-    """Picklable bucket-slice work unit for single-query fan-out.
-
-    ``collect`` and ``trace`` behave as on :class:`_QueryTask`.
-    """
-
-    corpus: CompiledCorpus
-    query: str
-    k: int
-    use_frequency: bool
-    collect: bool = False
-    kernel: str = "auto"
-    trace: dict | None = None
-
-    def __call__(self, chunk: tuple[int, int]):
+    def run(self, corpus: CompiledCorpus, query: str, k: int, *,
+            counters: dict, deadline: Deadline | Budget | None = None,
+            scratch: list | None = None,
+            chunk: tuple[int | None, int | None] = (None, None)
+            ) -> list[Match]:
         lo, hi = chunk
-        corpus = _resolve_artifact(self.corpus)
-        if not self.collect:
-            return tuple(scan_query(corpus, self.query, self.k,
-                                    lo=lo, hi=hi,
-                                    use_frequency=self.use_frequency,
-                                    kernel=self.kernel))
-        counters: dict = {}
-        wall = time()
-        started = perf_counter()
-        row = tuple(scan_query(corpus, self.query, self.k,
-                               lo=lo, hi=hi,
-                               use_frequency=self.use_frequency,
-                               counters=counters, kernel=self.kernel))
-        seconds = perf_counter() - started
-        spans = worker_span("scan.chunk", self.trace, wall, seconds,
-                            tags={"lo": str(lo), "hi": str(hi)})
-        return row, counters, {"scan.chunk": (seconds, 1)}, seconds, \
-            spans
+        return scan_query(corpus, query, k, lo=lo, hi=hi,
+                          use_frequency=self.use_frequency,
+                          counters=counters, deadline=deadline,
+                          kernel=self.kernel)
+
+    def chunks(self, corpus: CompiledCorpus, query: str, k: int,
+               workers: int) -> list[tuple[int, int]]:
+        """The query's bucket window in at most ``workers`` slices."""
+        lo, hi = corpus.window(len(query), k)
+        count = max(1, min(workers, hi - lo))
+        bounds = [lo + (hi - lo) * step // count
+                  for step in range(count + 1)]
+        return list(zip(bounds, bounds[1:]))
 
 
-@dataclass
-class BatchStats:
-    """Counters describing how much work a batch actually executed."""
-
-    queries_seen: int = 0
-    unique_queries: int = 0
-    cache_hits: int = 0
-    scans_executed: int = 0
-
-    @property
-    def deduplicated(self) -> int:
-        """Queries answered by batch-level deduplication."""
-        return self.queries_seen - self.unique_queries
-
-
-class BatchScanExecutor:
+class BatchScanExecutor(BatchExecutor):
     """Answer whole workloads against one :class:`CompiledCorpus`.
 
     Parameters
@@ -547,351 +430,20 @@ class BatchScanExecutor:
                  cache_size: int = DEFAULT_CACHE_SIZE,
                  use_frequency: bool = True,
                  kernel: str = "auto") -> None:
-        if cache_size < 0:
-            raise ReproError(
-                f"cache_size must be non-negative, got {cache_size}"
-            )
         if kernel not in SCAN_KERNELS:
             raise ReproError(
                 f"unknown scan kernel {kernel!r}; expected one of "
                 f"{SCAN_KERNELS}"
             )
-        self._corpus = corpus
-        self._runner = runner
-        self._kernel = kernel
-        self._cache: LRUCache[tuple[str, int], tuple[Match, ...]] | None = (
-            LRUCache(cache_size) if cache_size else None
-        )
-        self._use_frequency = use_frequency
-        self.stats = BatchStats()
-        # Cumulative scan.* work counters, merged back from every task
-        # (including ones executed in worker processes).
-        self._counters: dict[str, int] = {}
-        self._hists = {name: Histogram() for name in SCAN_HISTOGRAMS}
-        self._counters_lock = threading.Lock()
-        self._metrics = None
-        self._recorder = None
-
-    def attach_metrics(self, registry) -> None:
-        """Attach a :class:`repro.obs.MetricsRegistry` (or ``None``).
-
-        With a registry attached, the executor mirrors its ``scan.*``
-        work counters into it and records ``scan.query`` /
-        ``scan.chunk`` timer observations per executed scan.
-        """
-        self._metrics = registry
-
-    def counters_snapshot(self) -> dict[str, int]:
-        """Cumulative ``scan.*`` work counters since construction.
-
-        Monotonic and thread-safe; includes work done in worker
-        processes (tasks ship their counters back with their rows).
-        """
-        with self._counters_lock:
-            return dict(self._counters)
-
-    def hists_snapshot(self) -> dict[str, Histogram]:
-        """Cumulative per-query histograms since construction.
-
-        Includes scans executed in worker processes (workers ship
-        their per-query seconds and counters back; the parent records
-        them here), so pooled runs distribute like serial runs —
-        modulo worker wall-clocks for the latency series.
-        """
-        with self._counters_lock:
-            return {name: hist.copy()
-                    for name, hist in self._hists.items()}
-
-    def attach_recorder(self, recorder) -> None:
-        """Attach a :class:`repro.obs.FlightRecorder` (or ``None``)."""
-        self._recorder = recorder
-
-    def _merge_counters(self, counters: dict, seconds: float,
-                        timer: str = "scan.query", *,
-                        started: float | None = None,
-                        timers: dict | None = None) -> None:
-        """Fold one executed scan's profile into the cumulative state.
-
-        ``timer`` names the observation; per-query histograms are only
-        recorded for whole-query scans (``scan.query``), never chunk
-        fragments, so chunked fan-out cannot skew the distribution.
-        ``started`` (serial scans only — worker clocks don't compare)
-        turns the observation into a real span for trace export;
-        ``timers`` is a worker-shipped ``{name: (seconds, calls)}``
-        mapping merged verbatim instead.
-        """
-        with self._counters_lock:
-            own = self._counters
-            for name, value in counters.items():
-                own[name] = own.get(name, 0) + value
-            if timer == "scan.query":
-                hists = self._hists
-                hists["scan.query_seconds"].record(seconds)
-                hists["scan.candidates_per_query"].record(
-                    counters.get("scan.candidates", 0))
-                hists["scan.kernel_calls_per_query"].record(
-                    counters.get("scan.kernel_calls", 0))
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.merge_counts(counters)
-            if timers:
-                metrics.merge_timers(timers)
-            elif started is not None:
-                metrics.record_span(timer, started, seconds)
-            else:
-                metrics.observe(timer, seconds)
-
-    def _record_query_hists(self, seconds: float, candidates: int,
-                            kernel_calls: int) -> None:
-        """Record one whole query's histogram entries directly.
-
-        Used by the chunked single-query path, whose ``_merge_counters``
-        calls are per-chunk and therefore skip the histograms.
-        """
-        with self._counters_lock:
-            hists = self._hists
-            hists["scan.query_seconds"].record(seconds)
-            hists["scan.candidates_per_query"].record(candidates)
-            hists["scan.kernel_calls_per_query"].record(kernel_calls)
-
-    def _offer_exemplar(self, query: str, k: int, seconds: float,
-                        matches: int, counters: dict,
-                        stages: dict | None = None) -> None:
-        """Offer a completed query to the flight recorder, if any."""
-        recorder = self._recorder
-        if recorder is not None and recorder.interested(seconds):
-            recorder.record(QueryExemplar(
-                query=query, k=k, backend="compiled-scan",
-                seconds=seconds, matches=matches,
-                stages=stages or {"scan.query": seconds},
-                counters=dict(counters),
-            ))
+        super().__init__(ScanProbe(corpus, use_frequency, kernel),
+                         runner=runner, cache_size=cache_size)
 
     @property
     def corpus(self) -> CompiledCorpus:
         """The compiled data side."""
-        return self._corpus
+        return self._probe.artifact
 
     @property
     def kernel(self) -> str:
         """The configured kernel selection (``"auto"`` by default)."""
-        return self._kernel
-
-    @property
-    def cache(self) -> LRUCache | None:
-        """The result memo (``None`` when disabled)."""
-        return self._cache
-
-    def search(self, query: str, k: int, *,
-               deadline: Deadline | Budget | None = None) -> list[Match]:
-        """One query's matches (memoized like any batch member).
-
-        With a ``deadline`` set, an expiring scan raises
-        :class:`DeadlineExceeded` carrying the matches proven so far;
-        partial rows are never stored in the memo.
-        """
-        check_threshold(k)
-        row = self._cached_row(query, k)
-        if row is None:
-            counters: dict = {}
-            started = perf_counter()
-            try:
-                row = tuple(scan_query(self._corpus, query, k,
-                                       use_frequency=self._use_frequency,
-                                       counters=counters,
-                                       deadline=deadline,
-                                       kernel=self._kernel))
-            except DeadlineExceeded:
-                self._merge_counters(counters, perf_counter() - started,
-                                     started=started)
-                raise
-            seconds = perf_counter() - started
-            self._merge_counters(counters, seconds, started=started)
-            self._offer_exemplar(query, k, seconds, len(row), counters)
-            emit_span("scan.query", seconds, {"query": query})
-            self.stats.scans_executed += 1
-            self._store_row(query, k, row)
-        else:
-            self.stats.cache_hits += 1
-        self.stats.queries_seen += 1
-        self.stats.unique_queries += 1
-        return list(row)
-
-    def search_many(self, queries: Sequence[str], k: int, *,
-                    runner: QueryRunner | None = None,
-                    deadline: Deadline | Budget | None = None
-                    ) -> ResultSet:
-        """Answer a whole batch, amortizing per-query work.
-
-        Returns a :class:`ResultSet` with one row per input query, in
-        input order — duplicate queries share one scan but still get
-        their own (identical) rows, so the result is directly
-        comparable to any per-query searcher's.
-
-        With a ``deadline`` set, distinct queries are executed serially
-        (so the abort point is well-defined) and an expiry raises
-        :class:`DeadlineExceeded` whose ``partial`` is a mapping of the
-        *completed* queries to their full rows.
-        """
-        check_threshold(k)
-        queries = list(queries)
-        runner = runner if runner is not None else self._runner
-
-        order: dict[str, None] = dict.fromkeys(queries)
-        resolved: dict[str, tuple[Match, ...]] = {}
-        misses: list[str] = []
-        for query in order:
-            row = self._cached_row(query, k)
-            if row is None:
-                misses.append(query)
-            else:
-                resolved[query] = row
-                self.stats.cache_hits += 1
-
-        if misses:
-            if deadline is not None:
-                self._execute_bounded(misses, k, deadline, resolved,
-                                      total=len(order))
-            else:
-                rows = self._execute(misses, k, runner)
-                for query, row in zip(misses, rows):
-                    resolved[query] = row
-                    self._store_row(query, k, row)
-                self.stats.scans_executed += len(misses)
-
-        self.stats.queries_seen += len(queries)
-        self.stats.unique_queries += len(order)
-        return ResultSet(queries, [resolved[query] for query in queries])
-
-    def _execute_bounded(self, misses: list[str], k: int,
-                         deadline: Deadline | Budget,
-                         resolved: dict[str, tuple[Match, ...]],
-                         total: int) -> None:
-        """Serial deadline-bounded execution, filling ``resolved``.
-
-        On expiry re-raises with the batch-level partial: every
-        *completed* query's full row (cache hits included).
-        """
-        for query in misses:
-            counters: dict = {}
-            started = perf_counter()
-            try:
-                row = tuple(scan_query(self._corpus, query, k,
-                                       use_frequency=self._use_frequency,
-                                       counters=counters,
-                                       deadline=deadline,
-                                       kernel=self._kernel))
-            except DeadlineExceeded as error:
-                self._merge_counters(counters, perf_counter() - started,
-                                     started=started)
-                raise DeadlineExceeded(
-                    f"batch scan exceeded its deadline with "
-                    f"{len(resolved)} of {total} distinct queries "
-                    f"complete (in-flight: {error})",
-                    partial=dict(resolved), scope="queries",
-                    completed=len(resolved), total=total,
-                ) from error
-            seconds = perf_counter() - started
-            self._merge_counters(counters, seconds, started=started)
-            self._offer_exemplar(query, k, seconds, len(row), counters)
-            emit_span("scan.query", seconds, {"query": query})
-            self.stats.scans_executed += 1
-            resolved[query] = row
-            self._store_row(query, k, row)
-
-    def run_workload(self, workload, runner: QueryRunner | None = None
-                     ) -> ResultSet:
-        """Workload adapter mirroring :meth:`Searcher.run_workload`."""
-        return self.search_many(list(workload.queries), workload.k,
-                                runner=runner)
-
-    # ------------------------------------------------------------------
-
-    def _cached_row(self, query: str, k: int) -> tuple[Match, ...] | None:
-        if self._cache is None:
-            return None
-        return self._cache.get((query, k))
-
-    def _store_row(self, query: str, k: int,
-                   row: tuple[Match, ...]) -> None:
-        if self._cache is not None:
-            self._cache.put((query, k), row)
-
-    def _execute(self, misses: list[str], k: int,
-                 runner: QueryRunner | None) -> list[tuple[Match, ...]]:
-        if runner is None:
-            task = _QueryTask(self._corpus, k, self._use_frequency,
-                              collect=True, kernel=self._kernel,
-                              trace=ship_context())
-            outcomes = [task(query) for query in misses]
-        else:
-            if len(misses) == 1:
-                return [self._scan_chunked(misses[0], k, runner)]
-            task = _QueryTask(
-                _pool_payload(self._corpus, runner, "compiled corpus"),
-                k, self._use_frequency, collect=True, kernel=self._kernel,
-                trace=ship_context())
-            outcomes = runner.run(task, misses)
-        rows: list[tuple[Match, ...]] = []
-        for query, (row, counters, timers, seconds, spans) in zip(
-                misses, outcomes):
-            self._merge_counters(counters, seconds, timers=timers)
-            self._offer_exemplar(query, k, seconds, len(row), counters)
-            adopt_spans(spans)
-            rows.append(row)
-        return rows
-
-    def _scan_chunked(self, query: str, k: int,
-                      runner: QueryRunner) -> tuple[Match, ...]:
-        """Fan one query's bucket window out across the runner."""
-        lo, hi = self._corpus.window(len(query), k)
-        workers = (getattr(runner, "threads", None)
-                   or getattr(runner, "processes", None)
-                   or DEFAULT_BUCKET_CHUNKS)
-        chunk_count = max(1, min(workers, hi - lo))
-        if chunk_count == 1:
-            counters: dict = {}
-            started = perf_counter()
-            row = tuple(scan_query(self._corpus, query, k,
-                                   use_frequency=self._use_frequency,
-                                   counters=counters,
-                                   kernel=self._kernel))
-            seconds = perf_counter() - started
-            self._merge_counters(counters, seconds, started=started)
-            self._offer_exemplar(query, k, seconds, len(row), counters)
-            return row
-        bounds = [
-            lo + (hi - lo) * step // chunk_count
-            for step in range(chunk_count + 1)
-        ]
-        chunks = [
-            (bounds[step], bounds[step + 1]) for step in range(chunk_count)
-        ]
-        task = _BucketChunkTask(
-            _pool_payload(self._corpus, runner, "compiled corpus"),
-            query, k, self._use_frequency, collect=True,
-            kernel=self._kernel, trace=ship_context())
-        merged: list[Match] = []
-        totals: dict = {}
-        stages: dict[str, float] = {}
-        started = perf_counter()
-        for index, (part, counters, timers, seconds, spans) in enumerate(
-                runner.run(task, chunks)):
-            self._merge_counters(counters, seconds, timer="scan.chunk",
-                                 timers=timers)
-            adopt_spans(spans)
-            for name, value in counters.items():
-                totals[name] = totals.get(name, 0) + value
-            stages[f"scan.chunk[{index}]"] = seconds
-            merged.extend(part)
-        merged.sort()
-        # The chunk merges above skip the per-query histograms (their
-        # unit is a fragment); record the whole query once here. Wall
-        # clock is the parent-observed window, work is the chunk sum.
-        wall = perf_counter() - started
-        self._record_query_hists(wall,
-                                 totals.get("scan.candidates", 0),
-                                 totals.get("scan.kernel_calls", 0))
-        self._offer_exemplar(query, k, wall, len(merged), totals,
-                             stages=stages)
-        return tuple(merged)
+        return self._probe.kernel

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.batch import DEFAULT_CACHE_SIZE
 from repro.core.result import Match, ResultSet
 from repro.core.searcher import QueryRunner, Searcher
 from repro.data.alphabet import Alphabet
 from repro.data.workload import Workload
 from repro.scan.corpus import CompiledCorpus
-from repro.scan.executor import DEFAULT_CACHE_SIZE, BatchScanExecutor
+from repro.scan.executor import BatchScanExecutor
 
 
 class CompiledScanSearcher(Searcher):

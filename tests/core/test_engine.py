@@ -22,19 +22,12 @@ class TestBackendSelection:
             assert "regime" in plan.reason
             assert not plan.forced
 
-    def test_choice_is_a_deprecated_view_of_the_plan(self, city_names):
-        engine = SearchEngine(city_names)
-        with pytest.warns(DeprecationWarning, match="default_plan"):
-            choice = engine.choice
-        assert choice.backend == engine.default_plan.strategy
-        assert choice.reason == engine.default_plan.reason
-
-    def test_choice_sees_the_compiled_backend(self, city_names):
-        # Regression: EngineChoice used to be blind to the compiled
-        # backend; as a plan view it reports every strategy.
+    def test_default_plan_sees_the_compiled_backend(self, city_names):
+        # Regression: the pre-planner decision view was blind to the
+        # compiled backend; the plan reports every strategy.
         engine = SearchEngine(city_names, backend="compiled")
-        with pytest.warns(DeprecationWarning):
-            assert engine.choice.backend == "compiled"
+        assert engine.default_plan.strategy == "compiled"
+        assert engine.default_plan.forced
 
     def test_forced_backends(self, city_names):
         forced = SearchEngine(city_names, backend="indexed")

@@ -155,8 +155,8 @@ class TestPerCallWindows:
 class TestServingBackendNeverStale:
     def test_forced_compiled_batch_on_an_indexed_engine(self, dna_reads):
         # Regression: after a caller forces the compiled path, the
-        # report (and the deprecated shim) must describe the compiled
-        # executor, not the engine's own batch index.
+        # report must describe the compiled executor, not the engine's
+        # own batch index.
         from repro.core.planner import PlannerPolicy
 
         engine = SearchEngine(dna_reads, backend="indexed")
@@ -168,9 +168,6 @@ class TestServingBackendNeverStale:
         assert report.batch.queries_seen == 4
         assert "scan.kernel_calls" in report.counters
         assert "trie.nodes_visited" not in report.counters
-        with pytest.warns(DeprecationWarning):
-            stats = engine.batch_stats
-        assert stats.queries_seen == 4       # the compiled executor's
 
     def test_switching_back_to_the_index(self, dna_reads):
         from repro.core.planner import PlannerPolicy
@@ -183,39 +180,12 @@ class TestServingBackendNeverStale:
         report = engine.last_report
         assert report.backend == "indexed"
         assert report.batch.queries_seen == 3
-        with pytest.warns(DeprecationWarning):
-            assert engine.batch_stats.queries_seen == 3
 
-    def test_batch_stats_shim_warns_and_is_none_before_batches(
-            self, city_names):
-        engine = SearchEngine(city_names)
-        with pytest.warns(DeprecationWarning, match="last_report"):
-            assert engine.batch_stats is None
-
-
-class TestDeprecationMessages:
-    """Both legacy stats shims must name their removal version."""
-
-    def test_batch_stats_names_the_removal_version(self, city_names):
-        engine = SearchEngine(city_names)
-        with pytest.warns(DeprecationWarning,
-                          match=r"removed in 2\.0") as captured:
-            engine.batch_stats
-        message = str(captured[0].message)
-        assert "SearchEngine.batch_stats is deprecated" in message
-        assert "engine.last_report" in message
-
-    def test_last_stats_names_the_removal_version(self, city_names):
-        from repro.core.indexed import IndexedSearcher
-
-        searcher = IndexedSearcher(city_names)
-        searcher.search(city_names[0], 1)
-        with pytest.warns(DeprecationWarning,
-                          match=r"removed in 2\.0") as captured:
-            searcher.last_stats
-        message = str(captured[0].message)
-        assert "IndexedSearcher.last_stats is deprecated" in message
-        assert "SearchReport" in message
+    def test_no_batch_section_without_a_batch_executor(self, city_names):
+        engine = SearchEngine(city_names, backend="sequential")
+        assert engine.last_report is None
+        engine.search(city_names[0], 1)
+        assert engine.last_report.batch is None
 
 
 class TestProcessPoolParity:

@@ -65,59 +65,53 @@ class TestFrequencyPruning:
         assert "freq" in searcher.name
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestTraversalStats:
-    # ``last_stats`` is a deprecated shim now (the SearchReport API
-    # replaces it); these tests keep asserting the shim still returns
-    # the correct per-search numbers. The deprecation itself is
-    # asserted in test_last_stats_warns below.
-    def test_stats_available_after_trie_search(self):
+def search_delta(searcher, query, k):
+    """(matches, this search's ``trie.*`` work) via snapshot deltas."""
+    before = searcher.counters_snapshot()
+    matches = searcher.search(query, k)
+    after = searcher.counters_snapshot()
+    return matches, {name: after[name] - before.get(name, 0)
+                     for name in after}
+
+
+class TestTraversalCounters:
+    def test_counters_available_after_trie_search(self):
         searcher = IndexedSearcher(DATASET, index="trie")
-        searcher.search("Bern", 1)
-        assert searcher.last_stats is not None
-        assert searcher.last_stats.nodes_visited > 0
+        _, work = search_delta(searcher, "Bern", 1)
+        assert work["trie.nodes_visited"] > 0
 
     @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_every_kind_reports_stats(self, kind):
+    def test_every_kind_reports_counters(self, kind):
         searcher = IndexedSearcher(DATASET, index=kind)
-        matches = searcher.search("Bern", 1)
-        assert searcher.last_stats is not None
-        assert searcher.last_stats.matches == len(matches)
+        matches, work = search_delta(searcher, "Bern", 1)
+        assert work["trie.searches"] == 1
+        assert work["trie.matches"] == len(matches)
 
     @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_stats_reset_per_search(self, kind):
+    def test_delta_describes_one_search_only(self, kind):
         # Regression: a search must never report a previous search's
-        # counters — the bktree/qgram kinds used to leave last_stats
+        # work — the bktree/qgram kinds used to leave their stats
         # untouched.
         searcher = IndexedSearcher(DATASET, index=kind)
-        searcher.search("Bern", 2)
-        busy = searcher.last_stats
-        searcher.search("zzzzzzzz", 0)
-        idle = searcher.last_stats
-        assert idle is not busy
-        assert idle.matches == 0
+        search_delta(searcher, "Bern", 2)
+        _, idle = search_delta(searcher, "zzzzzzzz", 0)
+        assert idle["trie.searches"] == 1
+        assert idle["trie.matches"] == 0
 
     def test_bktree_counts_distance_computations(self):
         searcher = IndexedSearcher(DATASET, index="bktree")
-        searcher.search("Bern", 1)
-        assert searcher.last_stats.nodes_visited > 0
+        _, work = search_delta(searcher, "Bern", 1)
+        assert work["trie.nodes_visited"] > 0
 
-    def test_flat_stats_match_object_trie(self):
+    def test_flat_counters_match_object_trie(self):
         flat = IndexedSearcher(DATASET, index="flat")
         compressed = IndexedSearcher(DATASET, index="compressed")
-        assert flat.search("Berlln", 2) == compressed.search("Berlln", 2)
-        assert vars(flat.last_stats) == vars(compressed.last_stats)
+        flat_matches, flat_work = search_delta(flat, "Berlln", 2)
+        matches, work = search_delta(compressed, "Berlln", 2)
+        assert flat_matches == matches
+        assert flat_work == work
 
-
-class TestLastStatsDeprecation:
-    def test_last_stats_warns(self):
-        searcher = IndexedSearcher(DATASET, index="trie")
-        searcher.search("Bern", 1)
-        with pytest.warns(DeprecationWarning, match="SearchReport"):
-            stats = searcher.last_stats
-        assert stats.matches == 1
-
-    def test_counters_snapshot_is_the_replacement(self):
+    def test_counters_are_cumulative(self):
         searcher = IndexedSearcher(DATASET, index="trie")
         searcher.search("Bern", 1)
         searcher.search("Bern", 1)

@@ -240,12 +240,6 @@ class TestBackendDeprecation:
             engine.search("Berlino", 2,
                           plan=PlannerPolicy(strategy="sequential"))
 
-    def test_choice_warns_and_mirrors_the_plan(self, city_names):
-        engine = SearchEngine(city_names)
-        with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-            choice = engine.choice
-        assert choice.backend == engine.default_plan.strategy
-
 
 class TestPlannerProperty:
     @settings(max_examples=40, deadline=None)

@@ -1,26 +1,21 @@
 """Unit tests for the batch index executor and its Searcher adapter."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.sequential import SequentialScanSearcher
 from repro.core.verification import verify_against_reference
 from repro.data.workload import Workload
-from repro.exceptions import (
-    InvalidThresholdError,
-    ReproError,
-    VerificationError,
-)
+from repro.exceptions import VerificationError
 from repro.index.batch import (
     BatchIndexExecutor,
     FlatIndexSearcher,
     probe_query,
 )
 from repro.index.flat import FlatTrie
-from repro.parallel.executor import (
-    ProcessPoolRunner,
-    SerialRunner,
-    ThreadPoolRunner,
-)
+from repro.parallel.executor import ProcessPoolRunner
 
 DATASET = ["Berlin", "Bern", "Ulm", "Hamburg", "Bremen", "Bonn", "Bern"]
 
@@ -46,91 +41,30 @@ class TestProbeQuery:
             assert pruned == plain
 
 
-class TestSearchMany:
-    def test_rows_in_input_order_with_duplicates(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        queries = ["Bern", "Ulm", "Bern", "zzz", "Bern"]
-        results = executor.search_many(queries, 1)
-        assert results.queries == tuple(queries)
-        assert list(results.rows) == reference_rows(queries, 1)
-
-    def test_deduplication_counted(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        executor.search_many(["Bern"] * 10 + ["Ulm"], 1)
-        assert executor.stats.queries_seen == 11
-        assert executor.stats.unique_queries == 2
-        assert executor.stats.deduplicated == 9
-        assert executor.stats.scans_executed == 2
-
-    def test_memo_spans_batches(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        executor.search_many(["Bern", "Ulm"], 1)
-        executor.search_many(["Bern", "Ulm"], 1)
-        assert executor.stats.cache_hits == 2
-        assert executor.stats.scans_executed == 2
-
-    def test_memo_keyed_by_threshold_too(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        executor.search_many(["Bern"], 1)
-        executor.search_many(["Bern"], 2)
-        assert executor.stats.scans_executed == 2
-
-    def test_single_search_is_memoized_too(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        first = executor.search("Bern", 1)
-        second = executor.search("Bern", 1)
-        assert first == second
-        assert executor.stats.scans_executed == 1
-
-    def test_cache_disabled(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET), cache_size=0)
-        assert executor.cache is None
-        executor.search_many(["Bern"], 1)
-        executor.search_many(["Bern"], 1)
-        assert executor.stats.scans_executed == 2
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ReproError):
-            BatchIndexExecutor(FlatTrie(DATASET), cache_size=-1)
-
-    def test_invalid_threshold_rejected(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        with pytest.raises(InvalidThresholdError):
-            executor.search_many(["Bern"], -1)
-
-    def test_thread_fanout_identical(self):
-        serial = BatchIndexExecutor(FlatTrie(DATASET), cache_size=0)
-        threaded = BatchIndexExecutor(FlatTrie(DATASET), cache_size=0,
-                                      runner=ThreadPoolRunner(threads=3))
-        queries = ["Bern", "Hamburk", "Bremen", "Ulm", "Bern"]
-        assert serial.search_many(queries, 2) == \
-            threaded.search_many(queries, 2)
-
-    def test_process_fanout_identical(self):
+class TestSharedExecutor:
+    # The dedup/memo/fan-out contract both executors share lives in
+    # tests/core/test_batch_executor.py.
+    def test_process_fanout_through_the_searcher(self):
         # The flat trie is plain tuples, so it must survive pickling
         # into pool workers and answer identically there.
-        executor = BatchIndexExecutor(FlatTrie(DATASET), cache_size=0)
+        searcher = FlatIndexSearcher(FlatTrie(DATASET), cache_size=0)
         queries = ["Bern", "Hamburk", "Bremen", "Ulm"]
-        fanned = executor.search_many(
-            queries, 2, runner=ProcessPoolRunner(processes=2)
-        )
+        with pytest.warns(DeprecationWarning, match="pickling a flat trie"):
+            fanned = searcher.search_many(
+                queries, 2, runner=ProcessPoolRunner(processes=2)
+            )
         assert list(fanned.rows) == reference_rows(queries, 2)
 
-    def test_serial_runner_accepted(self):
+    def test_row_bank_counters_on_one_thread(self):
         executor = BatchIndexExecutor(FlatTrie(DATASET), cache_size=0)
-        result = executor.search_many(["Bern", "Ulm"], 2,
-                                      runner=SerialRunner())
-        assert list(result.rows) == reference_rows(["Bern", "Ulm"], 2)
-
-    def test_run_workload_adapter(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        workload = Workload(("Bern", "Ulm", "Bern"), 1, "adapter")
-        results = executor.run_workload(workload)
-        assert list(results.rows) == reference_rows(workload.queries, 1)
-
-    def test_empty_batch(self):
-        executor = BatchIndexExecutor(FlatTrie(DATASET))
-        assert len(executor.search_many([], 1)) == 0
+        executor.search("Bern", 1)
+        first = executor.counters_snapshot()
+        assert first["trie.rows_allocated"] > 0
+        assert "trie.bank_reuses" not in first
+        executor.search_many(["Bern", "Ulm"], 1)
+        after = executor.counters_snapshot()
+        assert after["trie.rows_allocated"] == first["trie.rows_allocated"]
+        assert after["trie.bank_reuses"] == 2
 
 
 class TestFlatIndexSearcher:
@@ -172,3 +106,45 @@ class TestFlatIndexSearcher:
         workload = Workload(("Bern",), 1, "gate")
         with pytest.raises(VerificationError):
             verify_against_reference(searcher, DATASET, workload)
+
+
+def test_shared_executor_is_safe_across_threads(city_names):
+    # Services cache one searcher per shard and run concurrent
+    # submits through it. The DP row bank is scratch a descent
+    # writes into at every depth, so it must be per thread: a
+    # shared bank lets two in-flight descents corrupt each other's
+    # rows and return wrong matches.
+    searcher = FlatIndexSearcher(city_names, cache_size=0)
+    reference = SequentialScanSearcher(city_names)
+    queries = [name[:-1] + "x" for name in city_names[:40]]
+    expected = {query: reference.search(query, 2)
+                for query in queries}
+    wrong = []
+
+    def work():
+        for query in queries:
+            if searcher.search(query, 2) != expected[query]:
+                wrong.append(query)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    # Each thread allocated its own bank once and reused it after.
+    single = FlatIndexSearcher(city_names, cache_size=0)
+    for query in queries:
+        single.search(query, 2)
+    counters = searcher.counters_snapshot()
+    alone = single.counters_snapshot()
+    assert counters["trie.searches"] == 4 * len(queries)
+    assert counters["trie.rows_allocated"] == \
+        4 * alone["trie.rows_allocated"]
+    assert counters["trie.bank_reuses"] == 4 * alone["trie.bank_reuses"]

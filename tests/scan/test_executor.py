@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.result import Match
 from repro.core.sequential import SequentialScanSearcher
-from repro.data.workload import Workload
 from repro.exceptions import InvalidThresholdError, ReproError
 from repro.parallel.executor import SerialRunner, ThreadPoolRunner
-from repro.scan.cache import LRUCache
+from repro.core.cache import LRUCache
 from repro.scan.corpus import CompiledCorpus
 from repro.scan.executor import BatchScanExecutor, scan_query
 
@@ -49,55 +48,10 @@ class TestScanQuery:
             assert with_filter == without
 
 
-class TestSearchMany:
-    def test_rows_in_input_order_with_duplicates(self):
-        executor = BatchScanExecutor(CompiledCorpus(DATASET))
-        queries = ["Bern", "Ulm", "Bern", "zzz", "Bern"]
-        results = executor.search_many(queries, 1)
-        assert results.queries == tuple(queries)
-        assert list(results.rows) == reference_rows(queries, 1)
-
-    def test_deduplication_counted(self):
-        executor = BatchScanExecutor(CompiledCorpus(DATASET))
-        executor.search_many(["Bern"] * 10 + ["Ulm"], 1)
-        assert executor.stats.queries_seen == 11
-        assert executor.stats.unique_queries == 2
-        assert executor.stats.deduplicated == 9
-        assert executor.stats.scans_executed == 2
-
-    def test_memo_spans_batches(self):
-        executor = BatchScanExecutor(CompiledCorpus(DATASET))
-        executor.search_many(["Bern", "Ulm"], 1)
-        executor.search_many(["Bern", "Ulm"], 1)
-        assert executor.stats.cache_hits == 2
-        assert executor.stats.scans_executed == 2
-
-    def test_memo_keyed_by_threshold_too(self):
-        executor = BatchScanExecutor(CompiledCorpus(DATASET))
-        executor.search_many(["Bern"], 1)
-        executor.search_many(["Bern"], 2)
-        assert executor.stats.scans_executed == 2
-
-    def test_cache_disabled(self):
-        executor = BatchScanExecutor(CompiledCorpus(DATASET),
-                                     cache_size=0)
-        assert executor.cache is None
-        executor.search_many(["Bern"], 1)
-        executor.search_many(["Bern"], 1)
-        assert executor.stats.scans_executed == 2
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ReproError):
-            BatchScanExecutor(CompiledCorpus(DATASET), cache_size=-1)
-
-    def test_runner_fanout_identical(self):
-        serial = BatchScanExecutor(CompiledCorpus(DATASET), cache_size=0)
-        threaded = BatchScanExecutor(CompiledCorpus(DATASET), cache_size=0,
-                                     runner=ThreadPoolRunner(threads=3))
-        queries = ["Bern", "Hamburk", "Bremen", "Ulm", "Bern"]
-        assert serial.search_many(queries, 2) == \
-            threaded.search_many(queries, 2)
-
+class TestBucketFanout:
+    # Everything the scan shares with the trie side lives in
+    # tests/core/test_batch_executor.py; only the scan probe can split
+    # one query's bucket window across a runner.
     def test_single_query_bucket_fanout(self):
         executor = BatchScanExecutor(CompiledCorpus(DATASET), cache_size=0)
         chunked = executor.search_many(
@@ -110,15 +64,20 @@ class TestSearchMany:
         result = executor.search_many(["Bern"], 2, runner=SerialRunner())
         assert list(result.rows) == reference_rows(["Bern"], 2)
 
-    def test_run_workload_adapter(self):
-        executor = BatchScanExecutor(CompiledCorpus(DATASET))
-        workload = Workload(("Bern", "Ulm", "Bern"), 1, "adapter")
-        results = executor.run_workload(workload)
-        assert list(results.rows) == reference_rows(workload.queries, 1)
+    def test_chunks_partition_the_window(self):
+        corpus = CompiledCorpus(DATASET)
+        probe = BatchScanExecutor(corpus).probe
+        lo, hi = corpus.window(4, 2)
+        for workers in (1, 2, 3, 16):
+            chunks = probe.chunks(corpus, "Bern", 2, workers)
+            assert len(chunks) == min(workers, hi - lo)
+            assert chunks[0][0] == lo and chunks[-1][1] == hi
+            assert all(left[1] == right[0]
+                       for left, right in zip(chunks, chunks[1:]))
 
-    def test_empty_batch(self):
-        executor = BatchScanExecutor(CompiledCorpus(DATASET))
-        assert len(executor.search_many([], 1)) == 0
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ReproError):
+            BatchScanExecutor(CompiledCorpus(DATASET), kernel="simd")
 
 
 class TestLRUCache:

@@ -12,11 +12,12 @@ import struct
 
 import pytest
 
+from repro.core.batch import _pool_payload
 from repro.exceptions import SegmentError
 from repro.index.batch import BatchIndexExecutor
 from repro.index.flat import FlatTrie
 from repro.scan.corpus import CompiledCorpus
-from repro.scan.executor import BatchScanExecutor, _pool_payload
+from repro.scan.executor import BatchScanExecutor
 from repro.speed import (
     SEGMENT_MAGIC,
     SEGMENT_VERSION,
