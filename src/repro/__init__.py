@@ -46,7 +46,6 @@ from repro.core.join import (
 from repro.core.pipeline import Approach, ApproachPipeline, StageOutcome
 from repro.core.problem import SimilaritySearchProblem
 from repro.core.topk import nearest, search_topk
-from repro.core.updatable import UpdatableIndex
 from repro.core.result import Match, ResultSet
 from repro.core.sequential import SequentialScanSearcher
 from repro.core.verification import (
@@ -65,7 +64,6 @@ from repro.obs import (
     MetricsRegistry,
     SearchReport,
     build_report,
-    use_registry,
     validate_report,
 )
 from repro.exceptions import (
@@ -110,14 +108,12 @@ __all__ = [
     "deduplicate",
     "search_topk",
     "nearest",
-    "UpdatableIndex",
     "Corpus",
     "CorpusEvent",
     "LiveCorpus",
     "MetricsRegistry",
     "SearchReport",
     "build_report",
-    "use_registry",
     "validate_report",
     "explain_pair",
     "edit_distance",

@@ -17,6 +17,7 @@ matches to a result file (section 3.1). ``repro-search`` (also
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Sequence
 
@@ -101,8 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--trace-out", default=None, metavar="FILE",
                         help="export the run's spans as Chrome/"
                              "Perfetto trace-event JSON to FILE (open "
-                             "in chrome://tracing or ui.perfetto.dev); "
-                             "implies span collection")
+                             "in chrome://tracing or ui.perfetto.dev): "
+                             "one cli.search-rooted tree, pool worker "
+                             "lanes included")
     search.add_argument("--events-out", default=None, metavar="FILE",
                         help="write the run's operational event log "
                              "(JSON lines: admission, ladder rungs, "
@@ -320,7 +322,8 @@ def _emit_report(report, args: argparse.Namespace) -> None:
 
 
 def _make_observability(args: argparse.Namespace):
-    """The run's optional recorder, registry, event log and sampler."""
+    """The run's optional recorder, registry, tracer, event log and
+    sampler."""
     recorder = None
     if args.slowlog is not None:
         from repro.obs.recorder import FlightRecorder
@@ -331,10 +334,15 @@ def _make_observability(args: argparse.Namespace):
             )
         recorder = FlightRecorder(top_n=max(args.slowlog, 16))
     metrics = None
-    if args.trace_out is not None or args.telemetry_out is not None:
+    if args.telemetry_out is not None:
         from repro.obs.registry import MetricsRegistry
 
         metrics = MetricsRegistry()
+    tracer = None
+    if args.trace_out is not None:
+        from repro.obs.tracing import Tracer
+
+        tracer = Tracer()
     events = None
     if args.events_out is not None:
         from repro.obs.events import EventLog
@@ -347,22 +355,22 @@ def _make_observability(args: argparse.Namespace):
         sampler = TelemetrySampler()
         sampler.watch_registry(metrics)
         sampler.start()
-    return recorder, metrics, events, sampler
+    return recorder, metrics, tracer, events, sampler
 
 
 def _emit_slowlog_and_trace(args: argparse.Namespace, recorder,
-                            metrics, events=None, sampler=None) -> None:
+                            tracer, events, sampler) -> None:
     """Print the slowlog, write trace/events/telemetry, as requested."""
     if recorder is not None:
         print(recorder.render(args.slowlog), file=sys.stderr)
-    if metrics is not None and args.trace_out is not None:
+    if tracer is not None:
         from repro.obs.traceexport import write_trace
 
-        write_trace(args.trace_out, metrics)
+        write_trace(args.trace_out, tracer)
         print(
-            f"trace: {len(metrics.spans)} spans written to "
-            f"{args.trace_out} (open in chrome://tracing or "
-            "ui.perfetto.dev)",
+            f"trace: {len(tracer)} spans written, {tracer.dropped} "
+            f"dropped, to {args.trace_out} (open in chrome://tracing "
+            "or ui.perfetto.dev)",
             file=sys.stderr,
         )
     if events is not None and args.events_out is not None:
@@ -392,12 +400,12 @@ def _write_result_lines(lines, output: str | None) -> None:
             print(line)
 
 
-def _command_search_service(args: argparse.Namespace, dataset,
-                            queries, want_stats: bool) -> int:
+def _search_service(args: argparse.Namespace, dataset, queries,
+                    want_stats: bool, recorder, metrics, events,
+                    sampler) -> int:
     from repro.core.deadline import Deadline
     from repro.service import Service
 
-    recorder, metrics, events, sampler = _make_observability(args)
     service = Service(dataset, shards=args.shards, metrics=metrics,
                       recorder=recorder, events=events)
     if sampler is not None:
@@ -453,7 +461,6 @@ def _command_search_service(args: argparse.Namespace, dataset,
                            matches=total_matches),
             args,
         )
-    _emit_slowlog_and_trace(args, recorder, metrics, events, sampler)
     _write_result_lines(
         ("\t".join([query, *matched]) for query, matched in rows),
         args.output,
@@ -466,22 +473,33 @@ def _command_search(args: argparse.Namespace) -> int:
     queries = read_queries(args.query_file)
     want_stats = (args.stats or args.stats_output is not None
                   or args.stats_format != "text")
-    if args.service:
-        if args.segment or args.save_segment:
-            raise ReproError(
-                "--segment/--save-segment apply to the engine path, "
-                "not --service (the sharded corpus manages its own "
-                "per-shard segments)"
-            )
-        return _command_search_service(args, dataset, queries,
-                                       want_stats)
+    if args.service and (args.segment or args.save_segment):
+        raise ReproError(
+            "--segment/--save-segment apply to the engine path, "
+            "not --service (the sharded corpus manages its own "
+            "per-shard segments)"
+        )
     if args.segment and args.backend not in ("auto", "compiled"):
         raise ReproError(
             f"--segment serves the compiled backend; it cannot be "
             f"combined with --backend {args.backend}"
         )
+    recorder, metrics, tracer, events, sampler = _make_observability(args)
+    with tracer.root("cli.search") if tracer is not None \
+            else contextlib.nullcontext():
+        if args.service:
+            code = _search_service(args, dataset, queries, want_stats,
+                                   recorder, metrics, events, sampler)
+        else:
+            code = _search_engine(args, dataset, queries, want_stats,
+                                  recorder, metrics)
+    _emit_slowlog_and_trace(args, recorder, tracer, events, sampler)
+    return code
+
+
+def _search_engine(args: argparse.Namespace, dataset, queries,
+                   want_stats: bool, recorder, metrics) -> int:
     runner = _make_runner(args.runner)
-    recorder, metrics, events, sampler = _make_observability(args)
     engine = SearchEngine(dataset, backend=args.backend, runner=runner,
                           observe=want_stats or metrics is not None,
                           metrics=metrics, recorder=recorder,
@@ -524,8 +542,6 @@ def _command_search(args: argparse.Namespace) -> int:
             "writing partial results (completed queries only)",
             file=sys.stderr,
         )
-        _emit_slowlog_and_trace(args, recorder, metrics, events,
-                                sampler)
         _write_result_lines(
             ("\t".join([query, *[m.string for m in completed[query]]])
              for query in queries if query in completed),
@@ -547,7 +563,6 @@ def _command_search(args: argparse.Namespace) -> int:
         )
     if want_stats:
         _emit_report(report, args)
-    _emit_slowlog_and_trace(args, recorder, metrics, events, sampler)
     if args.save_segment:
         from repro.speed import save_segment
 

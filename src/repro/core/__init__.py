@@ -45,7 +45,6 @@ from repro.core.result import Match, ResultSet
 from repro.core.searcher import Searcher
 from repro.core.sequential import SequentialScanSearcher
 from repro.core.topk import nearest, search_topk
-from repro.core.updatable import UpdatableIndex
 from repro.core.stages import (
     index_stage_ladder,
     sequential_stage_ladder,
@@ -75,7 +74,6 @@ __all__ = [
     "deduplicate",
     "search_topk",
     "nearest",
-    "UpdatableIndex",
     "PairExplanation",
     "explain_pair",
     "Planner",

@@ -225,7 +225,7 @@ class BatchExecutor:
 
         With a registry attached, the executor mirrors its work
         counters into it and records one timer observation per
-        executed probe (a real span on the serial path).
+        executed probe.
         """
         self._metrics = registry
 
@@ -343,16 +343,14 @@ class BatchExecutor:
             self._cache.put((query, k), row)
 
     def _merge_counters(self, counters: dict, seconds: float, *,
-                        started: float | None = None,
                         timers: dict | None = None,
                         executed: int = 1) -> None:
         """Fold one whole query's profile into the cumulative state.
 
-        ``started`` (serial probes only — worker clocks don't compare)
-        makes the timer observation a real span for trace export;
         ``timers`` is a worker-shipped ``{name: (seconds, calls)}``
-        mapping merged verbatim instead. ``executed`` is 0 for a probe
-        its deadline cut short.
+        mapping merged verbatim in place of the probe's own timer
+        observation. ``executed`` is 0 for a probe its deadline cut
+        short.
         """
         probe = self._probe
         with self._lock:
@@ -370,7 +368,7 @@ class BatchExecutor:
             if timers:
                 metrics.merge_timers(timers)
             else:
-                metrics.record_span(probe.timer, started, seconds)
+                metrics.observe(probe.timer, seconds)
 
     def _offer_exemplar(self, query: str, k: int, seconds: float,
                         matches: int, counters: dict,
@@ -402,10 +400,10 @@ class BatchExecutor:
                                   scratch=scratch))
         except DeadlineExceeded:
             self._merge_counters(counters, perf_counter() - started,
-                                 started=started, executed=0)
+                                 executed=0)
             raise
         seconds = perf_counter() - started
-        self._merge_counters(counters, seconds, started=started)
+        self._merge_counters(counters, seconds)
         self._offer_exemplar(query, k, seconds, len(row), counters)
         emit_span(probe.timer, seconds, {"query": query})
         return row

@@ -55,15 +55,9 @@ from repro.data.workload import Workload
 from repro.exceptions import ReproError
 from repro.obs.hist import hists_delta
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import MetricsRegistry, counter_delta
+from repro.obs.registry import NULL, MetricsRegistry, counter_delta
 from repro.obs.report import BatchCounters, SearchReport, build_report
-
-#: Kept for compatibility with the pre-planner decision rule (tests
-#: and docs reference them); the planner's cost model supersedes them.
-MEAN_LENGTH_CUTOFF = 40
-
-#: Alphabets at or below this size count as "tiny" (DNA has 5 symbols).
-SMALL_ALPHABET_CUTOFF = 8
+from repro.obs.tracing import trace_span
 
 #: Single-query windows shorter than this are dominated by Python
 #: dispatch overhead, so they are not fed back into the planner's
@@ -87,7 +81,7 @@ class SearchEngine:
         Optional parallel runner used by :meth:`run_workload`.
     observe:
         Create a :class:`repro.obs.MetricsRegistry`, attach it to every
-        backend the engine touches, and collect span/timer evidence in
+        backend the engine touches, and collect timer evidence in
         it (reachable as :attr:`metrics`). Off by default — the
         always-on work counters, per-query histograms and
         :attr:`last_report` do not need it.
@@ -154,9 +148,8 @@ class SearchEngine:
         else:
             self._metrics = MetricsRegistry() if observe else None
         self._recorder = recorder
-        self._batch_searcher: Searcher | None = None
         self._batch_index = None
-        self._override_searchers: dict[str, Searcher] = {}
+        self._searchers: dict[str, Searcher] = {}
         self._last_call: dict | None = None
         self._last_report_cache: SearchReport | None = None
         if isinstance(profile, str):
@@ -181,24 +174,7 @@ class SearchEngine:
             self._default_plan = replace(self._default_plan,
                                          reason=segment_reason)
         self._segment_reason = segment_reason
-        self._searcher = self._build_default_searcher()
-
-    def _build_default_searcher(self) -> Searcher:
-        """Construct (and instrument) the default plan's searcher."""
-        strategy = self._default_plan.strategy
-        if strategy == "sequential":
-            searcher: Searcher = SequentialScanSearcher(
-                self._strings, kernel="bitparallel", order="length"
-            )
-        elif strategy == "compiled":
-            searcher = self._make_compiled_searcher()
-            self._batch_searcher = searcher
-        elif strategy == "qgram":
-            searcher = IndexedSearcher(self._strings, index="qgram")
-        else:
-            searcher = IndexedSearcher(self._strings, index="flat")
-        self._attach_obs(searcher)
-        return searcher
+        self._searcher_for(self._default_plan.strategy)
 
     def _sync_with_source(self) -> None:
         """Re-derive everything when a live source corpus drifted.
@@ -228,10 +204,9 @@ class SearchEngine:
         if self._segment_reason is not None:
             self._default_plan = replace(self._default_plan,
                                          reason=self._segment_reason)
-        self._batch_searcher = None
         self._batch_index = None
-        self._override_searchers.clear()
-        self._searcher = self._build_default_searcher()
+        self._searchers.clear()
+        self._searcher_for(self._default_plan.strategy)
 
     @property
     def source_corpus(self):
@@ -319,8 +294,8 @@ class SearchEngine:
 
     @property
     def searcher(self) -> Searcher:
-        """The underlying searcher (for inspection)."""
-        return self._searcher
+        """The default plan's searcher (for inspection)."""
+        return self._searcher_for(self._default_plan.strategy)
 
     @property
     def metrics(self) -> MetricsRegistry | None:
@@ -415,11 +390,10 @@ class SearchEngine:
         before = snapshots()
         before_timers = (dict(self._metrics.timers())
                          if self._metrics is not None else {})
+        section = f"engine.{mode}"
+        metrics = self._metrics if self._metrics is not None else NULL
         started = time.perf_counter()
-        if self._metrics is not None:
-            with self._metrics.trace(f"engine.{mode}"):
-                result = call()
-        else:
+        with metrics.timer(section), trace_span(section):
             result = call()
         seconds = time.perf_counter() - started
         counters: dict = {}
@@ -487,18 +461,13 @@ class SearchEngine:
                 return CompiledScanSearcher(compiled)
         return CompiledScanSearcher(self._strings)
 
-    def _ensure_batch_searcher(self) -> Searcher:
-        if self._batch_searcher is None:
-            self._batch_searcher = self._make_compiled_searcher()
-            self._attach_obs(self._batch_searcher)
-        return self._batch_searcher
-
     def _ensure_batch_index(self):
         if self._batch_index is None:
             from repro.index.batch import BatchIndexExecutor
             from repro.index.flat import FlatTrie
 
-            flat = getattr(self._searcher, "flat_trie", None)
+            flat = getattr(self._searchers.get("indexed"), "flat_trie",
+                           None)
             if flat is None:
                 flat = FlatTrie(self._strings)
             self._batch_index = BatchIndexExecutor(flat)
@@ -508,7 +477,7 @@ class SearchEngine:
     # ----------------------------------------------------------------
     # request plumbing
 
-    def _to_request(self, query, k, *, deadline=None, backend=None,
+    def _to_request(self, query, k, *, deadline=None,
                     report: bool = False,
                     options: SearchOptions | None = None,
                     plan: PlannerPolicy | None = None,
@@ -526,26 +495,23 @@ class SearchEngine:
                     "SearchRequest/options value"
                 )
             options = SearchOptions(report=True)
-        return as_request(query, k, deadline=deadline, backend=backend,
-                          options=options, plan=plan, batch=batch)
+        return as_request(query, k, deadline=deadline, options=options,
+                          plan=plan, batch=batch)
 
-    def _component_for(self, strategy: str) -> tuple[Searcher, str]:
+    def _searcher_for(self, strategy: str) -> Searcher:
         """The searcher serving one planned (or forced) strategy.
 
-        Returns ``(component, strategy)``. The constructor's searcher
-        serves its own strategy; any other builds (and caches) a
-        sibling searcher so one engine can serve any strategy per
-        request.
+        Built (and instrumented) on first use and kept, so one engine
+        can serve any strategy per request; the constructor builds the
+        default plan's.
         """
-        if strategy == self._default_plan.strategy:
-            return self._searcher, strategy
+        searcher = self._searchers.get(strategy)
+        if searcher is not None:
+            return searcher
         if strategy == "compiled":
-            return self._ensure_batch_searcher(), "compiled"
-        cached = self._override_searchers.get(strategy)
-        if cached is not None:
-            return cached, strategy
-        if strategy == "sequential":
-            searcher: Searcher = SequentialScanSearcher(
+            searcher = self._make_compiled_searcher()
+        elif strategy == "sequential":
+            searcher = SequentialScanSearcher(
                 self._strings, kernel="bitparallel", order="length"
             )
         elif strategy == "qgram":
@@ -558,15 +524,14 @@ class SearchEngine:
                 f"{STRATEGIES}"
             )
         self._attach_obs(searcher)
-        self._override_searchers[strategy] = searcher
-        return searcher, strategy
+        self._searchers[strategy] = searcher
+        return searcher
 
     # ----------------------------------------------------------------
     # the one-call API
 
     def search(self, query: str | SearchRequest, k: int | None = None,
                *, deadline: Deadline | Budget | None = None,
-               backend: str | None = None,
                options: SearchOptions | None = None,
                plan: PlannerPolicy | None = None,
                report: bool = False):
@@ -577,8 +542,7 @@ class SearchEngine:
         carrying the same information; a batch request is routed to
         :meth:`search_many`. ``plan=`` takes a
         :class:`PlannerPolicy` (forcing a strategy or restricting the
-        planner); the ``backend=`` string spelling is deprecated. With
-        ``report=True`` (or ``options.report``) returns
+        planner). With ``report=True`` (or ``options.report``) returns
         ``(matches, SearchReport)``; either way :attr:`last_report`
         describes this call afterwards.
 
@@ -588,15 +552,15 @@ class SearchEngine:
         """
         self._sync_with_source()
         request = self._to_request(query, k, deadline=deadline,
-                                   backend=backend, report=report,
-                                   options=options, plan=plan)
+                                   report=report, options=options,
+                                   plan=plan)
         if request.is_batch:
             return self.search_many(request)
         qplan = self._plan_request(request)
-        component, served = self._component_for(qplan.strategy)
+        component = self._searcher_for(qplan.strategy)
         matches = self._observed_call(
-            served=[(component, served, [request.query])],
-            engine_name=getattr(component, "name", served),
+            served=[(component, qplan.strategy, [request.query])],
+            engine_name=getattr(component, "name", qplan.strategy),
             mode="search",
             k=request.k,
             call=lambda: component.search(request.query, request.k,
@@ -609,7 +573,6 @@ class SearchEngine:
 
     def search_many(self, queries: Iterable[str] | SearchRequest,
                     k: int | None = None, *,
-                    backend: str | None = None,
                     deadline: Deadline | Budget | None = None,
                     options: SearchOptions | None = None,
                     plan: PlannerPolicy | None = None,
@@ -626,8 +589,7 @@ class SearchEngine:
         batch (and may split a mixed-length batch between them when
         the estimate says the split pays for the extra executor).
 
-        ``plan=`` overrides the routing for this call only (the
-        ``backend=`` string spelling is deprecated):
+        ``plan=`` overrides the routing for this call only:
         ``PlannerPolicy(strategy="compiled")`` forces the batch scan,
         ``PlannerPolicy(strategy="indexed")`` the batch index.
         :attr:`last_report` always reflects the executor(s) that
@@ -644,9 +606,8 @@ class SearchEngine:
         """
         self._sync_with_source()
         request = self._to_request(queries, k, deadline=deadline,
-                                   backend=backend, report=report,
-                                   options=options, plan=plan,
-                                   batch=True)
+                                   report=report, options=options,
+                                   plan=plan, batch=True)
         results = self._execute_batch(request, mode="batch")
         if request.options.report:
             return results, self.last_report
@@ -657,7 +618,7 @@ class SearchEngine:
         if strategy == "indexed":
             executor = self._ensure_batch_index()
             return executor, "batch-index[flat]", executor.search_many
-        searcher = self._ensure_batch_searcher()
+        searcher = self._searcher_for("compiled")
         return searcher.executor, searcher.name, searcher.search_many
 
     def _execute_batch(self, request: SearchRequest, *,
@@ -761,10 +722,10 @@ class SearchEngine:
         # Workload mode runs per-query searchers through the runner, so
         # every strategy is feasible regardless of batch size.
         qplan = self._plan_request(request, batch=False)
-        component, served = self._component_for(qplan.strategy)
+        component = self._searcher_for(qplan.strategy)
         results = self._observed_call(
-            served=[(component, served, list(request.queries))],
-            engine_name=getattr(component, "name", served),
+            served=[(component, qplan.strategy, list(request.queries))],
+            engine_name=getattr(component, "name", qplan.strategy),
             mode="workload",
             k=request.k,
             call=lambda: component.run_workload(run, self._runner),

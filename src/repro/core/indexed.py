@@ -48,6 +48,8 @@ from repro.index.traversal import (
 from repro.index.trie import PrefixTrie
 from repro.obs.hist import Histogram
 from repro.obs.recorder import QueryExemplar
+from repro.obs.registry import NULL
+from repro.obs.tracing import trace_span
 
 #: Index configurations; the first two are the paper's, ``flat`` is
 #: their compiled form.
@@ -145,7 +147,7 @@ class IndexedSearcher(Searcher):
         self._counters = dict.fromkeys(INDEX_COUNTERS, 0)
         self._hists = {name: Histogram() for name in INDEX_HISTOGRAMS}
         self._counters_lock = threading.Lock()
-        self._metrics = None
+        self._metrics = NULL
         self._recorder = None
         self._search_fn = self._build(strings, index, frequency_pruning,
                                       tracked_symbols, q)
@@ -312,11 +314,11 @@ class IndexedSearcher(Searcher):
     def attach_metrics(self, registry) -> None:
         """Attach a :class:`repro.obs.MetricsRegistry` (or ``None``).
 
-        With a registry attached, every :meth:`search` call records an
-        ``index.search`` span; the always-on ``trie.*`` work counters
+        With a registry attached, every :meth:`search` call feeds the
+        ``index.search`` timer; the always-on ``trie.*`` work counters
         are independent of this hook (see :meth:`counters_snapshot`).
         """
-        self._metrics = registry
+        self._metrics = registry if registry is not None else NULL
 
     def counters_snapshot(self) -> dict[str, int]:
         """Cumulative ``trie.*`` work counters since construction.
@@ -384,16 +386,10 @@ class IndexedSearcher(Searcher):
         """
         check_threshold(k)
         self._last_stats = None
-        metrics = self._metrics
         started = perf_counter()
         try:
-            if metrics is not None:
-                with metrics.trace("index.search"):
-                    matches = [
-                        Match(m.string, m.distance)
-                        for m in self._search_fn(query, k, deadline)
-                    ]
-            else:
+            with self._metrics.timer("index.search"), \
+                    trace_span("index.search"):
                 matches = [
                     Match(m.string, m.distance)
                     for m in self._search_fn(query, k, deadline)

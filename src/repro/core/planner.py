@@ -24,8 +24,8 @@ planner:
   every per-strategy cost estimate with its work breakdown, and the
   statistics that drove the decision. Engines serialize it into the
   report's additive ``plan`` section.
-* :class:`PlannerPolicy` — the request-level spelling that replaces the
-  deprecated per-call ``backend=`` string hints.
+* :class:`PlannerPolicy` — the request-level spelling of "force this
+  strategy" or "choose among these".
 
 Examples
 --------
@@ -90,10 +90,9 @@ _BATCH_STRATEGIES = ("compiled", "indexed")
 class PlannerPolicy:
     """How a request wants its execution strategy decided.
 
-    The replacement for per-call ``backend=`` string hints: ``plan=``
-    on :class:`repro.core.request.SearchRequest` and the engine entry
-    points takes one of these. The default (all fields ``None``) lets
-    the planner pick.
+    ``plan=`` on :class:`repro.core.request.SearchRequest` and the
+    engine entry points takes one of these. The default (all fields
+    ``None``) lets the planner pick.
 
     Attributes
     ----------
@@ -104,9 +103,9 @@ class PlannerPolicy:
 
     Examples
     --------
-    >>> PlannerPolicy.from_backend("compiled").strategy
-    'compiled'
-    >>> PlannerPolicy.from_backend("auto").is_auto
+    >>> PlannerPolicy(strategy="compiled").allowed()
+    ('compiled',)
+    >>> PlannerPolicy().is_auto
     True
     """
 
@@ -135,13 +134,6 @@ class PlannerPolicy:
     def is_auto(self) -> bool:
         """Whether the planner gets to decide."""
         return self.strategy is None
-
-    @classmethod
-    def from_backend(cls, backend: str | None) -> "PlannerPolicy":
-        """The policy equivalent of a legacy backend string hint."""
-        if backend in (None, "auto"):
-            return AUTO_POLICY
-        return cls(strategy=backend)
 
     def allowed(self) -> tuple[str, ...]:
         """The strategies the planner may pick from."""

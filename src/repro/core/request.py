@@ -2,7 +2,7 @@
 
 Before this layer, every entry point had a slightly different calling
 convention: ``SearchEngine.search(query, k, report=...)``,
-``search_many(queries, k, backend=..., report=...)``,
+``search_many(queries, k, plan=..., report=...)``,
 ``run_workload(workload, report=...)``, and each raw searcher its own
 positional spelling. :class:`SearchRequest` is the one value that can
 be handed to any of them — engine methods, the batch executors'
@@ -18,7 +18,7 @@ Legacy spelling                         Request field
 ``search(query, k)``                    ``query``, ``k``
 ``search_many(queries, k)``             ``query`` (a sequence), ``k``
 ``run_workload(workload)``              ``SearchRequest.from_workload``
-``search_many(..., backend="...")``     ``backend``
+``search_many(..., plan=...)``          ``plan``
 ``search(..., deadline=...)``           ``deadline``
 ``search(..., report=True)``            ``options.report``
 ``Service.submit(..., allow_partial=)`` ``options.allow_partial``
@@ -32,23 +32,12 @@ was meant.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from repro.core.deadline import Budget, Deadline
-from repro.core.planner import AUTO_POLICY, STRATEGIES, PlannerPolicy
+from repro.core.planner import AUTO_POLICY, PlannerPolicy
 from repro.distance.banded import check_threshold
 from repro.exceptions import ReproError
-
-#: Message of the ``backend=`` string-hint deprecation shim (kept in
-#: one place so the message-text tests and every entry point agree).
-BACKEND_DEPRECATION = (
-    "per-call backend= string hints are deprecated and will be removed "
-    "in 2.0; pass plan=PlannerPolicy(strategy=...) (or plan="
-    "PlannerPolicy() for the planner's choice) instead"
-)
-
 
 @dataclass(frozen=True)
 class SearchOptions:
@@ -93,12 +82,6 @@ class SearchRequest:
         :class:`repro.core.deadline.Budget` (work units). ``None``
         means unbounded — results are exact and byte-identical to the
         pre-deadline code paths.
-    backend:
-        Deprecated string spelling of ``plan`` (``"auto"``,
-        ``"sequential"``, ``"indexed"``, ``"compiled"`` or
-        ``"qgram"``). A non-``None`` value warns and folds into
-        ``plan`` (the field itself is then reset to ``None``); slated
-        for removal in 2.0.
     plan:
         Optional :class:`repro.core.planner.PlannerPolicy`: force one
         execution strategy, restrict the planner's choice, or (the
@@ -109,10 +92,10 @@ class SearchRequest:
     Equality and hashing are **canonical**: two requests are equal when
     they describe the same question, regardless of how they were
     spelled. Concretely, :meth:`canonical_key` normalizes the policy
-    (``None``, an all-default :class:`PlannerPolicy` and the legacy
-    ``backend="auto"`` all mean "you pick") and compares options by
-    value (an explicitly passed all-default :class:`SearchOptions`
-    equals an omitted one), and the ``deadline`` is **excluded** — it
+    (``None`` and an all-default :class:`PlannerPolicy` both mean "you
+    pick") and compares options by value (an explicitly passed
+    all-default :class:`SearchOptions` equals an omitted one), and the
+    ``deadline`` is **excluded** — it
     is execution context (how long *this* attempt may run), not part
     of the question's identity. That is what lets result-cache keys
     (:mod:`repro.traffic.cache`) and batch-dedup agree on which
@@ -139,7 +122,6 @@ class SearchRequest:
     query: str | tuple[str, ...]
     k: int
     deadline: Deadline | Budget | None = None
-    backend: str | None = None
     options: SearchOptions = field(default=DEFAULT_OPTIONS)
     plan: PlannerPolicy | None = None
 
@@ -153,22 +135,6 @@ class SearchRequest:
                         f"batch request queries must be strings, "
                         f"got {item!r}"
                     )
-        if self.backend is not None:
-            if self.backend not in ("auto",) + STRATEGIES:
-                raise ReproError(
-                    f"unknown backend {self.backend!r}; expected "
-                    f"'auto' or one of {STRATEGIES}"
-                )
-            if self.plan is not None:
-                raise ReproError(
-                    "pass either the deprecated backend= string or "
-                    "plan=PlannerPolicy(...), not both"
-                )
-            warnings.warn(BACKEND_DEPRECATION, DeprecationWarning,
-                          stacklevel=3)
-            object.__setattr__(
-                self, "plan", PlannerPolicy.from_backend(self.backend))
-            object.__setattr__(self, "backend", None)
 
     @property
     def policy(self) -> PlannerPolicy:
@@ -179,9 +145,8 @@ class SearchRequest:
         """The request's identity, normalized (see the class docstring).
 
         ``(query, k, policy, options)`` with an all-default policy
-        (and the legacy ``backend="auto"``) folded to ``None`` and the
-        deadline left out. Stable across spelling variants, so it is
-        safe as a cache or dedup key.
+        folded to ``None`` and the deadline left out. Stable across
+        spelling variants, so it is safe as a cache or dedup key.
         """
         policy = self.plan if self.plan not in (None, AUTO_POLICY) \
             else None
@@ -210,14 +175,12 @@ class SearchRequest:
     @classmethod
     def from_workload(cls, workload, *,
                       deadline: Deadline | Budget | None = None,
-                      backend: str | None = None,
                       options: SearchOptions = DEFAULT_OPTIONS,
                       plan: PlannerPolicy | None = None,
                       ) -> "SearchRequest":
         """A batch request over a :class:`repro.data.workload.Workload`."""
         return cls(tuple(workload.queries), workload.k,
-                   deadline=deadline, backend=backend, options=options,
-                   plan=plan)
+                   deadline=deadline, options=options, plan=plan)
 
     def with_options(self, **changes) -> "SearchRequest":
         """A copy with :class:`SearchOptions` fields replaced."""
@@ -226,7 +189,6 @@ class SearchRequest:
 
 def as_request(query, k: int | None = None, *,
                deadline: Deadline | Budget | None = None,
-               backend: str | None = None,
                options: SearchOptions | None = None,
                plan: PlannerPolicy | None = None,
                batch: bool = False) -> SearchRequest:
@@ -238,15 +200,14 @@ def as_request(query, k: int | None = None, *,
     legacy ``query``/``queries`` value, combined with ``k`` and the
     keyword arguments per the mapping in the module docstring.
     ``batch`` wraps a non-request ``query`` as a batch of queries.
-    A ``backend`` string is the deprecated spelling of ``plan``.
     """
     if isinstance(query, SearchRequest):
         if k is not None:
             raise ReproError(
                 "pass k inside the SearchRequest, not alongside it"
             )
-        for name, value in (("deadline", deadline), ("backend", backend),
-                            ("options", options), ("plan", plan)):
+        for name, value in (("deadline", deadline), ("options", options),
+                            ("plan", plan)):
             if value is not None:
                 raise ReproError(
                     f"pass {name} inside the SearchRequest, not "
@@ -265,14 +226,7 @@ def as_request(query, k: int | None = None, *,
     if batch:
         query = tuple(query)
     return SearchRequest(
-        query, k, deadline=deadline, backend=backend,
+        query, k, deadline=deadline,
         options=options if options is not None else DEFAULT_OPTIONS,
         plan=plan,
     )
-
-
-def _normalize_batch(queries: Sequence[str] | SearchRequest):
-    """Back-compat helper for executor adapters (queries or request)."""
-    if isinstance(queries, SearchRequest):
-        return list(queries.queries), queries
-    return list(queries), None

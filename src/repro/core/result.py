@@ -9,7 +9,6 @@ strings.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -107,25 +106,6 @@ class ResultSet:
         """
         return tuple(sorted({match for row in self._rows
                              for match in row}))
-
-    def as_mapping(self) -> Mapping[str, tuple[str, ...]]:
-        """Deprecated: query → matched strings, distances dropped.
-
-        .. deprecated::
-            Use :meth:`by_query` (full :class:`Match` rows) and project
-            to strings at the call site, or :meth:`flat` for one merged
-            answer. This shape loses distances and will be removed.
-        """
-        warnings.warn(
-            "ResultSet.as_mapping() is deprecated; use by_query() for "
-            "query->Match rows or flat() for one merged answer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            query: tuple(match.string for match in row)
-            for query, row in zip(self._queries, self._rows)
-        }
 
     def __repr__(self) -> str:
         return (

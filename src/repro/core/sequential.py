@@ -43,6 +43,8 @@ from repro.exceptions import DeadlineExceeded, ReproError
 from repro.filters.base import FilterChain
 from repro.obs.hist import Histogram
 from repro.obs.recorder import QueryExemplar
+from repro.obs.registry import NULL
+from repro.obs.tracing import trace_span
 
 #: Kernel configurations in paper-ladder order.
 KERNELS = (
@@ -146,7 +148,7 @@ class SequentialScanSearcher(Searcher):
         # counters so one lock round-trip covers both.
         self._hists = {name: Histogram() for name in SCAN_HISTOGRAMS}
         self._counters_lock = threading.Lock()
-        self._metrics = None
+        self._metrics = NULL
         self._recorder = None
 
         if order == "length":
@@ -195,11 +197,11 @@ class SequentialScanSearcher(Searcher):
     def attach_metrics(self, registry) -> None:
         """Attach a :class:`repro.obs.MetricsRegistry` (or ``None``).
 
-        With a registry attached, every :meth:`search` call records a
-        ``scan.search`` span; the always-on ``scan.*`` work counters
+        With a registry attached, every :meth:`search` call feeds the
+        ``scan.search`` timer; the always-on ``scan.*`` work counters
         are independent of this hook (see :meth:`counters_snapshot`).
         """
-        self._metrics = registry
+        self._metrics = registry if registry is not None else NULL
 
     def attach_recorder(self, recorder) -> None:
         """Attach a :class:`repro.obs.FlightRecorder` (or ``None``).
@@ -274,11 +276,8 @@ class SequentialScanSearcher(Searcher):
         (a subset of the exact answer). With ``deadline=None`` the code
         path is byte-identical to before deadlines existed.
         """
-        metrics = self._metrics
-        if metrics is not None:
-            with metrics.trace("scan.search"):
-                return self._search_impl(query, k, deadline)
-        return self._search_impl(query, k, deadline)
+        with self._metrics.timer("scan.search"), trace_span("scan.search"):
+            return self._search_impl(query, k, deadline)
 
     def _search_impl(self, query: str, k: int,
                      deadline: Deadline | Budget | None = None

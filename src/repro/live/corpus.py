@@ -129,9 +129,8 @@ class LiveCorpus:
     Parameters
     ----------
     dataset:
-        Initial contents (duplicates accumulate, like
-        :class:`repro.core.updatable.UpdatableIndex`). Compiled into
-        the first segment immediately.
+        Initial contents (duplicates accumulate). Compiled into the
+        first segment immediately.
     flush_threshold:
         Distinct memtable strings before an automatic flush.
     fanout:

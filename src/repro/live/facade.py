@@ -3,9 +3,8 @@
 Before this module, every layer acquired data its own way — engines
 took raw string iterables, services took iterables or a prebuilt
 :class:`~repro.service.sharding.ShardedCorpus`, the speed layer took
-segment paths, and the only mutable spelling was the pre-compiled-era
-:class:`repro.core.updatable.UpdatableIndex`. :class:`Corpus` is the
-API-redesign answer: **one** handle with three constructors,
+segment paths, and nothing compiled was mutable. :class:`Corpus` is
+the API-redesign answer: **one** handle with three constructors,
 
 * :meth:`Corpus.frozen` — compile once, never mutate (the paper's
   regime; wraps :class:`repro.scan.CompiledCorpus`);

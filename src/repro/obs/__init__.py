@@ -7,10 +7,9 @@ of this library, not debug prints. This package is the single
 instrumentation layer both engines share:
 
 :mod:`repro.obs.registry`
-    :class:`MetricsRegistry` — counters, gauges, nesting monotonic
-    timers, latency histograms — plus span-based tracing
-    (``with trace("scan.kernel")``) and the :data:`NULL` no-op
-    registry the hot paths default to.
+    :class:`MetricsRegistry` — counters, gauges, monotonic timers,
+    latency histograms — and the :data:`NULL` no-op registry the hot
+    paths default to.
 :mod:`repro.obs.hist`
     :class:`Histogram` — fixed-boundary log-bucket latency/size
     histograms whose state is bucketwise additive, so worker shipping,
@@ -24,11 +23,12 @@ instrumentation layer both engines share:
     :class:`FlightRecorder` — the bounded slow-query flight recorder
     behind ``Service`` event exemplars and the CLI ``--slowlog``.
 :mod:`repro.obs.tracing`
-    Request-scoped distributed tracing: :class:`TraceContext` minted
-    per gateway submit, propagated across the asyncio/thread/process
-    boundaries, collected as :class:`TraceSpan` trees by a
-    :class:`Tracer` (``trace_span``/``use_trace`` for ambient
-    propagation, ``span_tree`` for assembly).
+    The one span model: a :class:`TraceContext` minted per request
+    (gateway submit, standalone ``Service.submit``, CLI run),
+    propagated across the asyncio/thread/process boundaries, collected
+    as :class:`TraceSpan` trees by a :class:`Tracer`
+    (``trace_span``/``use_trace`` for ambient propagation,
+    ``span_tree`` for assembly).
 :mod:`repro.obs.events`
     :class:`EventLog` — the bounded, trace-stamped JSON-lines log of
     operational transitions (admission, shed, ladder rungs, cache
@@ -38,8 +38,7 @@ instrumentation layer both engines share:
     ring-buffer time series, behind the ``repro metrics`` CLI.
 :mod:`repro.obs.traceexport`
     Span export to Chrome/Perfetto trace-event JSON
-    (``--trace-out FILE``), with per-pid/tid lane stitching for
-    request traces.
+    (``--trace-out FILE``), with per-pid/tid lane stitching.
 :mod:`repro.obs.export`
     Structured-dict, JSON-lines and Prometheus-text exporters for
     registries and reports.
@@ -99,11 +98,7 @@ from repro.obs.registry import (
     NULL,
     MetricsRegistry,
     NullRegistry,
-    Span,
     counter_delta,
-    current_registry,
-    trace,
-    use_registry,
 )
 from repro.obs.report import (
     HISTOGRAM_SUMMARY_KEYS,
@@ -125,10 +120,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL",
-    "Span",
-    "trace",
-    "use_registry",
-    "current_registry",
     "counter_delta",
     "Histogram",
     "hists_delta",

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, timers and span tracing.
+"""The metrics registry: counters, gauges, timers and histograms.
 
 One instrumentation substrate for both engines. A
 :class:`MetricsRegistry` accumulates
@@ -12,28 +12,17 @@ One instrumentation substrate for both engines. A
 * **histograms** — fixed-boundary log-bucket distributions
   (:class:`repro.obs.hist.Histogram`), fed by
   :meth:`MetricsRegistry.hist`, mergeable across processes like
-  counters;
-* **spans** — lightweight trace records (:class:`Span`) produced by
-  :meth:`MetricsRegistry.trace`, which nest: a span entered while
-  another is open records its depth and dotted path, so ``with
-  trace("batch"): with trace("scan.kernel"): ...`` reconstructs the
-  call structure without a profiler.
+  counters.
+
+Spans are not a metric: "where did this request's time go" is answered
+by :mod:`repro.obs.tracing`. An instrumented section feeds a timer here
+and opens the same-named request span there.
 
 Hot paths are instrumented behind **no-op hooks**: every engine accepts
 an optional registry and, when none is attached, pays only a ``None``
 check per call (never per candidate). :data:`NULL` is a shared
 :class:`NullRegistry` whose every method discards its input, for code
 that wants to call hooks unconditionally.
-
-The module-level :func:`trace` uses an ambient per-thread registry set
-with :func:`use_registry`, so deeply nested helpers can emit spans
-without threading a registry argument through every signature::
-
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        with trace("scan.kernel"):
-            ...
-    registry.timers()["scan.kernel"]["calls"]  # 1
 
 Registries are cheap (plain dicts) and mergeable
 (:meth:`MetricsRegistry.merge_counts` / :func:`counter_delta`), which
@@ -43,47 +32,15 @@ one workload-level view.
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, Mapping
 
 from repro.obs.hist import Histogram
 
-#: Spans kept per registry before new ones are dropped (and counted
-#: under ``obs.spans_dropped``) — tracing must never grow unbounded.
-DEFAULT_MAX_SPANS = 2048
-
-
-@dataclass(frozen=True)
-class Span:
-    """One completed traced section.
-
-    Attributes
-    ----------
-    name:
-        The name passed to :func:`trace`.
-    path:
-        Slash-joined names of every enclosing open span plus this one
-        (``"batch/scan.kernel"``), so nesting survives flattening.
-    depth:
-        How many spans were open when this one started (0 = top level).
-    started:
-        Seconds since the registry was created when the span opened.
-    seconds:
-        The span's elapsed wall-clock time.
-    """
-
-    name: str
-    path: str
-    depth: int
-    started: float
-    seconds: float
-
 
 class MetricsRegistry:
-    """Accumulates counters, gauges, timers and spans.
+    """Accumulates counters, gauges, timers and histograms.
 
     Not a singleton: engines own private registries, benchmarks build
     one per measured stage, and tests build throwaways. Counter updates
@@ -95,29 +52,23 @@ class MetricsRegistry:
     --------
     >>> registry = MetricsRegistry()
     >>> registry.inc("scan.candidates", 40)
-    >>> with registry.trace("scan.kernel"):
+    >>> with registry.timer("scan.kernel"):
     ...     registry.inc("scan.early_aborts")
     >>> registry.counters()["scan.candidates"]
     40
     >>> registry.timers()["scan.kernel"]["calls"]
     1
-    >>> registry.spans[0].name
-    'scan.kernel'
     """
 
     #: ``False`` only on :class:`NullRegistry`; hot paths may branch on
     #: it instead of ``is not None`` when a registry is always present.
     enabled: bool = True
 
-    def __init__(self, *, max_spans: int = DEFAULT_MAX_SPANS) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._timers: dict[str, list[float]] = {}  # name -> [seconds, calls]
         self._hists: dict[str, Histogram] = {}
-        self._max_spans = max_spans
-        self._span_stack: list[str] = []
-        self.spans: list[Span] = []
-        self._epoch = time.perf_counter()
 
     # -- counters ------------------------------------------------------
 
@@ -145,7 +96,7 @@ class MetricsRegistry:
         """A copy of the current gauge values."""
         return dict(self._gauges)
 
-    # -- timers and spans ----------------------------------------------
+    # -- timers --------------------------------------------------------
 
     def observe(self, name: str, seconds: float, count: int = 1) -> None:
         """Add an elapsed-seconds observation to timer ``name``."""
@@ -202,8 +153,7 @@ class MetricsRegistry:
         histograms in — the one-call form of worker shipping.
 
         Gauges are last-write-wins (the merged registry's value
-        replaces this one's); everything else is additive. Spans are
-        *not* merged: they carry process-local clock offsets.
+        replaces this one's); everything else is additive.
         """
         self.merge_counts(other._counters)
         self._gauges.update(other._gauges)
@@ -213,53 +163,12 @@ class MetricsRegistry:
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:
-        """Time a block into timer ``name`` (no span record)."""
+        """Time a block into timer ``name``."""
         started = time.perf_counter()
         try:
             yield
         finally:
             self.observe(name, time.perf_counter() - started)
-
-    @contextmanager
-    def trace(self, name: str) -> Iterator[None]:
-        """Time a block, record a nested :class:`Span`, feed the timer."""
-        depth = len(self._span_stack)
-        self._span_stack.append(name)
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            path = "/".join(self._span_stack)
-            self._span_stack.pop()
-            if len(self.spans) < self._max_spans:
-                self.spans.append(Span(
-                    name=name, path=path, depth=depth,
-                    started=started - self._epoch, seconds=elapsed,
-                ))
-            else:
-                self.inc("obs.spans_dropped")
-            self.observe(name, elapsed)
-
-    def record_span(self, name: str, started: float,
-                    seconds: float) -> None:
-        """Append an already-measured section as a top-level span.
-
-        ``started`` is the :func:`time.perf_counter` timestamp at which
-        the section began. Used by the batch executors, which measure
-        each scan themselves (the timing exists anyway for counter
-        shipping) — so traces from the batch paths carry one span per
-        executed scan without a context-manager on the hot path. The
-        timer series under ``name`` is fed exactly like :meth:`trace`.
-        """
-        if len(self.spans) < self._max_spans:
-            self.spans.append(Span(
-                name=name, path=name, depth=0,
-                started=started - self._epoch, seconds=seconds,
-            ))
-        else:
-            self.inc("obs.spans_dropped")
-        self.observe(name, seconds)
 
     # -- snapshots -----------------------------------------------------
 
@@ -284,39 +193,18 @@ class MetricsRegistry:
             "timers": self.timers(),
             "histograms": {name: hist.to_dict()
                            for name, hist in self._hists.items()},
-            "spans": [
-                {
-                    "name": span.name, "path": span.path,
-                    "depth": span.depth,
-                    "started": round(span.started, 6),
-                    "seconds": round(span.seconds, 6),
-                }
-                for span in self.spans
-            ],
         }
 
     def reset(self) -> None:
-        """Zero every series (spans included)."""
+        """Zero every series."""
         self._counters.clear()
         self._gauges.clear()
         self._timers.clear()
         self._hists.clear()
-        self.spans.clear()
-        self._span_stack.clear()
-        self._epoch = time.perf_counter()
 
 
-class _NullContext:
-    """A reusable do-nothing context manager."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
+#: One reusable do-nothing context manager for every disabled timer.
+_NULL_CONTEXT = nullcontext()
 
 
 class NullRegistry(MetricsRegistry):
@@ -353,52 +241,12 @@ class NullRegistry(MetricsRegistry):
     def merge(self, other: MetricsRegistry) -> None:
         pass
 
-    def record_span(self, name: str, started: float,
-                    seconds: float) -> None:
-        pass
-
-    def timer(self, name: str) -> _NullContext:  # type: ignore[override]
-        return _NULL_CONTEXT
-
-    def trace(self, name: str) -> _NullContext:  # type: ignore[override]
+    def timer(self, name: str) -> nullcontext:  # type: ignore[override]
         return _NULL_CONTEXT
 
 
 #: Shared no-op registry for unconditional hook calls.
 NULL = NullRegistry()
-
-
-_ambient = threading.local()
-
-
-def current_registry() -> MetricsRegistry:
-    """The calling thread's ambient registry (:data:`NULL` by default)."""
-    return getattr(_ambient, "registry", NULL)
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Make ``registry`` the ambient one for this thread, in a block."""
-    previous = getattr(_ambient, "registry", NULL)
-    _ambient.registry = registry
-    try:
-        yield registry
-    finally:
-        _ambient.registry = previous
-
-
-def trace(name: str, registry: MetricsRegistry | None = None):
-    """Span-trace a block against ``registry`` or the ambient one.
-
-    >>> registry = MetricsRegistry()
-    >>> with use_registry(registry):
-    ...     with trace("scan.kernel"):
-    ...         pass
-    >>> [span.name for span in registry.spans]
-    ['scan.kernel']
-    """
-    return (registry if registry is not None else current_registry()
-            ).trace(name)
 
 
 def counter_delta(before: Mapping[str, float],

@@ -1,32 +1,25 @@
 """Span export to the Chrome/Perfetto trace-event JSON format.
 
-The registry's :class:`repro.obs.registry.Span` records already carry
-everything a trace viewer needs — name, start offset, duration, nesting
-depth — this module only reshapes them into the `Trace Event Format
+:class:`repro.obs.tracing.TraceSpan` records (collected by a
+:class:`repro.obs.tracing.Tracer`) already carry everything a trace
+viewer needs; this module only reshapes them into the `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 that ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_
 open directly:
 
 * each span becomes one complete event (``"ph": "X"``) with
-  microsecond ``ts``/``dur`` relative to the registry epoch;
-* the span's slash-joined ``path`` and ``depth`` ride along in
-  ``args``, so the flattened records keep their call structure even in
-  tools that ignore nesting;
-* a process-name metadata event labels the track.
-
-Request traces (:class:`repro.obs.tracing.TraceSpan`, collected by a
-:class:`repro.obs.tracing.Tracer`) export through the same document:
-each span carries its **own** ``pid``/``tid`` — recorded where the work
-ran, shipped back across the process-pool boundary — so Perfetto lays a
-gateway submit out across its real lanes: the asyncio thread, the pool
-worker threads, the pool *processes*, the background compaction thread.
-Per-(pid, tid) metadata events name every lane, and the trace/span/
-parent ids ride in ``args`` so the tree survives flattening.
+  microsecond ``ts``/``dur`` relative to the earliest span;
+* each span carries its **own** ``pid``/``tid`` — recorded where the
+  work ran, shipped back across the process-pool boundary — so Perfetto
+  lays a request out across its real lanes: the asyncio thread, the
+  pool worker threads, the pool *processes*, the background compaction
+  thread;
+* per-(pid, tid) metadata events name every lane, and the trace/span/
+  parent ids ride in ``args`` so the tree survives flattening.
 
 Wired into the CLI as ``repro-search search ... --trace-out FILE``
-(which implies ``--stats``-level observation so spans exist to
-export). The emitted document is plain JSON — asserted valid in tests,
-no browser required.
+(one ``cli.search``-rooted tree per run). The emitted document is plain
+JSON — asserted valid in tests, no browser required.
 """
 
 from __future__ import annotations
@@ -35,43 +28,14 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.registry import MetricsRegistry, Span
 from repro.obs.tracing import Tracer, TraceSpan
 
 #: Trace-event category stamped on every exported span.
 CATEGORY = "repro"
 
 
-def span_to_event(span: Span, *, pid: int = 1, tid: int = 1) -> dict:
-    """One span as a complete ("X") trace event (microsecond units)."""
-    return {
-        "name": span.name,
-        "cat": CATEGORY,
-        "ph": "X",
-        "ts": round(span.started * 1e6, 3),
-        "dur": round(span.seconds * 1e6, 3),
-        "pid": pid,
-        "tid": tid,
-        "args": {"path": span.path, "depth": span.depth},
-    }
-
-
-def trace_events(spans: Iterable[Span], *, pid: int = 1,
-                 process_name: str = "repro") -> list[dict]:
-    """All spans as trace events, preceded by process metadata."""
-    events: list[dict] = [{
-        "name": "process_name",
-        "ph": "M",
-        "pid": pid,
-        "tid": 1,
-        "args": {"name": process_name},
-    }]
-    events.extend(span_to_event(span, pid=pid) for span in spans)
-    return events
-
-
 def trace_span_to_event(span: TraceSpan, *, epoch: float = 0.0) -> dict:
-    """One request-trace span as a complete event, on its own lane.
+    """One span as a complete ("X") event, on its own lane.
 
     ``epoch`` is the wall-clock origin subtracted from every ``ts`` so
     the document starts near zero (viewers dislike 50-year offsets);
@@ -98,7 +62,7 @@ def trace_span_to_event(span: TraceSpan, *, epoch: float = 0.0) -> dict:
 
 def tracer_events(spans: Iterable[TraceSpan], *,
                   process_name: str = "repro") -> list[dict]:
-    """Request-trace spans as events with per-lane metadata stitching.
+    """Spans as events with per-lane metadata stitching.
 
     Every distinct ``pid`` gets a ``process_name`` metadata event
     (the main process keeps ``process_name``; pool workers are labeled
@@ -139,37 +103,24 @@ def tracer_events(spans: Iterable[TraceSpan], *,
     return events
 
 
-def trace_document(
-        source: MetricsRegistry | Tracer | Iterable[Span | TraceSpan],
-        *, process_name: str = "repro") -> dict[str, Any]:
+def trace_document(source: Tracer | Iterable[TraceSpan], *,
+                   process_name: str = "repro") -> dict[str, Any]:
     """The full JSON-object trace document viewers accept.
 
-    ``source`` is a registry (its ``spans`` list is read), a
-    :class:`Tracer` (its collected request spans are read, with real
-    pid/tid lane stitching), or any iterable of either span kind. The
-    object form (``{"traceEvents": [...]}``) is used rather than the
-    bare array so metadata has a legal home.
+    ``source`` is a :class:`Tracer` (its collected spans are read) or
+    any iterable of :class:`TraceSpan`. The object form
+    (``{"traceEvents": [...]}``) is used rather than the bare array so
+    metadata has a legal home.
     """
-    if isinstance(source, Tracer):
-        spans: list = list(source.spans())
-    elif isinstance(source, MetricsRegistry):
-        spans = source.spans
-    else:
-        spans = list(source)
-    if spans and isinstance(spans[0], TraceSpan):
-        events = tracer_events(spans, process_name=process_name)
-    else:
-        events = trace_events(spans, process_name=process_name)
+    spans = source.spans() if isinstance(source, Tracer) else source
     return {
-        "traceEvents": events,
+        "traceEvents": tracer_events(spans, process_name=process_name),
         "displayTimeUnit": "ms",
     }
 
 
-def write_trace(path: str | Path,
-                source: MetricsRegistry | Tracer
-                | Iterable[Span | TraceSpan], *,
-                process_name: str = "repro") -> Path:
+def write_trace(path: str | Path, source: Tracer | Iterable[TraceSpan],
+                *, process_name: str = "repro") -> Path:
     """Write the trace document to ``path``; returns the path.
 
     The file loads directly in ``chrome://tracing`` ("Load") and

@@ -1,12 +1,12 @@
-"""Request-scoped distributed tracing with cross-boundary propagation.
+"""Spans: request-scoped tracing with cross-boundary propagation.
 
-The registry's :class:`repro.obs.registry.Span` records answer "where
-did *this registry's* time go" — they are anonymous, per-registry, and
-deliberately not merged across processes (their ``started`` offsets are
-process-local). A serving stack needs the complementary question
-answered: **where did this one request's time go**, across an asyncio
-gateway, a thread pool, a process pool and a background compaction
-thread. That is what this module provides:
+The library's one span model. It answers **where did this one
+request's time go** — from the CLI, a standalone service or the asyncio
+gateway down to the searcher that did the work, across a thread pool, a
+process pool and a background compaction thread. (Per-section totals
+are a metric, kept by :class:`repro.obs.registry.MetricsRegistry`
+timers; an instrumented section feeds one and opens the same-named span
+here.) The pieces:
 
 * :class:`TraceContext` — the propagated identity of one request:
   ``trace_id`` (shared by every span of one submit), ``span_id`` (the
@@ -63,7 +63,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -414,18 +414,25 @@ NULL_TRACER = NullTracer()
 # ----------------------------------------------------------------------
 # ambient propagation
 
-_ambient = threading.local()
+class _Ambient(threading.local):
+    """Per-thread (tracer, context); class defaults make a thread that
+    never entered a trace read ``None`` at plain-attribute cost."""
+
+    tracer: Tracer | None = None
+    context: TraceContext | None = None
+
+
+_ambient = _Ambient()
 
 
 def current_trace() -> tuple[Tracer | None, TraceContext | None]:
     """The calling thread's ambient (tracer, context) pair."""
-    return (getattr(_ambient, "tracer", None),
-            getattr(_ambient, "context", None))
+    return _ambient.tracer, _ambient.context
 
 
 def current_context() -> TraceContext | None:
     """The calling thread's ambient context (``None`` outside a trace)."""
-    return getattr(_ambient, "context", None)
+    return _ambient.context
 
 
 def current_trace_id() -> str:
@@ -433,7 +440,7 @@ def current_trace_id() -> str:
 
     The one-liner event logs and exemplars use to stamp themselves.
     """
-    context = getattr(_ambient, "context", None)
+    context = _ambient.context
     return context.trace_id if context is not None else ""
 
 
@@ -441,8 +448,7 @@ def current_trace_id() -> str:
 def use_trace(tracer: Tracer | None,
               context: TraceContext | None) -> Iterator[None]:
     """Install a (tracer, context) pair as this thread's ambient pair."""
-    previous = (getattr(_ambient, "tracer", None),
-                getattr(_ambient, "context", None))
+    previous = (_ambient.tracer, _ambient.context)
     _ambient.tracer = tracer
     _ambient.context = context
     try:
@@ -451,19 +457,8 @@ def use_trace(tracer: Tracer | None,
         _ambient.tracer, _ambient.context = previous
 
 
-class _NullSpan:
-    """A reusable do-nothing span context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
+#: The shared do-nothing span every inert :func:`trace_span` returns.
+_NULL_SPAN = nullcontext()
 
 
 class _SpanHandle:
@@ -502,8 +497,8 @@ def trace_span(name: str, tags: Mapping[str, str] | None = None):
     or under an unsampled context — it returns a shared no-op object,
     so the cost is two thread-local reads and a branch.
     """
-    tracer = getattr(_ambient, "tracer", None)
-    context = getattr(_ambient, "context", None)
+    tracer = _ambient.tracer
+    context = _ambient.context
     if tracer is None or context is None or not context.sampled:
         return _NULL_SPAN
     return _SpanHandle(tracer, context.child(), name, tags)
@@ -519,8 +514,8 @@ def emit_span(name: str, seconds: float,
     manager, no extra clock reads beyond one ``time.time()``. The span
     is a *leaf* — it does not become ambient for anything.
     """
-    tracer = getattr(_ambient, "tracer", None)
-    context = getattr(_ambient, "context", None)
+    tracer = _ambient.tracer
+    context = _ambient.context
     if tracer is None or context is None or not context.sampled:
         return
     end = wall_end if wall_end is not None else time.time()
@@ -539,8 +534,8 @@ def ship_context() -> dict | None:
     ``context.child()`` itself and records that child as a span too —
     shipping an unrecorded child would orphan the worker spans.
     """
-    tracer = getattr(_ambient, "tracer", None)
-    context = getattr(_ambient, "context", None)
+    tracer = _ambient.tracer
+    context = _ambient.context
     if tracer is None or context is None or not context.sampled:
         return None
     return context.to_dict()
@@ -576,7 +571,7 @@ def adopt_spans(spans: Iterable) -> None:
     """Fold worker-shipped span dicts into the ambient tracer, if any."""
     if not spans:
         return
-    tracer = getattr(_ambient, "tracer", None)
+    tracer = _ambient.tracer
     if tracer is not None:
         tracer.adopt(spans)
 

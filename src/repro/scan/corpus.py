@@ -45,17 +45,6 @@ SMALL_TRACKED_CUTOFF = 8
 #: frequency lower bound is sound for any fixed symbol set.
 DEFAULT_LARGE_TRACKED = "AEIOUaeiou"
 
-#: The message :meth:`CompiledCorpus.from_dataset` warns with. Tests
-#: assert the exact text (mirroring the ``backend=`` -> ``plan=``
-#: migration), so user-facing guidance cannot silently rot.
-FROM_DATASET_DEPRECATION = (
-    "CompiledCorpus.from_dataset is deprecated and will be removed in "
-    "2.0; acquire corpora through the unified facade — "
-    "repro.live.Corpus.frozen(dataset, ...) — or construct "
-    "CompiledCorpus(dataset, ...) directly"
-)
-
-
 @dataclass(frozen=True)
 class LengthBucket:
     """All corpus strings of one exact length, encoded and profiled.
@@ -203,30 +192,6 @@ class CompiledCorpus:
                 ))
         self._buckets = tuple(buckets)
         self._lengths = tuple(bucket.length for bucket in self._buckets)
-
-    @classmethod
-    def from_dataset(cls, dataset: Iterable[str], *,
-                     alphabet: Alphabet | None = None,
-                     tracked: str | None = None,
-                     packed: bool = False) -> "CompiledCorpus":
-        """Deprecated alias of the constructor.
-
-        .. deprecated::
-            Slated for removal in 2.0. Direct freeze-once construction
-            spellings are consolidated under the unified corpus
-            facade — use :meth:`repro.live.Corpus.frozen` (which also
-            covers segment-backed loading and hands the handle to
-            engines, services and shards uniformly), or call
-            ``CompiledCorpus(...)`` directly when you need the bare
-            compiled artifact. Warns with
-            :data:`FROM_DATASET_DEPRECATION`.
-        """
-        import warnings
-
-        warnings.warn(FROM_DATASET_DEPRECATION, DeprecationWarning,
-                      stacklevel=2)
-        return cls(dataset, alphabet=alphabet, tracked=tracked,
-                   packed=packed)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -168,7 +168,7 @@ class Service:
     scheme:
         Dataset partition scheme (see :class:`ShardedCorpus`).
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry` for spans; the
+        Optional :class:`repro.obs.MetricsRegistry` for timers; the
         always-on ``service.*`` counters do not need it.
     recorder:
         Optional :class:`repro.obs.FlightRecorder`. Every degradation
@@ -283,7 +283,7 @@ class Service:
             return self._planner
 
     def attach_metrics(self, registry: MetricsRegistry | None) -> None:
-        """Attach (or detach, with ``None``) a span/timer registry."""
+        """Attach (or detach, with ``None``) a timer registry."""
         self._metrics = registry if registry is not None else NULL
 
     def attach_recorder(self, recorder: FlightRecorder | None) -> None:
@@ -409,7 +409,6 @@ class Service:
 
     def submit(self, query: str | SearchRequest, k: int | None = None,
                *, deadline: Deadline | Budget | None = None,
-               backend: str | None = None,
                options: SearchOptions | None = None,
                plan: PlannerPolicy | None = None) -> ServiceResult:
         """Answer one query through admission, ladder and deadline.
@@ -417,8 +416,8 @@ class Service:
         Accepts the legacy positional form or a single
         :class:`SearchRequest`. ``plan=`` takes a
         :class:`repro.core.planner.PlannerPolicy` hint for the ladder
-        ordering (the ``backend=`` string spelling is deprecated); by
-        default the cost-model planner picks the first rung per query.
+        ordering; by default the cost-model planner picks the first
+        rung per query.
         Raises :class:`ServiceOverloaded` when all ``capacity`` slots
         are taken, and :class:`PartialResultError` when the answer is
         not the full exact one and ``options.allow_partial`` is
@@ -426,8 +425,7 @@ class Service:
         attribute).
         """
         request = as_request(query, k, deadline=deadline,
-                             backend=backend, options=options,
-                             plan=plan)
+                             options=options, plan=plan)
         if request.is_batch:
             raise ReproError(
                 "Service.submit answers one query per call; submit "
@@ -460,7 +458,7 @@ class Service:
             self._emit_event("admission", outcome="accepted",
                              in_flight=self._in_flight,
                              capacity=self._capacity)
-            with self._metrics.trace("service.submit"):
+            with self._metrics.timer("service.submit"):
                 result = self._traced_ladder(request, started)
         finally:
             self._in_flight -= 1
@@ -495,7 +493,7 @@ class Service:
         """The ladder, reordered for this request.
 
         A forced :class:`PlannerPolicy` strategy promotes its rung to
-        the front, exactly like the old ``backend=`` hints. Otherwise
+        the front. Otherwise
         the cost-model planner scores the request's shape and promotes
         the rung matching its choice — the ladder stays a *degradation*
         ladder (every rung below remains reachable), the planner only
@@ -579,10 +577,10 @@ class Service:
                 attempts += 1
                 self._count("service.attempts")
                 try:
-                    with self._metrics.trace(f"service.attempt[{name}]"), \
-                            trace_span(f"service.attempt[{name}]",
-                                       {"rung": str(rung),
-                                        "retry": str(retry)}):
+                    section = f"service.attempt[{name}]"
+                    with self._metrics.timer(section), \
+                            trace_span(section, {"rung": str(rung),
+                                                 "retry": str(retry)}):
                         outcome = plan.run(self._corpus, query, k,
                                            deadline)
                 except DeadlineExceeded as error:

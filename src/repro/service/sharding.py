@@ -28,7 +28,6 @@ over immutable segments.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Iterable
 
 from repro.core.deadline import Budget, Deadline
@@ -37,7 +36,7 @@ from repro.core.result import Match
 from repro.core.searcher import Searcher
 from repro.core.sequential import SequentialScanSearcher
 from repro.exceptions import DeadlineExceeded, ReproError
-from repro.obs.tracing import emit_span
+from repro.obs.tracing import trace_span
 from repro.parallel.partition import partition_dataset
 
 #: Plan kinds a shard can serve, mapping 1:1 onto the library's
@@ -373,23 +372,22 @@ class ShardedCorpus:
             searcher = self._view_searcher(view, plan, index)
             if searcher is None:
                 continue
-            started = time.perf_counter()
-            try:
-                row = searcher.search(query, k, deadline=deadline)
-            except DeadlineExceeded as error:
-                emit_span(f"shard[{index}]",
-                          time.perf_counter() - started,
-                          {"plan": plan, "outcome": "deadline"})
-                partial = _visible(view, merged + [tuple(error.partial)])
-                raise DeadlineExceeded(
-                    f"sharded {plan} search for {query!r} (k={k}) "
-                    f"exceeded its deadline on shard {index} of {total} "
-                    f"({len(partial)} verified matches kept)",
-                    partial=partial, scope="shards",
-                    completed=index, total=total,
-                ) from error
-            emit_span(f"shard[{index}]", time.perf_counter() - started,
-                      {"plan": plan})
+            tags = {"plan": plan}
+            with trace_span(f"shard[{index}]", tags):
+                try:
+                    row = searcher.search(query, k, deadline=deadline)
+                except DeadlineExceeded as error:
+                    # The span reads its tags as it closes.
+                    tags["outcome"] = "deadline"
+                    partial = _visible(view,
+                                       merged + [tuple(error.partial)])
+                    raise DeadlineExceeded(
+                        f"sharded {plan} search for {query!r} (k={k}) "
+                        f"exceeded its deadline on shard {index} of "
+                        f"{total} ({len(partial)} verified matches kept)",
+                        partial=partial, scope="shards",
+                        completed=index, total=total,
+                    ) from error
             merged.append(tuple(row))
         return _visible(view, merged)
 

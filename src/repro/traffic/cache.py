@@ -8,10 +8,10 @@ kernel optimization can. :class:`ResultCache` memoizes **complete**
 
 * **normalized keys** — the key is derived from the request's
   *canonical* identity (:meth:`repro.core.request.SearchRequest.canonical_key`)
-  with the backend hint dropped: a complete answer is the exact
-  ``<= k`` match set, which is backend-independent by the library's
-  verification contract, so ``backend="compiled"`` and
-  ``backend=None`` share one entry. The deadline is execution
+  with the planner policy dropped: a complete answer is the exact
+  ``<= k`` match set, which is strategy-independent by the library's
+  verification contract, so ``plan=PlannerPolicy(strategy="compiled")``
+  and ``plan=None`` share one entry. The deadline is execution
   context, never part of the key — a cached complete answer satisfies
   any deadline, because it costs one dictionary lookup.
 * **bounded LRU + TTL** — at most ``maxsize`` entries, least recently
@@ -65,11 +65,11 @@ DEFAULT_MAXSIZE = 1024
 def cache_key(request: SearchRequest) -> Hashable:
     """The normalized cache key of one single-query request.
 
-    The canonical request identity minus the backend hint (complete
-    answers are backend-independent). Options that could change the
+    The canonical request identity minus the planner policy (complete
+    answers are strategy-independent). Options that could change the
     match set stay in the key via the canonical form's options field.
     """
-    query, k, _backend, options = request.canonical_key()
+    query, k, _policy, options = request.canonical_key()
     return (query, k, options)
 
 

@@ -257,7 +257,6 @@ class AsyncService:
     async def submit(self, query: str | SearchRequest,
                      k: int | None = None, *,
                      deadline: Deadline | Budget | None = None,
-                     backend: str | None = None,
                      options: SearchOptions | None = None
                      ) -> ServiceResult:
         """Answer one request through cache, shedding and execution.
@@ -276,7 +275,7 @@ class AsyncService:
         which is how ladder exemplars learn about it downstream.
         """
         request = as_request(query, k, deadline=deadline,
-                             backend=backend, options=options)
+                             options=options)
         if request.is_batch:
             raise ReproError(
                 "AsyncService.submit answers one query per call; use "

@@ -19,7 +19,7 @@ from repro.core.planner import (
     collect_statistics,
     validate_plan,
 )
-from repro.core.request import BACKEND_DEPRECATION, SearchRequest
+from repro.core.request import SearchRequest
 from repro.exceptions import ReproError
 from repro.obs.report import validate_report
 
@@ -216,29 +216,23 @@ class TestEnginePlanAPI:
             == unsplit.search_many(queries, 2)
 
 
-class TestBackendDeprecation:
-    def test_request_backend_string_warns_with_the_documented_text(
-            self):
-        with pytest.warns(DeprecationWarning) as captured:
-            request = SearchRequest("q", 1, backend="indexed")
-        assert str(captured[0].message) == BACKEND_DEPRECATION
-        assert "removed in 2.0" in BACKEND_DEPRECATION
-        assert "plan=PlannerPolicy" in BACKEND_DEPRECATION
-        assert request.backend is None
-        assert request.policy.strategy == "indexed"
+class TestPerCallPolicy:
+    def test_the_backend_string_hint_is_gone(self, city_names):
+        with pytest.raises(TypeError):
+            SearchRequest("q", 1, backend="indexed")
+        with pytest.raises(TypeError):
+            SearchEngine(city_names).search("Berlino", 2,
+                                            backend="sequential")
 
-    def test_engine_per_call_backend_string_warns(self, city_names):
-        engine = SearchEngine(city_names)
-        with pytest.warns(DeprecationWarning, match="plan="):
-            hinted = engine.search("Berlino", 2, backend="sequential")
-        assert hinted == engine.search("Berlino", 2)
-
-    def test_plan_policy_does_not_warn(self, city_names):
+    def test_plan_policy_forces_a_strategy_without_warning(
+            self, city_names):
         engine = SearchEngine(city_names)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            engine.search("Berlino", 2,
-                          plan=PlannerPolicy(strategy="sequential"))
+            hinted = engine.search(
+                "Berlino", 2, plan=PlannerPolicy(strategy="sequential"))
+        assert engine.last_report.backend == "sequential"
+        assert hinted == engine.search("Berlino", 2)
 
 
 class TestPlannerProperty:
@@ -271,5 +265,4 @@ class TestCalibrate:
 
     def test_auto_policy_is_the_default(self):
         assert AUTO_POLICY.is_auto
-        assert PlannerPolicy.from_backend(None) == AUTO_POLICY
-        assert PlannerPolicy.from_backend("auto") == AUTO_POLICY
+        assert PlannerPolicy() == AUTO_POLICY

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.deadline import Budget, Deadline
 from repro.core.engine import SearchEngine
+from repro.core.planner import PlannerPolicy
 from repro.core.request import (
     DEFAULT_OPTIONS,
     SearchOptions,
@@ -31,9 +32,9 @@ class TestSearchRequest:
         with pytest.raises(InvalidThresholdError):
             SearchRequest("q", -1)
 
-    def test_backend_validated(self):
+    def test_plan_strategy_validated(self):
         with pytest.raises(ReproError):
-            SearchRequest("q", 1, backend="bogus")
+            SearchRequest("q", 1, plan=PlannerPolicy(strategy="bogus"))
 
     def test_non_string_batch_item_rejected(self):
         with pytest.raises(ReproError):
@@ -80,14 +81,15 @@ class TestCanonicalIdentity:
                                   options=SearchOptions(report=True))
         assert plain != reporting
 
-    def test_auto_backend_equals_none(self):
-        assert SearchRequest("q", 1, backend="auto") \
+    def test_auto_policy_equals_none(self):
+        assert SearchRequest("q", 1, plan=PlannerPolicy()) \
             == SearchRequest("q", 1)
-        assert hash(SearchRequest("q", 1, backend="auto")) \
+        assert hash(SearchRequest("q", 1, plan=PlannerPolicy())) \
             == hash(SearchRequest("q", 1))
 
-    def test_real_backend_hint_distinguishes(self):
-        assert SearchRequest("q", 1, backend="compiled") \
+    def test_forced_strategy_distinguishes(self):
+        assert SearchRequest(
+            "q", 1, plan=PlannerPolicy(strategy="compiled")) \
             != SearchRequest("q", 1)
 
     def test_deadline_is_execution_context_not_identity(self):
@@ -103,7 +105,7 @@ class TestCanonicalIdentity:
     def test_dedup_in_sets_and_dicts(self):
         requests = [
             SearchRequest("q", 1),
-            SearchRequest("q", 1, backend="auto"),
+            SearchRequest("q", 1, plan=PlannerPolicy()),
             SearchRequest("q", 1, deadline=Deadline(1.0)),
             SearchRequest("q", 1, options=SearchOptions()),
             SearchRequest("q", 2),
@@ -131,7 +133,7 @@ class TestAsRequest:
 
     @pytest.mark.parametrize("kwargs", [
         {"deadline": Deadline(1.0)},
-        {"backend": "compiled"},
+        {"plan": PlannerPolicy(strategy="compiled")},
         {"options": SearchOptions(report=True)},
     ])
     def test_request_plus_kwarg_conflicts(self, kwargs):
@@ -191,19 +193,7 @@ class TestEngineAcceptsRequests:
         with pytest.raises(ReproError):
             engine.search(SearchRequest("q", 1), report=True)
 
-    def test_per_request_backend_hint_on_single_search(self):
-        engine = SearchEngine(CITIES)
-        with pytest.warns(DeprecationWarning, match="plan="):
-            request = SearchRequest("Berlino", 2, backend="indexed")
-        assert request.backend is None
-        assert request.policy.strategy == "indexed"
-        hinted = engine.search(request)
-        assert engine.last_report.backend == "indexed"
-        assert hinted == engine.search("Berlino", 2)
-
     def test_per_request_plan_on_single_search(self):
-        from repro.core.planner import PlannerPolicy
-
         engine = SearchEngine(CITIES)
         planned = engine.search(
             SearchRequest("Berlino", 2,

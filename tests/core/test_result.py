@@ -51,11 +51,6 @@ class TestResultSet:
                             [[Match("a", 0), Match("b", 1)], []])
         assert results.total_matches == 2
 
-    def test_as_mapping_deprecated_shape_still_works(self):
-        results = ResultSet(["q1"], [[Match("a", 0)]])
-        with pytest.warns(DeprecationWarning):
-            assert results.as_mapping() == {"q1": ("a",)}
-
     def test_by_query_keeps_match_rows(self):
         results = ResultSet(["q1", "q2"], [[Match("a", 0)], []])
         assert results.by_query() == {

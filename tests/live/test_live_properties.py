@@ -108,7 +108,7 @@ def test_tombstoned_reinserts_round_trip(ops):
 
 
 class LiveCorpusMachine(RuleBasedStateMachine):
-    """Stateful mirror of ``UpdatableIndexMachine`` for the facade."""
+    """Stateful model check of the live facade against a ``Counter``."""
 
     def __init__(self):
         super().__init__()

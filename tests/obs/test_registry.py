@@ -7,9 +7,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
     counter_delta,
-    current_registry,
-    trace,
-    use_registry,
 )
 
 
@@ -76,59 +73,30 @@ class TestTimers:
         assert delta == {"scan.query.seconds": 0.5, "scan.query.calls": 1}
 
 
-class TestSpans:
-    def test_trace_records_a_span_and_feeds_the_timer(self):
-        registry = MetricsRegistry()
-        with registry.trace("scan.kernel"):
-            pass
-        assert [span.name for span in registry.spans] == ["scan.kernel"]
-        assert registry.timers()["scan.kernel"]["calls"] == 1
-
-    def test_nested_spans_record_depth_and_path(self):
-        registry = MetricsRegistry()
-        with registry.trace("batch"):
-            with registry.trace("scan.kernel"):
-                pass
-        inner, outer = sorted(registry.spans, key=lambda s: s.depth,
-                              reverse=True)
-        assert outer.name == "batch" and outer.depth == 0
-        assert inner.path == "batch/scan.kernel" and inner.depth == 1
-        # the outer span closes last, so it covers the inner one
-        assert outer.seconds >= inner.seconds
-
-    def test_span_cap_drops_and_counts(self):
-        registry = MetricsRegistry(max_spans=2)
-        for _ in range(5):
-            with registry.trace("s"):
-                pass
-        assert len(registry.spans) == 2
-        assert registry.counters()["obs.spans_dropped"] == 3
-
-
 class TestSnapshotAndReset:
     def test_snapshot_is_one_plain_structure(self):
         registry = MetricsRegistry()
         registry.inc("a", 2)
         registry.gauge("g", 1.5)
-        with registry.trace("t"):
+        with registry.timer("t"):
             pass
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"a": 2}
         assert snapshot["gauges"] == {"g": 1.5}
         assert snapshot["timers"]["t"]["calls"] == 1
-        assert snapshot["spans"][0]["name"] == "t"
+        assert set(snapshot) == {"counters", "gauges", "timers",
+                                 "histograms"}
 
     def test_reset_zeroes_every_series(self):
         registry = MetricsRegistry()
         registry.inc("a")
         registry.gauge("g", 1)
-        with registry.trace("t"):
+        with registry.timer("t"):
             pass
         registry.reset()
         assert registry.counters() == {}
         assert registry.gauges() == {}
         assert registry.timers() == {}
-        assert registry.spans == []
 
 
 class TestNullRegistry:
@@ -140,40 +108,12 @@ class TestNullRegistry:
         null.observe("t", 1.0)
         with null.timer("t"):
             pass
-        with null.trace("s"):
-            pass
         assert null.counters() == {}
         assert null.timers() == {}
-        assert null.spans == []
 
     def test_enabled_flag_distinguishes_it(self):
         assert MetricsRegistry().enabled is True
         assert NULL.enabled is False
-
-
-class TestAmbientRegistry:
-    def test_default_is_null(self):
-        assert current_registry() is NULL
-
-    def test_use_registry_scopes_the_ambient_one(self):
-        registry = MetricsRegistry()
-        with use_registry(registry) as active:
-            assert active is registry
-            assert current_registry() is registry
-            with trace("scan.kernel"):
-                pass
-        assert current_registry() is NULL
-        assert registry.timers()["scan.kernel"]["calls"] == 1
-
-    def test_module_trace_accepts_explicit_registry(self):
-        registry = MetricsRegistry()
-        with trace("x", registry):
-            pass
-        assert [span.name for span in registry.spans] == ["x"]
-
-    def test_module_trace_without_registry_is_a_noop(self):
-        with trace("nowhere"):
-            pass  # goes to NULL: nothing recorded, nothing raised
 
 
 class TestCounterDelta:

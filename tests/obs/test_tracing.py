@@ -7,6 +7,7 @@ trace, and the worker-boundary trio (ship_context / worker_span /
 adopt_spans) rebuilds one coherent tree.
 """
 
+import sys
 import threading
 
 import pytest
@@ -194,6 +195,57 @@ class TestWorkerBoundary:
         thread.start()
         thread.join()
         assert seen["context"] is context
+
+
+class TestConcurrentNesting:
+    """One tracer shared by threads: parents never cross threads.
+
+    The ambient pair is per thread and every span names its parent by
+    id, so concurrent nesting cannot mis-attribute — the property every
+    instrumented layer relies on now that this is the only span model.
+    """
+
+    THREADS = 4
+    PAIRS = 300
+
+    def test_inner_spans_parent_under_their_own_outer(self):
+        tracer = Tracer(max_spans=4 * self.THREADS * self.PAIRS)
+        roots: dict[int, str] = {}
+        barrier = threading.Barrier(self.THREADS)
+
+        def work(lane: int) -> None:
+            barrier.wait(timeout=30)
+            with tracer.root(f"root.{lane}") as context:
+                roots[lane] = context.trace_id
+                for pair in range(self.PAIRS):
+                    with trace_span(f"outer.{lane}.{pair}"):
+                        with trace_span(f"inner.{lane}.{pair}"):
+                            pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(lane,))
+                       for lane in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tracer.dropped == 0
+        for lane, trace_id in roots.items():
+            tree = span_tree(tracer.spans(), trace_id=trace_id)
+            assert [root.name for root in tree.roots] == [f"root.{lane}"]
+            assert len(tree.spans) == 1 + 2 * self.PAIRS
+            by_id = {span.span_id: span for span in tree.spans}
+            for span in tree.spans:
+                kind, _, rest = span.name.partition(".")
+                if kind == "inner":
+                    assert by_id[span.parent_id].name == f"outer.{rest}"
+                elif kind == "outer":
+                    assert by_id[span.parent_id].name == f"root.{lane}"
 
 
 class TestSpanTree:

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.core.deadline import Budget
+from repro.core.planner import PlannerPolicy
 from repro.core.request import SearchOptions, SearchRequest
 from repro.core.result import Match
 from repro.core.sequential import SequentialScanSearcher
@@ -139,9 +140,10 @@ class TestLadderFallback:
         refused = caught.value.result
         assert refused.status == "candidates"
 
-    def test_backend_hint_promotes_rung(self):
+    def test_plan_policy_promotes_rung(self):
         service = Service(DATASET, shards=2)
-        result = service.submit("Berlino", 2, backend="compiled")
+        result = service.submit(
+            "Berlino", 2, plan=PlannerPolicy(strategy="compiled"))
         assert result.status == "complete"
         assert result.plan == "compiled"
 

@@ -168,13 +168,42 @@ class TestObservabilityFlags:
         trace = tmp_path / "trace.json"
         assert main(["search", str(data), str(queries), "-k", "1",
                      "--trace-out", str(trace)]) == 0
-        assert "spans written" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "spans written, 0 dropped" in err
         document = json.loads(trace.read_text(encoding="utf-8"))
         spans = [event for event in document["traceEvents"]
                  if event.get("ph") == "X"]
         assert spans, document
         assert any(event["name"].startswith("engine.")
                    for event in spans)
+        self._assert_one_tree(spans)
+
+    @staticmethod
+    def _assert_one_tree(spans):
+        """One ``cli.search`` root; every other span hangs off it."""
+        roots = [event for event in spans
+                 if not event["args"]["parent_id"]]
+        assert [event["name"] for event in roots] == ["cli.search"]
+        known = {event["args"]["span_id"] for event in spans}
+        for event in spans:
+            assert event["args"]["trace_id"] \
+                == roots[0]["args"]["trace_id"]
+            assert event["args"]["parent_id"] in known | {""}
+
+    def test_trace_out_shows_process_pool_worker_lanes(
+            self, city_files, tmp_path):
+        import json
+
+        data, queries = city_files
+        trace = tmp_path / "pool.json"
+        assert main(["search", str(data), str(queries), "-k", "1",
+                     "--batch", "--runner", "processes:2",
+                     "--trace-out", str(trace)]) == 0
+        document = json.loads(trace.read_text(encoding="utf-8"))
+        spans = [event for event in document["traceEvents"]
+                 if event.get("ph") == "X"]
+        self._assert_one_tree(spans)
+        assert len({event["pid"] for event in spans}) > 1
 
     def test_trace_out_on_the_service_path(self, city_files, tmp_path):
         import json
@@ -184,8 +213,10 @@ class TestObservabilityFlags:
         assert main(["search", str(data), str(queries), "-k", "1",
                      "--service", "--trace-out", str(trace)]) == 0
         document = json.loads(trace.read_text(encoding="utf-8"))
-        assert any(event.get("ph") == "X"
-                   for event in document["traceEvents"])
+        spans = [event for event in document["traceEvents"]
+                 if event.get("ph") == "X"]
+        assert any(event["name"] == "service.submit" for event in spans)
+        self._assert_one_tree(spans)
 
     def test_flags_compose_with_stats_and_results_stay_identical(
             self, city_files, tmp_path, capsys):

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core.deadline import Deadline
+from repro.core.planner import PlannerPolicy
 from repro.core.request import SearchOptions, SearchRequest
 from repro.exceptions import ReproError
 from repro.service.service import ServiceResult
 from repro.traffic.cache import CACHE_COUNTERS, ResultCache, cache_key
+
+COMPILED = PlannerPolicy(strategy="compiled")
 
 
 def make_result(query="Berlino", k=2, status="complete",
@@ -25,8 +28,8 @@ class FakeClock:
 
 
 class TestKeyNormalization:
-    def test_backend_hint_dropped(self):
-        assert cache_key(SearchRequest("q", 1, backend="compiled")) \
+    def test_planner_policy_dropped(self):
+        assert cache_key(SearchRequest("q", 1, plan=COMPILED)) \
             == cache_key(SearchRequest("q", 1))
 
     def test_deadline_dropped(self):
@@ -48,7 +51,7 @@ class TestKeyNormalization:
         cache = ResultCache()
         result = make_result()
         assert cache.put(SearchRequest("Berlino", 2), result)
-        hit = cache.get(SearchRequest("Berlino", 2, backend="compiled",
+        hit = cache.get(SearchRequest("Berlino", 2, plan=COMPILED,
                                       deadline=Deadline(5)))
         assert hit is result
 

@@ -88,17 +88,18 @@ class TestCachePath:
         cache_hits = cache.counters_snapshot()["service.cache.hits"]
         assert gateway_hits == cache_hits == 3
 
-    def test_cache_hit_ignores_backend_and_deadline_spelling(self):
+    def test_cache_hit_ignores_policy_and_deadline_spelling(self):
         from repro.core.deadline import Deadline
+        from repro.core.planner import PlannerPolicy
 
         cache = ResultCache()
         gateway = make_gateway(cache=cache)
 
         async def spellings():
             await gateway.submit("Berlino", 2)
-            return await gateway.submit("Berlino", 2,
-                                        backend="compiled",
-                                        deadline=Deadline(5.0))
+            return await gateway.submit(SearchRequest(
+                "Berlino", 2, plan=PlannerPolicy(strategy="compiled"),
+                deadline=Deadline(5.0)))
 
         run(spellings())
         assert cache.counters_snapshot()["service.cache.hits"] == 1

@@ -10,8 +10,11 @@ tracing enabled-but-unsampled stays on the null fast path.
 
 import asyncio
 import os
+import sys
+import threading
 import time
 
+from repro.core.planner import PlannerPolicy
 from repro.core.request import SearchRequest
 from repro.live.corpus import LiveCorpus
 from repro.obs.events import EventLog
@@ -63,6 +66,55 @@ class TestGatewayLadderTrace:
         gateway = AsyncService(service)
         result = asyncio.run(gateway.submit("Berlino", 2))
         assert result.status == "complete"
+
+
+class TestConcurrentServiceSubmits:
+    """Concurrent submits on one service: one whole tree per submit."""
+
+    def test_each_submit_is_one_tree_down_to_the_searcher(self):
+        tracer = Tracer()
+        service = Service(DATASET, shards=2, tracer=tracer)
+        service.submit("Berlino", 2)  # build the shard searchers once
+        tracer.reset()
+        queries = ["Berlino", "Bern", "Bremn", "Ulmm"]
+        barrier = threading.Barrier(len(queries))
+        statuses: dict[str, str] = {}
+
+        def submit(query: str) -> None:
+            barrier.wait(timeout=30)
+            statuses[query] = service.submit(
+                query, 2, plan=PlannerPolicy(strategy="indexed")).status
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit, args=(query,))
+                       for query in queries]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == dict.fromkeys(queries, "complete")
+        spans = tracer.spans()
+        trace_ids = {span.trace_id for span in spans}
+        assert len(trace_ids) == len(queries)
+        for trace_id in trace_ids:
+            tree = span_tree(spans, trace_id=trace_id)
+            assert [root.name for root in tree.roots] == ["service.submit"]
+            by_id = {span.span_id: span for span in tree.spans}
+            searches = [span for span in tree.spans
+                        if span.name == "index.search"]
+            assert len(searches) == 2  # one per shard
+            for search in searches:
+                shard = by_id[search.parent_id]
+                assert shard.name.startswith("shard[")
+                assert by_id[shard.parent_id].name \
+                    == "service.attempt[flat]"
+                # The whole chain ran on the submitting thread.
+                assert search.tid == tree.roots[0].tid
 
 
 class TestPoolProcessTrace:
