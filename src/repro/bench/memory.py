@@ -20,6 +20,8 @@ story :func:`measure_compiled_footprints` quantifies.
 from __future__ import annotations
 
 import sys
+import tracemalloc
+from time import perf_counter
 from typing import Any
 
 import numpy as np
@@ -108,6 +110,28 @@ def measure_footprints(strings: list[str]) -> dict[str, int]:
     }
 
 
+def measure_flat_build(strings: list[str]) -> dict[str, float]:
+    """What constructing the flat trie costs, beside what it holds.
+
+    ``build_seconds`` is timed with tracing off; ``build_peak_bytes``
+    is the ``tracemalloc`` peak of a second build, transients included;
+    ``size_bytes`` is the deep size of the finished trie.
+    """
+    from repro.index.flat import FlatTrie
+
+    started = perf_counter()
+    FlatTrie(strings)
+    seconds = perf_counter() - started
+    tracemalloc.start()
+    try:
+        flat = FlatTrie(strings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"build_seconds": seconds, "build_peak_bytes": peak,
+            "size_bytes": deep_sizeof(flat)}
+
+
 def measure_compiled_footprints(
         strings: list[str], *, segment_path: str | None = None
 ) -> dict[str, int]:
@@ -169,6 +193,8 @@ def render_compiled_footprints(strings: list[str], label: str, *,
 def render_footprints(strings: list[str], label: str) -> str:
     """Text report of index memory footprints for one dataset."""
     sizes = measure_footprints(strings)
+    build = measure_flat_build(strings)
+    sizes["flat trie"] = build["size_bytes"]
     raw = sizes["raw strings (list)"]
     lines = [
         f"Memory footprints over {len(strings):,} {label} strings",
@@ -179,4 +205,9 @@ def render_footprints(strings: list[str], label: str) -> str:
         lines.append(
             f"{name:<34} {format_bytes(size):>10}   {ratio:>5.1f}x raw"
         )
+    lines.append(
+        f"{'flat trie build':<34} "
+        f"{format_bytes(build['build_peak_bytes']):>10}   peak, "
+        f"{build['build_seconds']:.2f} s"
+    )
     return "\n".join(lines)

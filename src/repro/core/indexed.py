@@ -9,7 +9,7 @@ Paper stage          Configuration
 1 base               ``index="trie"`` — annotated prefix tree
 2 compression        ``index="compressed"`` — radix-merged tree
 3 managed threads    pass a pool/adaptive runner to the workload
-beyond the paper     ``index="flat"`` — the compressed tree frozen into
+beyond the paper     ``index="flat"`` — the compressed tree built as
                      flat arrays (:mod:`repro.index.flat`), descended
                      iteratively without per-node object overhead
 ===================  =====================================================
@@ -307,7 +307,7 @@ class IndexedSearcher(Searcher):
 
         Exposed so the engine can put the same compiled structure on
         the batch path (:class:`repro.index.batch.BatchIndexExecutor`)
-        without freezing it twice.
+        without building it twice.
         """
         return self._flat_trie
 

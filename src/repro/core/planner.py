@@ -49,6 +49,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.data.stats import adjacent_lcp
 from repro.exceptions import ReproError
 
 #: The four execution strategies the planner scores. ``"indexed"`` is
@@ -411,17 +412,10 @@ def collect_statistics(dataset: Iterable[str], *,
     distinct = sorted(set(strings))
     max_length = max(lengths) if lengths else 0
     diff = [0] * (max_length + 1)
-    previous = None
-    for s in distinct:
-        lcp = 0
-        if previous is not None:
-            limit = min(len(previous), len(s))
-            while lcp < limit and previous[lcp] == s[lcp]:
-                lcp += 1
+    for s, lcp in zip(distinct, adjacent_lcp(distinct)):
         if len(s) > lcp:
             diff[lcp] += 1
             diff[len(s)] -= 1 if len(s) < len(diff) else 0
-        previous = s
     nodes_by_depth: list[int] = []
     running = 0
     for depth in range(max_length):

@@ -96,3 +96,34 @@ def length_histogram(strings: Sequence[str],
     for bucket, bucket_count in zip(buckets, counts):
         histogram[bucket] = bucket_count
     return histogram
+
+
+def adjacent_lcp(sorted_strings: Sequence[str]) -> list[int]:
+    """Common-prefix length of each string with its predecessor.
+
+    ``result[i]`` is the length of the longest common prefix of
+    ``sorted_strings[i - 1]`` and ``sorted_strings[i]`` (``0`` for the
+    first). Over a *sorted* list these lengths describe the whole
+    prefix tree — string ``i`` adds ``len - result[i]`` symbols to it —
+    which is what the flat-trie builder and the planner's trie-shape
+    statistics read off them.
+
+    >>> adjacent_lcp(["Berlin", "Bern", "Ulm"])
+    [0, 3, 0]
+    """
+    result: list[int] = []
+    previous = ""
+    lcp = 0
+    for string in sorted_strings:
+        # Sorted neighbours tend to share about as much as the pair
+        # before them: one slice compare skips that stretch at C speed.
+        limit = min(len(previous), len(string))
+        if lcp > limit:
+            lcp = limit
+        if previous[:lcp] != string[:lcp]:
+            lcp = 0
+        while lcp < limit and previous[lcp] == string[lcp]:
+            lcp += 1
+        result.append(lcp)
+        previous = string
+    return result

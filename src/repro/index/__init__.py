@@ -11,9 +11,9 @@ and the related-work alternatives it is positioned against:
 * :class:`CompressedTrie` — the radix-compressed form of section 4.2.
 * :func:`trie_similarity_search` — threshold search over either trie.
 * :class:`FlatTrie` / :func:`flat_similarity_search` — either trie
-  frozen into flat CSR arrays with an iterative, allocation-free
-  descent (see :mod:`repro.index.flat`), plus :class:`TrieProbe` —
-  that descent as a probe of the shared
+  shape built directly as flat CSR arrays, with an iterative,
+  allocation-free descent (see :mod:`repro.index.flat`), plus
+  :class:`TrieProbe` — that descent as a probe of the shared
   :class:`repro.core.batch.BatchExecutor` — and
   :class:`BatchIndexExecutor` / :class:`FlatIndexSearcher`, the core
   with that probe built in (see :mod:`repro.index.batch`).

@@ -1,22 +1,29 @@
-"""The compiled trie: the paper's index frozen into flat arrays.
+"""The compiled trie: the paper's index as flat arrays.
 
 PR 1 gave the *scan* side a compiled execution path
 (:mod:`repro.scan`); this module is the index-side twin. A
-:class:`FlatTrie` freezes a :class:`repro.index.trie.PrefixTrie` or
-:class:`repro.index.compressed.CompressedTrie` (or builds one directly
-from strings) into parallel tuples, so a similarity descent touches
-contiguous integer arrays instead of chasing ``TrieNode`` objects
-through attribute lookups and dict hops — the cache-conscious layout
-the string-index literature recommends (INSTRUCT-style packed tries,
-CSR adjacency), applied where pure Python actually bleeds: per-node
-interpreter overhead.
+:class:`FlatTrie` holds the annotated prefix tree of section 4 as
+parallel tuples, so a similarity descent touches contiguous integer
+arrays instead of chasing ``TrieNode`` objects through attribute
+lookups and dict hops — the cache-conscious layout the string-index
+literature recommends (INSTRUCT-style packed tries, CSR adjacency),
+applied where pure Python actually bleeds: per-node interpreter
+overhead.
+
+Construction is array-native too. Sorted distinct strings and the
+common-prefix length of each with its predecessor determine every
+radix node (string ``i`` adds ``len - lcp[i]`` symbols of new path,
+split where later strings branch off it), so one backward stack pass
+emits the arrays directly in O(total symbols) — no object trie is built
+on the way, and memory peaks at a small multiple of the result. See
+docs/INDEX.md.
 
 Layout (all plain tuples, so the value is immutable and pickles
 cheaply for :mod:`repro.parallel` process runners):
 
 * **CSR children** — ``child_offsets[v]:child_offsets[v + 1]`` slices
-  ``child_ids``; children are sorted by the first code of their edge
-  label, so exact lookups binary-search and traversal order is
+  ``child_ids``; children are sorted by the first symbol of their
+  edge label, so exact lookups binary-search and traversal order is
   deterministic.
 * **Encoded edge labels** — ``label_offsets[v]:label_offsets[v + 1]``
   slices ``label_codes``, the edge label of ``v`` encoded through the
@@ -42,16 +49,22 @@ Batch execution lives in :mod:`repro.index.batch`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from repro.core.deadline import Budget, Deadline
 from repro.data.alphabet import Alphabet
+from repro.data.stats import adjacent_lcp
 from repro.distance.banded import check_threshold
 from repro.exceptions import DeadlineExceeded, IndexConstructionError
 from repro.filters.frequency import frequency_vector
-from repro.index.compressed import CompressedTrie
 from repro.index.traversal import TraversalStats, TrieMatch
-from repro.index.trie import PrefixTrie
+
+#: Length bounds of a subtree no string has been folded into yet (the
+#: root of an empty trie keeps them, as an object ``TrieNode`` would).
+_NO_MIN = 2**63
+_NO_MAX = -1
 
 
 class FlatTrie:
@@ -63,13 +76,13 @@ class FlatTrie:
         Dataset to index (duplicates accumulate multiplicities, as in
         the object tries).
     compress:
-        Freeze the radix-compressed tree of section 4.2 (default) or
+        Build the radix-compressed tree of section 4.2 (default) or
         the one-symbol-per-edge tree of section 4.1. Compression only
         changes how many node boundaries a descent crosses — results
         are identical.
     tracked_symbols / case_insensitive_frequencies:
-        As in :class:`PrefixTrie`: enables PETER-style per-node
-        frequency bounds over these symbols.
+        As in :class:`repro.index.trie.PrefixTrie`: enables PETER-style
+        per-node frequency bounds over these symbols.
     alphabet:
         Optional explicit :class:`Alphabet` for label encoding; when
         omitted, a minimal alphabet is inferred from the dataset.
@@ -92,121 +105,135 @@ class FlatTrie:
                  tracked_symbols: str | None = None,
                  case_insensitive_frequencies: bool = True,
                  alphabet: Alphabet | None = None) -> None:
-        if compress:
-            source: PrefixTrie | CompressedTrie = CompressedTrie(
-                strings, tracked_symbols=tracked_symbols,
-                case_insensitive_frequencies=case_insensitive_frequencies,
+        counts = Counter(strings)
+        if "" in counts:
+            raise IndexConstructionError(
+                "cannot index an empty string: it would alias the root"
             )
-        else:
-            source = PrefixTrie(
-                strings, tracked_symbols=tracked_symbols,
-                case_insensitive_frequencies=case_insensitive_frequencies,
-            )
-        self._freeze(source, alphabet)
-
-    @classmethod
-    def from_trie(cls, trie: PrefixTrie | CompressedTrie, *,
-                  alphabet: Alphabet | None = None) -> "FlatTrie":
-        """Freeze an already-built object trie (topology preserved)."""
-        flat = cls.__new__(cls)
-        flat._freeze(trie, alphabet)
-        return flat
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def _freeze(self, trie: PrefixTrie | CompressedTrie,
-                alphabet: Alphabet | None) -> None:
+        distinct = sorted(counts)
+        lcps = adjacent_lcp(distinct)
         self._segment_path: str | None = None
-        self._tracked = trie.tracked_symbols
-        self._case_insensitive = trie.case_insensitive_frequencies
-        self._string_count = trie.string_count
-        self._max_depth = trie.max_depth
+        self._tracked = tracked_symbols
+        self._case_insensitive = case_insensitive_frequencies
+        self._string_count = sum(counts.values())
+        self._max_depth = max(map(len, distinct), default=0)
+        has_freq = bool(tracked_symbols) and bool(distinct)
 
-        # Preorder walk with children sorted by label, so node ids are
-        # DFS-contiguous and the strings table comes out lexicographic.
-        order: list = []          # object nodes in preorder
-        prefixes: list[str] = []  # full string ending at each node
-        stack = [(trie.root, "")]
-        while stack:
-            node, prefix = stack.pop()
-            prefix = prefix + node.label
-            order.append(node)
-            prefixes.append(prefix)
-            for symbol in sorted(node.children, reverse=True):
-                stack.append((node.children[symbol], prefix))
+        # Nodes are emitted in *reverse* preorder — last string first,
+        # and along each string's new path deepest node first — so a
+        # node's children are complete before the node itself is
+        # emitted: the subtree annotations fold child -> parent in the
+        # same pass, and reversing every list at the end yields
+        # DFS-contiguous ids with the strings table lexicographic.
+        labels: list[str] = []
+        sub_min: list[int] = []
+        sub_max: list[int] = []
+        terminal_count: list[int] = []
+        terminal_sid: list[int] = []
+        fan_out: list[int] = []
+        children: list[int] = []       # emission indexes, node by node
+        freq_min: list[tuple[int, ...]] = []
+        freq_max: list[tuple[int, ...]] = []
+        # Emitted nodes still waiting for their parent, most recent on
+        # top, with the depth each one's edge label starts at.
+        orphans: list[int] = []
+        orphan_starts: list[int] = []
 
-        if alphabet is None:
-            symbols = sorted({
-                symbol for node in order for symbol in node.label
-            })
-            alphabet = Alphabet("inferred", "".join(symbols)) \
-                if symbols else None
-        self._alphabet = alphabet
-
-        ids = {id(node): index for index, node in enumerate(order)}
-        count = len(order)
-        codes = alphabet._codes if alphabet is not None else {}
-
-        label_offsets = [0] * (count + 1)
-        label_codes: list[int] = []
-        child_offsets = [0] * (count + 1)
-        child_ids: list[int] = []
-        sub_min = [0] * count
-        sub_max = [0] * count
-        terminal_count = [0] * count
-        terminal_sid = [-1] * count
-        strings: list[str] = []
-
-        tracked = self._tracked
-        width = len(tracked) if tracked is not None else 0
-        has_freq = width > 0 and order[0].freq_min is not None
-        freq_min: list[int] = []
-        freq_max: list[int] = []
-
-        for index, node in enumerate(order):
-            for symbol in node.label:
-                try:
-                    label_codes.append(codes[symbol])
-                except KeyError:
-                    raise IndexConstructionError(
-                        f"label symbol {symbol!r} is not in alphabet "
-                        f"{alphabet.name!r}"  # type: ignore[union-attr]
-                    ) from None
-            label_offsets[index + 1] = len(label_codes)
-            for symbol in sorted(node.children):
-                child_ids.append(ids[id(node.children[symbol])])
-            child_offsets[index + 1] = len(child_ids)
-            sub_min[index] = node.subtree_min_length
-            sub_max[index] = node.subtree_max_length
-            terminal_count[index] = node.terminal_count
-            if node.terminal_count:
-                terminal_sid[index] = len(strings)
-                strings.append(prefixes[index])
+        def emit(string: str, start: int, end: int, multiplicity: int = 0,
+                 sid: int = -1, row: tuple[int, ...] | None = None) -> None:
+            # The orphans whose label starts where this one ends are
+            # exactly this node's children, largest sibling first.
+            cut = len(orphans)
+            while cut and orphan_starts[cut - 1] == end:
+                cut -= 1
+            low, high = (end, end) if multiplicity else (_NO_MIN, _NO_MAX)
+            row_low = row_high = row
+            for child in orphans[cut:]:
+                if sub_min[child] < low:
+                    low = sub_min[child]
+                if sub_max[child] > high:
+                    high = sub_max[child]
+                if has_freq:
+                    row_low = freq_min[child] if row_low is None else \
+                        tuple(map(min, row_low, freq_min[child]))
+                    row_high = freq_max[child] if row_high is None else \
+                        tuple(map(max, row_high, freq_max[child]))
+            fan_out.append(len(orphans) - cut)
+            children.extend(orphans[cut:])
+            del orphans[cut:], orphan_starts[cut:]
+            orphans.append(len(labels))
+            orphan_starts.append(start)
+            labels.append(string[start:end])
+            sub_min.append(low)
+            sub_max.append(high)
+            terminal_count.append(multiplicity)
+            terminal_sid.append(sid)
             if has_freq:
-                # Every node of a non-empty tracked trie lies on an
-                # insertion path, so its bounds are always present.
-                freq_min.extend(node.freq_min)
-                freq_max.extend(node.freq_max)
+                freq_min.append(row_low)
+                freq_max.append(row_high)
 
-        self._label_offsets = tuple(label_offsets)
-        self._label_codes = tuple(label_codes)
-        self._child_offsets = tuple(child_offsets)
-        self._child_ids = tuple(child_ids)
-        self._sub_min = tuple(sub_min)
-        self._sub_max = tuple(sub_max)
-        self._terminal_count = tuple(terminal_count)
-        self._terminal_sid = tuple(terminal_sid)
-        self._strings = tuple(strings)
-        self._freq_min = tuple(freq_min) if has_freq else None
-        self._freq_max = tuple(freq_max) if has_freq else None
+        # Depths at which strings further right branch off the current
+        # string's path (strictly increasing; 0 is the root).
+        branches = [0]
+        for sid in range(len(distinct) - 1, -1, -1):
+            string = distinct[sid]
+            length = len(string)
+            branch = lcps[sid]
+            # Node boundaries on the part of this string's path that the
+            # previous string does not share, deepest first: its own end
+            # plus, compressed, the depths where later strings branch
+            # off it — or, uncompressed, every depth.
+            if compress:
+                depths = [length]
+                while branches[-1] > branch:
+                    depth = branches.pop()
+                    if depth != length:
+                        depths.append(depth)
+                if branches[-1] != branch:
+                    branches.append(branch)
+                depths.append(branch)
+            else:
+                depths = range(length, branch - 1, -1)
+            emit(string, depths[1], length, counts[string], sid,
+                 frequency_vector(string, tracked_symbols,
+                                  case_insensitive_frequencies)
+                 if has_freq else None)
+            for position in range(1, len(depths) - 1):
+                emit(string, depths[position + 1], depths[position])
+        emit("", 0, 0)
+
+        last = len(labels) - 1
+        labels.reverse()
+        text = "".join(labels)
+        if alphabet is None and text:
+            alphabet = Alphabet("inferred", "".join(sorted(set(text))))
+        self._alphabet = alphabet
+        codes = alphabet._codes if alphabet is not None else {}
+        try:
+            self._label_codes = tuple(map(codes.__getitem__, text))
+        except KeyError as stranger:
+            raise IndexConstructionError(
+                f"label symbol {stranger.args[0]!r} is not in alphabet "
+                f"{alphabet.name!r}"
+            ) from None
+        self._label_offsets = tuple(accumulate(map(len, labels), initial=0))
+        self._child_offsets = tuple(accumulate(reversed(fan_out), initial=0))
+        self._child_ids = tuple(last - child for child in reversed(children))
+        self._sub_min = tuple(reversed(sub_min))
+        self._sub_max = tuple(reversed(sub_max))
+        self._terminal_count = tuple(reversed(terminal_count))
+        self._terminal_sid = tuple(reversed(terminal_sid))
+        self._strings = tuple(distinct)
+        self._freq_min = tuple(chain.from_iterable(reversed(freq_min))) \
+            if has_freq else None
+        self._freq_max = tuple(chain.from_iterable(reversed(freq_max))) \
+            if has_freq else None
         # First label code per child, parallel to child_ids, so exact
         # descents binary-search instead of scanning siblings.
-        self._child_first = tuple(
-            self._label_codes[self._label_offsets[child]]
-            for child in self._child_ids
-        )
+        self._child_first = tuple(map(
+            self._label_codes.__getitem__,
+            map(self._label_offsets.__getitem__, self._child_ids),
+        ))
 
     # ------------------------------------------------------------------
     # Introspection (mirrors the object tries)
@@ -291,6 +318,7 @@ class FlatTrie:
         if self._alphabet is None:
             return -1
         codes = self._alphabet._codes
+        symbols = self._alphabet.symbols
         label_offsets = self._label_offsets
         label_codes = self._label_codes
         child_offsets = self._child_offsets
@@ -305,7 +333,11 @@ class FlatTrie:
                 return -1
             lo = child_offsets[node]
             hi = child_offsets[node + 1]
-            slot = bisect_left(child_first, code, lo, hi)
+            # Siblings are ordered by first *symbol* (lexicographic
+            # enumeration), which an explicit alphabet's code order
+            # need not follow — so bisect on symbols, not codes.
+            slot = bisect_left(child_first, string[position], lo, hi,
+                               key=symbols.__getitem__)
             if slot >= hi or child_first[slot] != code:
                 return -1
             node = child_ids[slot]

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from repro.bench.memory import deep_sizeof, format_bytes, \
-    measure_footprints, render_footprints
+    measure_flat_build, measure_footprints, render_footprints
 
 
 class TestDeepSizeof:
@@ -82,3 +82,11 @@ class TestFootprints:
         report = render_footprints(self.DATA, "test")
         assert "x raw" in report
         assert "DAWG" in report
+
+    def test_render_shows_flat_trie_construction_cost(self):
+        build = measure_flat_build(self.DATA)
+        assert build["build_seconds"] > 0
+        assert 0 < build["build_peak_bytes"]
+        assert build["size_bytes"] > 0
+        report = render_footprints(self.DATA, "test")
+        assert "flat trie build" in report and " s" in report

@@ -65,6 +65,24 @@ class TestStatistics:
             )
             assert stats.candidates_in_window(length, k) == expected
 
+    def test_trie_shape_is_the_character_tries(self, city_names,
+                                               dna_reads):
+        from repro.index.trie import PrefixTrie
+
+        for dataset in (city_names, dna_reads, ["a", "ab", "ab", "b"], []):
+            per_depth: dict[int, int] = {}
+            frontier = list(PrefixTrie(dataset).root.children.values())
+            depth = 0
+            while frontier:
+                per_depth[depth] = len(frontier)
+                frontier = [child for node in frontier
+                            for child in node.children.values()]
+                depth += 1
+            stats = collect_statistics(dataset)
+            assert stats.nodes_by_depth == tuple(
+                per_depth[d] for d in range(depth))
+            assert stats.trie_nodes == sum(per_depth.values())
+
     def test_to_dict_is_stable_and_serializable(self, dna_reads):
         stats = collect_statistics(dna_reads)
         again = collect_statistics(dna_reads)

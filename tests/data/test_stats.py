@@ -1,6 +1,8 @@
 """Unit tests for dataset statistics."""
 
-from repro.data.stats import describe, length_histogram
+from os.path import commonprefix
+
+from repro.data.stats import adjacent_lcp, describe, length_histogram
 
 import pytest
 
@@ -58,3 +60,20 @@ class TestLengthHistogram:
     def test_invalid_bucket_width(self):
         with pytest.raises(ValueError):
             length_histogram(["a"], bucket_width=0)
+
+
+class TestAdjacentLcp:
+    def test_sorted_neighbours(self):
+        assert adjacent_lcp(["Berlin", "Bern", "Ulm"]) == [0, 3, 0]
+        assert adjacent_lcp([]) == []
+        assert adjacent_lcp(["Ulm"]) == [0]
+
+    def test_prefixes_duplicates_and_shrinking_overlap(self):
+        # The previous pair's overlap is only a guess for the next one:
+        # it must be clipped to the shorter string and dropped when the
+        # guessed stretch differs.
+        strings = ["a", "ab", "ab", "abcde", "abcdf", "abd", "b", "bcdef",
+                   "bcdeg", "bd", "bdaaa", "c"]
+        expected = [0] + [len(commonprefix(pair))
+                          for pair in zip(strings, strings[1:])]
+        assert adjacent_lcp(strings) == expected

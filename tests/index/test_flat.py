@@ -25,12 +25,6 @@ class TestConstruction:
         reference = PrefixTrie(CITY_SAMPLE)
         assert flat.node_count == reference.node_count
 
-    def test_from_trie_reuses_an_existing_structure(self):
-        trie = CompressedTrie(CITY_SAMPLE)
-        flat = FlatTrie.from_trie(trie)
-        assert flat.node_count == trie.node_count
-        assert list(flat) == list(trie)
-
     def test_enumeration_is_sorted_and_distinct(self):
         flat = FlatTrie(["Ulm", "Bern", "Ulm", "Aachen"])
         assert list(flat) == ["Aachen", "Bern", "Ulm"]
