@@ -11,12 +11,14 @@ toward the paper's original 400k/750k scale.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from benchmarks import common
 from repro.bench.experiment import ExperimentScale
 
-RESULTS_DIR = common.RESULTS_DIR
+#: Where rendered text reports land.
+RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +32,9 @@ def emit(capsys):
     """Persist a report to results/<name>.txt and echo it live."""
 
     def _emit(name: str, report: str) -> None:
-        common.emit_text(name, report)
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(report + "\n",
+                                                 encoding="utf-8")
         with capsys.disabled():
             print(f"\n{report}\n")
 

@@ -47,8 +47,9 @@ from repro.exceptions import DeadlineExceeded
 #: candidate count (~a fixed set of numpy ops per text column) while
 #: the scalar loop is linear with a strong early-abort advantage, so
 #: the measured crossover on length-100 DNA reads sits around 700-900
-#: candidates (see ``BENCH_speed.json``); 1024 picks vectorized only
-#: where it clearly wins.
+#: candidates (the e2e ``dna_batch`` run times both kernels per pair:
+#: ``distance.scalar_ns_per_pair``, ``distance.vectorized_ns_per_pair``);
+#: 1024 picks vectorized only where it clearly wins.
 DEFAULT_VECTOR_MIN_BUCKET = 1024
 
 #: Text columns processed between deadline polls.

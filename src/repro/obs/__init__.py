@@ -44,10 +44,10 @@ instrumentation layer both engines share:
     registries and reports.
 :mod:`repro.obs.validate`
     ``python -m repro.obs.validate FILE...`` — the CI gate that checks
-    emitted benchmark/CLI reports against the schema.
+    emitted CLI reports and event logs against the schema.
 :mod:`repro.obs.regress`
-    ``python -m repro.obs.regress BASELINE CURRENT`` — the noise-aware
-    regression gate CI runs over committed ``BENCH_*.json`` baselines.
+    ``python -m repro.obs.regress BASELINE CURRENT`` — diffs two result
+    documents of the e2e benchmark against the ``BENCHMARK.json`` bounds.
 
 See ``docs/OBSERVABILITY.md`` for the tour.
 """

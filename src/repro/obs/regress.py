@@ -1,297 +1,185 @@
-"""The bench-regression gate: ``python -m repro.obs.regress``.
-
-Turns the committed ``BENCH_*.json`` records from a log into a gate:
+"""Diff two runs of the repo's one benchmark: ``python -m repro.obs.regress``.
 
 .. code-block:: console
 
-    python -m repro.obs.regress BASELINE.json CURRENT.json
+    python -m repro.obs.regress BASE.json CURRENT.json [--contract BENCHMARK.json]
 
-diffs two schema-validated bench artifacts and exits non-zero when the
-current run regressed. Comparison is **noise-aware** on purpose —
-wall-clock numbers from two runs are never identical, and a gate that
-cries wolf gets deleted:
+Both files are result documents of ``benchmarks/e2e/run.py``
+(``benchmarks/e2e/out/result.json``); runs are paired by their
+``"<workload>:<trace>"`` key. The contract (``BENCHMARK.json``) says
+which metrics gate, which way each is better and how much of the
+baseline it may lose, so the tool has no thresholds of its own:
 
-* reports are paired by ``(backend, engine, mode, k)`` in order of
-  appearance, so the same logical measurement is compared even when
-  the files carry many reports;
-* latency is compared **per query** (and, when both sides carry a
-  ``*_seconds`` histogram, at p50), so a smoke-mode current run
-  against a full-mode baseline only fails when it is genuinely
-  *slower per unit of work*;
-* the median must exceed the baseline by ``--median-pct`` percent
-  (default 25) *and* by ``--noise-floor`` absolute seconds (default
-  0.0005) to count — sub-millisecond jitter cannot fail a build;
-* p99 has its own looser guardrail (``--p99-pct``, default 75): tails
-  are noisier, but an order-of-magnitude tail blowup must still fail;
-* result counts are compared exactly when the paired reports answered
-  the same workload shape (equal queries and k) — a *correctness*
-  drift is never excused by thresholds.
+* every **end-to-end** metric is judged in its own ``better`` direction
+  against its own ``bound`` (a share of the baseline); getting better
+  never fails, and a zero baseline is reported as an absolute change;
+* ``info.exact_counts`` and the failed share ``failed / attempted`` are
+  compared with **zero tolerance** — drift in the work done or the
+  answers given is never excused by a bound;
+* the **per-layer** metrics of the traced runs are printed worst
+  relative change first and never gate: they answer "which layer
+  regressed between these two commits";
+* when either document is stamped ``comparable: false`` (``--smoke``),
+  the end-to-end rows are printed as information only; counts and
+  failures still gate.
 
-Self-diffing any file exits 0 by construction. Files whose embedded
-reports break :data:`repro.obs.report.REPORT_SCHEMA` exit 2 (the gate
-refuses to compare garbage), as do missing files and empty report
-sets. CI runs this against the committed baselines with generous
-smoke-mode thresholds; see ``.github/workflows/ci.yml``.
-
-Records written by :mod:`benchmarks.common` (``benchmark`` +
-``measurements``) are compared too: measurement labels shared by both
-files gate on the same median threshold.
+Exit codes: 0 clean, 1 regression, 2 when a file is unreadable or not
+an e2e result document, or when no run is paired. Self-diffing a
+result exits 0 by construction.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from pathlib import Path
-from typing import Any, Iterator, Sequence
-
-from repro.obs.report import validate_report
-from repro.obs.validate import iter_reports
-
-#: Default allowed median (p50 / per-query seconds) growth, percent.
-DEFAULT_MEDIAN_PCT = 25.0
-
-#: Default allowed p99 growth, percent (tails are noisier).
-DEFAULT_P99_PCT = 75.0
-
-#: Absolute seconds a comparison must move to count as signal.
-DEFAULT_NOISE_FLOOR = 0.0005
+from typing import Any, Sequence
 
 #: Exit codes: clean / regression / usage-or-validation error.
 EXIT_OK, EXIT_REGRESSION, EXIT_ERROR = 0, 1, 2
 
 
-def _load(path: Path) -> Any:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as error:
-        raise SystemExit(
-            f"regress: cannot read {path}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise SystemExit(
-            f"regress: {path} is not JSON: {error}") from error
-
-
-def iter_measurements(document: Any, path: str = "$"
-                      ) -> Iterator[tuple[str, dict]]:
-    """Yield every ``benchmarks.common`` measurement record.
-
-    A dict counts when it carries both ``benchmark`` and
-    ``measurements`` keys (the shared writer's shape).
-    """
-    if isinstance(document, dict):
-        if "benchmark" in document and "measurements" in document \
-                and isinstance(document["measurements"], dict):
-            yield path, document
-        for key, value in document.items():
-            yield from iter_measurements(value, f"{path}.{key}")
-    elif isinstance(document, list):
-        for index, value in enumerate(document):
-            yield from iter_measurements(value, f"{path}[{index}]")
-
-
-def _report_key(report: dict) -> tuple:
-    return (report.get("backend"), report.get("engine"),
-            report.get("mode"), report.get("k"))
-
-
-def _collect_reports(document: Any, label: str
-                     ) -> tuple[dict[tuple, list[dict]], list[str]]:
-    """Validated reports grouped by pairing key, plus any problems."""
-    grouped: dict[tuple, list[dict]] = {}
-    problems: list[str] = []
-    for where, report in iter_reports(document):
-        for problem in validate_report(report):
-            problems.append(f"{label} at {where}: {problem}")
-        grouped.setdefault(_report_key(report), []).append(report)
-    return grouped, problems
-
-
-def _latency_hist(report: dict) -> tuple[str, dict] | None:
-    """The report's query-latency histogram summary, if any."""
-    for name in sorted(report.get("histograms", {})):
-        if name.endswith("_seconds"):
-            cell = report["histograms"][name]
-            if cell.get("count"):
-                return name, cell
+def _problem(document: Any) -> str | None:
+    """Why ``document`` is not an e2e result document, if it is not."""
+    runs = document.get("runs") if isinstance(document, dict) else None
+    if not isinstance(runs, dict) or not runs:
+        return ("not an e2e result document: no 'runs' "
+                "(expected benchmarks/e2e/out/result.json)")
+    for key, run in runs.items():
+        metrics = run.get("metrics") if isinstance(run, dict) else None
+        if not isinstance(metrics, dict) \
+                or not isinstance(run.get("attempted"), int) \
+                or not isinstance(run.get("failed"), int) \
+                or not all(isinstance(cell, dict) and isinstance(
+                    cell.get("value"), (int, float))
+                    for cell in metrics.values()):
+            return f"run {key!r} lacks metrics / attempted / failed"
     return None
 
 
-class _Gate:
-    """Accumulates comparison lines and the overall verdict."""
+def _row(key: str, name: str, base: float, current: float,
+         metric: dict) -> tuple[float, str]:
+    """How far one metric moved in its worse direction, and its row.
 
-    def __init__(self, *, median_pct: float, p99_pct: float,
-                 noise_floor: float) -> None:
-        self.median_pct = median_pct
-        self.p99_pct = p99_pct
-        self.noise_floor = noise_floor
-        self.lines: list[str] = []
-        self.regressions = 0
-        self.compared = 0
-
-    def check(self, label: str, metric: str, base: float,
-              current: float, pct: float) -> None:
-        """One noise-aware threshold comparison."""
-        self.compared += 1
-        allowed = base * (1.0 + pct / 100.0)
-        grew = current - base
-        if current > allowed and grew > self.noise_floor:
-            self.regressions += 1
-            self.lines.append(
-                f"REGRESSION {label} {metric}: {base:.6f}s -> "
-                f"{current:.6f}s (+{grew / base * 100.0:.1f}%, "
-                f"allowed +{pct:g}%)"
-            )
-        else:
-            self.lines.append(
-                f"ok {label} {metric}: {base:.6f}s -> {current:.6f}s"
-            )
-
-    def check_exact(self, label: str, metric: str, base: float,
-                    current: float) -> None:
-        """A drift check with no tolerance (correctness, not noise)."""
-        self.compared += 1
-        if current != base:
-            self.regressions += 1
-            self.lines.append(
-                f"REGRESSION {label} {metric}: {base:g} -> {current:g} "
-                "(result drift; identical workloads must answer "
-                "identically)"
-            )
-
-    def warn(self, message: str) -> None:
-        self.lines.append(f"warn {message}")
-
-    def compare_reports(self, label: str, base: dict,
-                        current: dict) -> None:
-        """One paired report comparison: latency, tail, results."""
-        base_hist = _latency_hist(base)
-        current_hist = _latency_hist(current)
-        if base_hist is not None and current_hist is not None \
-                and base_hist[0] == current_hist[0]:
-            name, base_cell = base_hist
-            current_cell = current_hist[1]
-            self.check(label, f"{name}.p50", base_cell["p50"],
-                       current_cell["p50"], self.median_pct)
-            self.check(label, f"{name}.p99", base_cell["p99"],
-                       current_cell["p99"], self.p99_pct)
-        else:
-            base_queries = max(1, base.get("queries", 1))
-            current_queries = max(1, current.get("queries", 1))
-            self.check(label, "seconds/query",
-                       base["seconds"] / base_queries,
-                       current["seconds"] / current_queries,
-                       self.median_pct)
-        if base.get("queries") == current.get("queries") \
-                and base.get("k") == current.get("k"):
-            self.check_exact(label, "matches", base.get("matches", 0),
-                             current.get("matches", 0))
+    The number is a share of the baseline; from a zero baseline any
+    worsening is infinite and the row states the absolute change.
+    """
+    delta = current - base
+    worse = delta if metric["better"] == "lower" else -delta
+    verdict = "worse" if worse > 0 else "better" if worse < 0 else "same"
+    if base:
+        share, moved = worse / abs(base), f"{delta / abs(base):+.1%}"
+    else:
+        share = math.copysign(math.inf, worse) if worse else 0.0
+        moved = f"{delta:+.6g} from 0"
+    return share, (f"{key} {name}: {base:.6g} -> {current:.6g} "
+                   f"{metric['unit']}, {moved} {verdict}")
 
 
-def compare_documents(baseline: Any, current: Any, *,
-                      median_pct: float = DEFAULT_MEDIAN_PCT,
-                      p99_pct: float = DEFAULT_P99_PCT,
-                      noise_floor: float = DEFAULT_NOISE_FLOOR
+def compare_documents(baseline: Any, current: Any, contract: Any
                       ) -> tuple[int, list[str]]:
-    """Diff two loaded bench documents; returns (exit_code, lines)."""
-    gate = _Gate(median_pct=median_pct, p99_pct=p99_pct,
-                 noise_floor=noise_floor)
-    base_reports, base_problems = _collect_reports(baseline, "baseline")
-    curr_reports, curr_problems = _collect_reports(current, "current")
-    problems = base_problems + curr_problems
-    if problems:
-        return EXIT_ERROR, [f"INVALID {p}" for p in problems]
-
-    for key, base_list in base_reports.items():
-        curr_list = curr_reports.get(key)
-        backend, engine, mode, k = key
-        label = f"[{backend}/{engine}/{mode}/k={k}]"
-        if not curr_list:
-            gate.warn(f"{label} present in baseline only")
+    """Diff two loaded result documents; returns (exit_code, lines)."""
+    for label, document in (("baseline", baseline), ("current", current)):
+        problem = _problem(document)
+        if problem:
+            return EXIT_ERROR, [f"INVALID {label}: {problem}"]
+    try:
+        gated = {metric["name"]: metric for metric in contract["end_to_end"]}
+        layers = {metric["name"]: metric for metric in contract["per_layer"]}
+    except (KeyError, TypeError):
+        return EXIT_ERROR, ["INVALID contract: no end_to_end / per_layer "
+                            "metric lists (expected BENCHMARK.json)"]
+    lines: list[str] = []
+    for field in ("seed", "seconds"):
+        if baseline.get(field) != current.get(field):
+            lines.append(
+                f"warn {field} differs ({baseline.get(field)} vs "
+                f"{current.get(field)}): exact counts only repeat at one "
+                "seed and run length")
+    comparable = baseline.get("comparable", True) \
+        and current.get("comparable", True)
+    if not comparable:
+        lines.append("warn a document is stamped comparable: false; "
+                     "end-to-end rows are information only")
+    compared = regressions = 0
+    for key, base in baseline["runs"].items():
+        run = current["runs"].get(key)
+        if run is None:
+            lines.append(f"warn {key} present in baseline only")
             continue
-        if len(base_list) != len(curr_list):
-            gate.warn(
-                f"{label} report count differs "
-                f"({len(base_list)} baseline vs {len(curr_list)} "
-                "current); comparing the overlapping prefix"
-            )
-        for index, (base, curr) in enumerate(zip(base_list, curr_list)):
-            suffix = f"#{index}" if len(base_list) > 1 else ""
-            gate.compare_reports(label + suffix, base, curr)
-    for key in curr_reports:
-        if key not in base_reports:
-            backend, engine, mode, k = key
-            gate.warn(f"[{backend}/{engine}/{mode}/k={k}] new in "
-                      "current (no baseline)")
-
-    base_measurements = {
-        (record["benchmark"], label): seconds
-        for _, record in iter_measurements(baseline)
-        for label, seconds in record["measurements"].items()
-    }
-    curr_measurements = {
-        (record["benchmark"], label): seconds
-        for _, record in iter_measurements(current)
-        for label, seconds in record["measurements"].items()
-    }
-    for key, base_seconds in base_measurements.items():
-        current_seconds = curr_measurements.get(key)
-        if current_seconds is None:
-            gate.warn(f"measurement {key[0]}:{key[1]!r} baseline only")
-            continue
-        gate.check(f"[{key[0]}] {key[1]!r}", "seconds",
-                   base_seconds, current_seconds, median_pct)
-
-    if not gate.compared:
-        return EXIT_ERROR, gate.lines + [
-            "INVALID nothing comparable: no paired reports or "
-            "measurements between the two files"
-        ]
-    gate.lines.append(
-        f"{gate.compared} comparisons, {gate.regressions} regressions"
-    )
-    return (EXIT_REGRESSION if gate.regressions else EXIT_OK), gate.lines
+        compared += 2  # the failed share and the exact counts
+        if run["failed"] / max(1, run["attempted"]) \
+                > base["failed"] / max(1, base["attempted"]):
+            regressions += 1
+            lines.append(
+                f"REGRESSION {key} failed share: {base['failed']}/"
+                f"{base['attempted']} -> {run['failed']}/{run['attempted']}")
+        before, after = (side.get("info", {}).get("exact_counts") or {}
+                         for side in (base, run))
+        drift = {name: (before.get(name), after.get(name))
+                 for name in sorted(before.keys() | after.keys())
+                 if before.get(name) != after.get(name)}
+        if drift:
+            regressions += 1
+            lines.append(f"REGRESSION {key} exact counts differ "
+                         f"(baseline, current): {drift}")
+        elif not before:
+            lines.append(f"warn {key} carries no exact counts")
+        layer_rows = []
+        for name, cell in base["metrics"].items():
+            metric = gated.get(name) or layers.get(name)
+            if metric is None or name not in run["metrics"]:
+                continue
+            values = cell["value"], run["metrics"][name]["value"]
+            share, row = _row(key, name, *values, metric)
+            if name in layers:
+                if any(values):  # both 0: the workload never enters it
+                    layer_rows.append((share, f"layer {row}"))
+                continue
+            row += f", bound {metric['bound']:.0%}"
+            if not comparable:
+                lines.append(f"info {row}")
+                continue
+            compared += 1
+            over = share > metric["bound"]
+            regressions += over
+            lines.append(f"{'REGRESSION' if over else 'ok'} {row}")
+        lines.extend(row for _, row in
+                     sorted(layer_rows, key=lambda entry: -entry[0]))
+    for key in sorted(current["runs"].keys() - baseline["runs"].keys()):
+        lines.append(f"warn {key} new in current (no baseline)")
+    if not compared:
+        return EXIT_ERROR, lines + [
+            "INVALID nothing comparable: no run is in both documents"]
+    lines.append(f"{compared} gated comparisons, {regressions} regressions")
+    return (EXIT_REGRESSION if regressions else EXIT_OK), lines
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.regress",
-        description="noise-aware regression gate over two bench "
-                    "report files",
+        description="diff two benchmarks/e2e result documents against "
+                    "the bounds of the benchmark contract",
     )
-    parser.add_argument("baseline", help="baseline BENCH_*.json")
-    parser.add_argument("current", help="current BENCH_*.json")
+    parser.add_argument("baseline", help="baseline result.json")
+    parser.add_argument("current", help="current result.json")
     parser.add_argument(
-        "--median-pct", type=float, default=DEFAULT_MEDIAN_PCT,
-        help="allowed median / per-query growth in percent "
-             f"(default {DEFAULT_MEDIAN_PCT:g})",
-    )
-    parser.add_argument(
-        "--p99-pct", type=float, default=DEFAULT_P99_PCT,
-        help="allowed p99 growth in percent "
-             f"(default {DEFAULT_P99_PCT:g})",
-    )
-    parser.add_argument(
-        "--noise-floor", type=float, default=DEFAULT_NOISE_FLOOR,
-        metavar="SECONDS",
-        help="absolute growth below this never counts "
-             f"(default {DEFAULT_NOISE_FLOOR:g}s)",
+        "--contract", default="BENCHMARK.json", metavar="PATH",
+        help="the benchmark contract naming each metric's direction and "
+             "bound (default: BENCHMARK.json in the working directory)",
     )
     args = parser.parse_args(argv)
-    try:
-        baseline = _load(Path(args.baseline))
-        current = _load(Path(args.current))
-    except SystemExit as error:
-        print(error, file=sys.stderr)
-        return EXIT_ERROR
-    code, lines = compare_documents(
-        baseline, current,
-        median_pct=args.median_pct,
-        p99_pct=args.p99_pct,
-        noise_floor=args.noise_floor,
-    )
+    documents = []
+    for path in (args.baseline, args.current, args.contract):
+        try:
+            with open(path, encoding="utf-8") as handle:
+                documents.append(json.load(handle))
+        except (OSError, ValueError) as error:  # ValueError: not JSON
+            print(f"regress: cannot read {path}: {error}", file=sys.stderr)
+            return EXIT_ERROR
+    code, lines = compare_documents(*documents)
     stream = sys.stderr if code else sys.stdout
     for line in lines:
         print(line, file=stream)

@@ -13,9 +13,9 @@ The report is **frozen** — a value, not a live view — and has one
 documented schema (:data:`REPORT_SCHEMA`, enforced by
 :func:`validate_report`) across all four execution paths: the
 per-query sequential scan, the compiled batch scan, the (object or
-flat) trie index, and the batch executor under either probe. CI validates the reports
-the benchmark harnesses emit against the same schema, so the JSON on
-disk can never drift from the API.
+flat) trie index, and the batch executor under either probe. CI validates a report
+the CLI wrote (``--stats-output``) against the same schema, so the JSON
+on disk can never drift from the API.
 """
 
 from __future__ import annotations
@@ -311,9 +311,8 @@ def build_report(*, backend: str, engine: str, mode: str, queries: int,
 def report_from_dict(mapping: Mapping[str, Any]) -> SearchReport:
     """Rebuild a frozen :class:`SearchReport` from its ``to_dict`` form.
 
-    The inverse of :meth:`SearchReport.to_dict` — what benchmark
-    harnesses use to re-render reports they embedded in ``BENCH_*.json``
-    records.
+    The inverse of :meth:`SearchReport.to_dict`: a report read back
+    from a ``--stats-output`` JSON file renders and exports again.
     """
     batch = mapping.get("batch")
     choice = mapping.get("choice") or {}
@@ -344,9 +343,10 @@ def report_from_dict(mapping: Mapping[str, Any]) -> SearchReport:
 def validate_report(mapping: Mapping[str, Any]) -> list[str]:
     """Check a dict against :data:`REPORT_SCHEMA`; return the problems.
 
-    An empty list means the report conforms. Used by the CI schema job
-    on benchmark artifacts and by the report tests; ``strict`` callers
-    can raise on a non-empty result.
+    An empty list means the report conforms. Used by
+    ``python -m repro.obs.validate`` (CI runs it on a CLI
+    ``--stats-output`` file) and by the report tests; ``strict``
+    callers can raise on a non-empty result.
 
     >>> validate_report({"backend": "sequential"})  # doctest: +ELLIPSIS
     ['missing key: schema_version', ...]

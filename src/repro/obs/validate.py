@@ -1,13 +1,12 @@
 """Schema validation for report artifacts: ``python -m repro.obs.validate``.
 
-CI runs the benchmark smoke modes, which embed live
-:class:`repro.obs.report.SearchReport` dicts in their ``BENCH_*.json``
-records, then validates every embedded report here against
-:data:`repro.obs.report.REPORT_SCHEMA`. The CLI's ``--stats-output``
-files validate the same way. Exit status is 0 only when every report in
-every file conforms and at least one report was found per file —
-a benchmark that silently stopped embedding reports is a failure, not
-a pass.
+CI writes a live :class:`repro.obs.report.SearchReport` through the
+CLI's ``--stats-output`` and validates it here against
+:data:`repro.obs.report.REPORT_SCHEMA`; any JSON file that embeds
+report dicts validates the same way. Exit status is 0 only when every
+report in every file conforms and at least one report was found per
+file — a producer that silently stopped writing reports is a failure,
+not a pass.
 
 With ``--events``, files are validated as JSON-lines **event logs**
 instead (the ``repro search --events-out`` artifact): every line must

@@ -664,8 +664,7 @@ class Service:
         summarizes the cumulative ``service.submit_seconds``
         distribution; over a live corpus the ``gauges`` section holds
         ``service.delta_strings``, the overlay the shards currently
-        carry. Benchmarks embed this in their ``BENCH_*.json``
-        records like any engine report.
+        carry. It validates and serializes like any engine report.
         """
         return build_report(
             backend="service",

@@ -154,6 +154,28 @@ class TestCompaction:
         assert sorted(corpus.snapshot()) \
             == sorted(set(DATASET) - {"Ulm"} | {"Bonnn"})
 
+    def test_staged_group_merges_inline_into_one_segment(self):
+        # Four level-0 flushes held back by a fanout above the group
+        # size, then one inline merge: one segment that answers like a
+        # corpus built from the same strings in one go.
+        strings = ["Berlin", "Bern", "Bonn", "Ulm", "Hamburg", "Bremen",
+                   "Berlino", "Bonna", "Ulma", "Hamburk", "Brem", "Ber"]
+        corpus = LiveCorpus(flush_threshold=3, fanout=5,
+                            compaction="inline", packed=True)
+        for string in strings:
+            corpus.insert(string)
+        assert corpus.segment_count == 4
+        assert corpus.compactions == 0
+        corpus.compact()
+        assert corpus.segment_count == 1
+        assert corpus.compactions == 1
+        rebuilt = LiveCorpus(strings)
+        for query in ("Berlin", "Ulm", "Hamburg", "Bremn", "zzz"):
+            for k in (0, 1, 2):
+                assert corpus.search(query, k) == rebuilt.search(query, k)
+                assert [m.string for m in corpus.search(query, k)] \
+                    == reference(strings, query, k)
+
     def test_compaction_purges_tombstones(self):
         corpus = LiveCorpus(DATASET, flush_threshold=100, fanout=100)
         corpus.delete("Ulm")

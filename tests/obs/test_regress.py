@@ -1,12 +1,13 @@
-"""Tests for the noise-aware bench regression gate.
+"""Tests for the regression tool over the e2e benchmark's result schema.
 
-The gate's contract, exercised against the real committed artifacts:
-self-diffing any ``BENCH_*.json`` exits 0, an artificially slowed copy
-exits 1, and garbage (broken schema, missing files, nothing to
-compare) exits 2 rather than pretending to pass.
+``python -m repro.obs.regress BASE CURRENT`` reads what
+``benchmarks/e2e/run.py`` writes (``out/result.json``) and what
+``BENCHMARK.json`` declares (each metric's ``better`` direction and
+``bound``). The documents here are small synthetic ones of that shape:
+one workload with its untraced run (end-to-end metrics, which gate) and
+its traced run (per-layer metrics, which never do).
 """
 
-import copy
 import json
 from pathlib import Path
 
@@ -17,128 +18,209 @@ from repro.obs.regress import (
     EXIT_OK,
     EXIT_REGRESSION,
     compare_documents,
-    iter_measurements,
     main,
 )
-from repro.obs.validate import iter_reports
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-BENCH_FILES = sorted(REPO_ROOT.glob("BENCH_*.json"))
+CONTRACT = {
+    "end_to_end": [
+        {"name": "rung1_ms", "unit": "ms", "better": "lower",
+         "bound": 0.25},
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher",
+         "bound": 0.25},
+    ],
+    "per_layer": [
+        {"name": "scan.rung1_ms", "unit": "ms", "better": "lower"},
+        {"name": "traffic.cache.hit_ratio", "unit": "ratio",
+         "better": "higher"},
+        {"name": "traffic.cache.invalidations", "unit": "count",
+         "better": "lower"},
+        {"name": "live.flush_ms", "unit": "ms", "better": "lower"},
+    ],
+}
+
+END_TO_END = {"rung1_ms": 2.0, "ops_per_s": 100.0}
+PER_LAYER = {"scan.rung1_ms": 60.0, "traffic.cache.hit_ratio": 0.5,
+             "traffic.cache.invalidations": 0.0, "live.flush_ms": 0.0}
 
 
-def _inflate(document, factor=10.0):
-    """A copy of the document with every latency multiplied."""
-    inflated = copy.deepcopy(document)
-    for _, report in iter_reports(inflated):
-        report["seconds"] = report["seconds"] * factor
-        for name, cell in report.get("histograms", {}).items():
-            if name.endswith("_seconds"):
-                for key in ("mean", "p50", "p90", "p99", "p999", "max"):
-                    cell[key] = cell[key] * factor
-    for _, record in iter_measurements(inflated):
-        record["measurements"] = {
-            label: seconds * factor
-            for label, seconds in record["measurements"].items()
-        }
-    return inflated
+def _run(values, counts, failed):
+    return {
+        "attempted": 100, "failed": failed,
+        "metrics": {name: {"value": value, "unit": "any"}
+                    for name, value in values.items()},
+        "info": {"exact_counts": dict(counts)},
+    }
 
 
-class TestCommittedBaselines:
-    def test_baselines_exist(self):
-        names = {path.name for path in BENCH_FILES}
-        assert {"BENCH_batch.json", "BENCH_headtohead.json",
-                "BENCH_service.json"} <= names
+def document(*, comparable=True, matches=7, failed=0, workload="city_batch",
+             **values):
+    """A result document; keyword values override single metrics."""
+    def pick(defaults):
+        return {name: values.get(name.replace(".", "_"), default)
+                for name, default in defaults.items()}
 
-    @pytest.mark.parametrize(
-        "path", BENCH_FILES, ids=lambda p: p.name)
-    def test_self_diff_exits_zero(self, path):
-        document = json.loads(path.read_text(encoding="utf-8"))
-        code, lines = compare_documents(document, document)
-        assert code == EXIT_OK, lines
-        assert not any(line.startswith("REGRESSION") for line in lines)
+    counts = {"queries": 100, "matches": matches}
+    return {
+        "seed": 7, "seconds": 8.0, "comparable": comparable,
+        "runs": {
+            f"{workload}:0": _run(pick(END_TO_END), counts, failed),
+            f"{workload}:1": _run(pick(PER_LAYER), counts, failed),
+        },
+    }
 
-    @pytest.mark.parametrize(
-        "path", BENCH_FILES, ids=lambda p: p.name)
-    def test_inflated_copy_exits_one(self, path):
-        document = json.loads(path.read_text(encoding="utf-8"))
-        code, lines = compare_documents(document, _inflate(document))
-        assert code == EXIT_REGRESSION, lines
-        assert any(line.startswith("REGRESSION") for line in lines)
 
-    def test_deflated_copy_is_not_a_regression(self):
-        # getting faster must never fail the gate
-        document = json.loads(
-            (REPO_ROOT / "BENCH_batch.json").read_text(encoding="utf-8"))
-        code, lines = compare_documents(_inflate(document), document)
-        assert code == EXIT_OK, lines
+def diff(baseline, current):
+    return compare_documents(baseline, current, CONTRACT)
+
+
+def layer_names(lines):
+    return [line.split()[2].rstrip(":") for line in lines
+            if line.startswith("layer ")]
 
 
 class TestNoiseAwareness:
-    def _doc(self, seconds, matches=5, p50=None, p99=None):
-        hist = {}
-        if p50 is not None:
-            hist["scan.query_seconds"] = {
-                "count": 10, "mean": p50, "p50": p50, "p90": p50,
-                "p99": p99 if p99 is not None else p50,
-                "p999": p99 if p99 is not None else p50, "max": p50,
-            }
-        return {"report": {
-            "schema_version": 2, "backend": "compiled",
-            "engine": "compiled-scan", "mode": "batch",
-            "queries": 10, "k": 2, "matches": matches,
-            "seconds": seconds, "counters": {}, "timers": {},
-            "histograms": hist,
-            "choice": {"backend": "compiled", "reason": "test"},
-            "batch": None,
-        }}
+    """Inside its bound a metric is noise; outside it, in its own worse
+    direction, a regression; drift in counts is never noise."""
 
-    def test_sub_noise_floor_growth_is_excused(self):
-        code, _ = compare_documents(
-            self._doc(0.0010), self._doc(0.0012), noise_floor=0.01)
-        assert code == EXIT_OK
-
-    def test_growth_above_both_bars_regresses(self):
-        code, lines = compare_documents(
-            self._doc(1.0), self._doc(2.0))
-        assert code == EXIT_REGRESSION
-        assert any("seconds/query" in line for line in lines)
-
-    def test_histogram_p50_wins_over_wall_clock(self):
-        # per-query p50 identical, wall clock doubled (e.g. twice the
-        # queries in the current run): not a regression
-        base = self._doc(1.0, p50=0.01)
-        curr = self._doc(2.0, p50=0.01)
-        code, lines = compare_documents(base, curr)
+    def test_self_diff_exits_zero(self):
+        code, lines = diff(document(), document())
         assert code == EXIT_OK, lines
+        assert lines[-1] == "6 gated comparisons, 0 regressions"
 
-    def test_p99_has_its_own_looser_bar(self):
-        base = self._doc(1.0, p50=0.01, p99=0.02)
-        tail = self._doc(1.0, p50=0.01, p99=0.2)
-        code, lines = compare_documents(base, tail)
+    @pytest.mark.parametrize("metric,inside,outside,improved", [
+        ("rung1_ms", 2.4, 2.6, 0.5),        # lower is better
+        ("ops_per_s", 80.0, 70.0, 400.0),   # higher is better
+    ])
+    def test_each_metric_gates_in_its_own_direction(
+            self, metric, inside, outside, improved):
+        assert diff(document(), document(**{metric: inside}))[0] == EXIT_OK
+        assert diff(document(), document(**{metric: improved}))[0] \
+            == EXIT_OK
+        code, lines = diff(document(), document(**{metric: outside}))
         assert code == EXIT_REGRESSION
-        assert any("p99" in line and line.startswith("REGRESSION")
-                   for line in lines)
+        regressions = [line for line in lines
+                       if line.startswith("REGRESSION")]
+        assert len(regressions) == 1 and metric in regressions[0]
+        assert "worse, bound 25%" in regressions[0]
 
     def test_matches_drift_is_never_excused(self):
-        code, lines = compare_documents(
-            self._doc(1.0, matches=5), self._doc(1.0, matches=6),
-            median_pct=1e9)
+        # faster on every metric, but it answered differently
+        code, lines = diff(document(matches=7),
+                           document(matches=8, rung1_ms=0.1,
+                                    ops_per_s=900.0))
         assert code == EXIT_REGRESSION
-        assert any("result drift" in line for line in lines)
+        assert any("exact counts differ" in line and "'matches': (7, 8)"
+                   in line for line in lines)
+
+    def test_higher_failed_share_regresses(self):
+        code, lines = diff(document(), document(failed=1))
+        assert code == EXIT_REGRESSION
+        assert any("failed share: 0/100 -> 1/100" in line
+                   for line in lines)
+        assert diff(document(failed=1), document())[0] == EXIT_OK
+
+    def test_zero_baseline_reports_the_absolute_change(self):
+        # e2e has real zeros (traffic.cache.invalidations on city_serve)
+        code, lines = diff(document(), document(
+            traffic_cache_invalidations=29.0))
+        assert code == EXIT_OK, lines
+        assert any("traffic.cache.invalidations" in line
+                   and "+29 from 0 worse" in line for line in lines)
+        # and a gated metric that starts at 0 still gates
+        code, lines = diff(document(rung1_ms=0.0),
+                           document(rung1_ms=0.2))
+        assert code == EXIT_REGRESSION
+        assert any("+0.2 from 0 worse" in line for line in lines)
+
+    @pytest.mark.parametrize("smoke_side", ["baseline", "current"])
+    def test_not_comparable_documents_gate_on_counts_only(
+            self, smoke_side):
+        smoke = document(comparable=False, rung1_ms=20.0, ops_per_s=1.0)
+        pair = (smoke, document()) if smoke_side == "baseline" \
+            else (document(), smoke)
+        code, lines = diff(*pair)
+        assert code == EXIT_OK, lines
+        assert [line.split()[0] for line in lines
+                if " rung1_ms" in line or " ops_per_s" in line] \
+            == ["info", "info"]
+        assert lines[-1] == "4 gated comparisons, 0 regressions"
+        drifted = document(comparable=False, matches=9)
+        assert diff(document(), drifted)[0] == EXIT_REGRESSION
+
+
+class TestLayerTable:
+    def test_sorted_by_relative_change_and_never_gates(self):
+        code, lines = diff(document(), document(
+            scan_rung1_ms=600.0,              # 10x worse
+            traffic_cache_hit_ratio=0.25,     # half the hits: 50% worse
+            live_flush_ms=0.0))               # 0 on both sides: omitted
+        assert code == EXIT_OK, lines
+        assert layer_names(lines) == [
+            "scan.rung1_ms", "traffic.cache.hit_ratio"]
+        code, lines = diff(document(), document(
+            scan_rung1_ms=30.0, traffic_cache_hit_ratio=0.4))
+        assert code == EXIT_OK
+        assert layer_names(lines) == [
+            "traffic.cache.hit_ratio", "scan.rung1_ms"]
+        assert any("-50.0% better" in line for line in lines)
+
+    def test_metrics_outside_the_contract_are_ignored(self):
+        current = document()
+        current["runs"]["city_batch:1"]["metrics"]["made.up"] = {
+            "value": 1e9, "unit": "s"}
+        baseline = document()
+        baseline["runs"]["city_batch:1"]["metrics"]["made.up"] = {
+            "value": 1.0, "unit": "s"}
+        code, lines = diff(baseline, current)
+        assert code == EXIT_OK
+        assert "made.up" not in "\n".join(lines)
+
+
+class TestPairing:
+    def test_workload_on_one_side_only_warns(self):
+        both = document()
+        both["runs"].update(document(workload="dna_batch")["runs"])
+        code, lines = diff(both, document())
+        assert code == EXIT_OK, lines
+        assert "warn dna_batch:0 present in baseline only" in lines
+        code, lines = diff(document(), both)
+        assert code == EXIT_OK, lines
+        assert "warn dna_batch:1 new in current (no baseline)" in lines
+
+    def test_another_seed_is_called_out(self):
+        other = document(matches=9)
+        other["seed"] = 8
+        code, lines = diff(document(), other)
+        assert code == EXIT_REGRESSION
+        assert lines[0].startswith("warn seed differs (7 vs 8)")
 
 
 class TestErrorPaths:
     def test_invalid_report_exits_two(self):
-        broken = {"report": {"schema_version": 2, "backend": "x"}}
-        code, lines = compare_documents(broken, broken)
-        assert code == EXIT_ERROR
-        assert any(line.startswith("INVALID") for line in lines)
+        # what the retired harnesses wrote: an envelope around embedded
+        # SearchReports, or a bare report — not an e2e result
+        legacy = {"benchmark": "x", "measurements": {"s": 0.0},
+                  "report": {"schema_version": 2, "backend": "compiled"}}
+        for broken in (legacy, legacy["report"], [], {"runs": {}},
+                       {"runs": {"city_batch:0": {"metrics": {}}}}):
+            code, lines = diff(broken, document())
+            assert code == EXIT_ERROR
+            assert lines[0].startswith("INVALID baseline")
+            assert diff(document(), broken)[1][0].startswith(
+                "INVALID current")
 
     def test_nothing_comparable_exits_two(self):
-        code, lines = compare_documents({"a": 1}, {"b": 2})
+        code, lines = diff(document(), document(workload="dna_batch"))
         assert code == EXIT_ERROR
         assert any("nothing comparable" in line for line in lines)
+
+    def test_not_a_contract_exits_two(self):
+        code, lines = compare_documents(document(), document(),
+                                        {"runs": {}})
+        assert code == EXIT_ERROR
+        assert lines[0].startswith("INVALID contract")
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["/nonexistent/base.json",
@@ -147,29 +229,41 @@ class TestErrorPaths:
 
 
 class TestCli:
-    def test_main_self_diff(self, capsys):
-        path = str(REPO_ROOT / "BENCH_service.json")
-        assert main([path, path]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "0 regressions" in out
+    @pytest.fixture()
+    def files(self, tmp_path):
+        def write(name, payload):
+            path = tmp_path / name
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            return str(path)
 
-    def test_main_regression_prints_to_stderr(self, tmp_path, capsys):
-        baseline = REPO_ROOT / "BENCH_service.json"
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        slowed = tmp_path / "slow.json"
-        slowed.write_text(json.dumps(_inflate(document)),
-                          encoding="utf-8")
-        assert main([str(baseline), str(slowed)]) == EXIT_REGRESSION
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err
+        return {
+            "base": write("base.json", document()),
+            "slow": write("slow.json", document(rung1_ms=20.0)),
+            "contract": write("contract.json", CONTRACT),
+        }
 
-    def test_thresholds_are_configurable(self, tmp_path):
-        document = json.loads(
-            (REPO_ROOT / "BENCH_batch.json").read_text(encoding="utf-8"))
-        slowed = tmp_path / "slow.json"
-        slowed.write_text(json.dumps(_inflate(document, factor=1.5)),
-                          encoding="utf-8")
-        generous = main([str(REPO_ROOT / "BENCH_batch.json"),
-                         str(slowed), "--median-pct", "1000",
-                         "--p99-pct", "1000"])
-        assert generous == EXIT_OK
+    def test_main_self_diff(self, files, capsys):
+        assert main([files["base"], files["base"],
+                     "--contract", files["contract"]]) == EXIT_OK
+        assert "0 regressions" in capsys.readouterr().out
+
+    def test_main_regression_prints_to_stderr(self, files, capsys):
+        assert main([files["base"], files["slow"],
+                     "--contract", files["contract"]]) == EXIT_REGRESSION
+        assert "REGRESSION city_batch:0 rung1_ms" in capsys.readouterr().err
+
+    def test_reads_the_committed_contract(self, files, capsys, monkeypatch):
+        # the default --contract is BENCHMARK.json of the working
+        # directory; its six end-to-end metrics carry the bounds
+        monkeypatch.chdir(REPO_ROOT)
+        assert main([files["base"], files["slow"]]) == EXIT_REGRESSION
+        assert "bound 25%" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--median-pct", "--p99-pct", "--noise-floor"])
+    def test_tuning_flags_are_gone(self, files, flag, capsys):
+        # a bound is something the tool reads, not an option
+        with pytest.raises(SystemExit) as caught:
+            main([files["base"], files["base"], flag, "400"])
+        assert caught.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -80,6 +80,24 @@ class TestBucketFanout:
             BatchScanExecutor(CompiledCorpus(DATASET), kernel="simd")
 
 
+class TestBatchAmortization:
+    def test_repeated_mix_costs_its_distinct_queries(self):
+        # Three times the queries, once the work: each repeat is served
+        # by the scan of its first occurrence, so the work counters
+        # equal those of the distinct queries alone.
+        distinct = ["Bern", "Hamburk", "Ulm", "Bonn"]
+        mixed = BatchScanExecutor(CompiledCorpus(DATASET))
+        alone = BatchScanExecutor(CompiledCorpus(DATASET))
+        repeated = mixed.search_many(distinct * 3, 2)
+        assert list(repeated.rows) == reference_rows(distinct, 2) * 3
+        alone.search_many(distinct, 2)
+        assert mixed.stats.queries_seen == 3 * len(distinct)
+        assert mixed.stats.unique_queries == len(distinct)
+        assert mixed.stats.scans_executed == len(distinct)
+        assert mixed.counters_snapshot() == alone.counters_snapshot()
+        assert mixed.counters_snapshot()["scan.kernel_calls"] > 0
+
+
 class TestLRUCache:
     def test_eviction_order(self):
         cache = LRUCache(maxsize=2)

@@ -92,6 +92,24 @@ class TestKernelParity:
                 assert matches == scalar_matches, (kernel, packed)
                 assert counters == scalar_counters, (kernel, packed)
 
+    def test_kernel_bound_batch_rows_and_counters_identical(self):
+        # Prefilter off: every candidate in the length window reaches
+        # the distance kernel — the regime the vectorized path is for.
+        corpus = CompiledCorpus(READS, packed=True)
+        queries = ["ACGTACGTACGTACGTACGT", "TTTTTTTTTTTTTTTTTTAA",
+                   "ACGTACGTACGTACGTACGT"]
+        runs = {}
+        for kernel in ("scalar", "vectorized"):
+            executor = BatchScanExecutor(corpus, cache_size=0,
+                                         kernel=kernel,
+                                         use_frequency=False)
+            runs[kernel] = (executor.search_many(queries, 6),
+                            executor.counters_snapshot())
+        assert runs["vectorized"] == runs["scalar"]
+        counters = runs["scalar"][1]
+        assert counters["scan.kernel_calls"] \
+            == counters["scan.candidates"] > 0
+
     @settings(max_examples=50, deadline=None)
     @given(st.text(alphabet="ACGNTX", min_size=1, max_size=40),
            st.integers(min_value=0, max_value=8))

@@ -1,0 +1,54 @@
+"""The repository has one benchmark surface, and CI runs what exists.
+
+``BENCHMARK.json`` + ``benchmarks/e2e/`` measure the system;
+``benchmarks/bench_*.py`` regenerate the paper's tables and figures
+through ``repro.bench.registry``. A ``BENCH_<x>.json`` at the root or a
+``bench_*.py`` with its own harness would be a second surface with its
+own schema — the state this guard keeps from growing back.
+"""
+
+import importlib.util
+import re
+from pathlib import Path
+
+from repro.bench.registry import EXPERIMENTS
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = REPO_ROOT / "benchmarks"
+
+#: ``run_experiment("table03", ...)`` or, through pytest-benchmark,
+#: ``benchmark.pedantic(run_experiment_raw, args=("table03", scale), ...)``.
+REGISTRY_CALL = re.compile(
+    r"run_experiment(?:_raw)?\s*(?:,\s*args=)?\(\s*\"(\w+)\"")
+
+
+def test_no_result_records_at_the_root():
+    assert sorted(path.name for path in REPO_ROOT.glob("BENCH_*.json")) \
+        == []
+
+
+def test_every_bench_wrapper_runs_a_registered_experiment():
+    wrappers = sorted(BENCHMARKS.glob("bench_*.py"))
+    assert wrappers, "the paper's table/figure wrappers are gone"
+    for wrapper in wrappers:
+        ids = REGISTRY_CALL.findall(wrapper.read_text(encoding="utf-8"))
+        assert ids, (f"{wrapper.name} runs no experiment through "
+                     "repro.bench.registry")
+        assert set(ids) <= set(EXPERIMENTS), (wrapper.name, ids)
+
+
+def test_ci_only_names_targets_that_exist():
+    workflow = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+    text = "\n".join(
+        line for line in workflow.read_text(encoding="utf-8").splitlines()
+        if not line.lstrip().startswith("#"))
+    paths = set(re.findall(r"\b(?:benchmarks|tests)/[\w./-]*", text))
+    modules = set(re.findall(r"-m (repro[\w.]*)", text))
+    assert paths and modules
+    for path in paths:
+        # everything under e2e/out is written by the run, not committed
+        if not path.startswith("benchmarks/e2e/out/"):
+            assert (REPO_ROOT / path).exists(), f"ci.yml names {path}"
+    for module in modules:
+        assert importlib.util.find_spec(module) is not None, \
+            f"ci.yml runs python -m {module}"
