@@ -59,6 +59,9 @@ INDEX_KINDS = ("trie", "compressed", "flat", "qgram", "dawg", "bktree",
 #: Kinds that support PETER-style frequency pruning.
 _FREQUENCY_CAPABLE = ("trie", "compressed", "flat")
 
+#: What every kind's probe returns: its matches and that call's stats.
+_Found = tuple[list[TrieMatch], TraversalStats]
+
 #: Counter names this searcher reports (dotted ``trie.*`` namespace of
 #: the observability layer; see docs/OBSERVABILITY.md). Cumulative
 #: sums of the per-call :class:`TraversalStats` fields.
@@ -133,7 +136,6 @@ class IndexedSearcher(Searcher):
         self.name = f"indexed[{index}]"
         if frequency_pruning:
             self.name += "+freq"
-        self._last_stats: TraversalStats | None = None
         self._node_count = 0
         self._flat_trie: FlatTrie | None = None
         # DP row scratch for the flat path, reused across queries but
@@ -154,7 +156,7 @@ class IndexedSearcher(Searcher):
 
     def _build(self, strings: tuple[str, ...], index: str,
                frequency_pruning: bool, tracked_symbols: str | None,
-               q: int) -> Callable[..., list[TrieMatch]]:
+               q: int) -> Callable[..., _Found]:
         tracked = tracked_symbols if frequency_pruning else None
         if index in ("trie", "compressed"):
             structure: PrefixTrie | CompressedTrie
@@ -166,7 +168,7 @@ class IndexedSearcher(Searcher):
             self._node_count = structure.node_count
 
             def search(query: str, k: int,
-                       deadline=None) -> list[TrieMatch]:
+                       deadline=None) -> _Found:
                 stats = TraversalStats()
                 try:
                     matches = trie_similarity_search(
@@ -179,7 +181,7 @@ class IndexedSearcher(Searcher):
                     self._record(stats)
                     raise
                 self._record(stats)
-                return matches
+                return matches, stats
 
             return search
         if index == "flat":
@@ -189,7 +191,7 @@ class IndexedSearcher(Searcher):
             self._node_count = flat.node_count
 
             def search(query: str, k: int,
-                       deadline=None) -> list[TrieMatch]:
+                       deadline=None) -> _Found:
                 stats = TraversalStats()
                 try:
                     matches = flat_similarity_search(
@@ -203,7 +205,7 @@ class IndexedSearcher(Searcher):
                     self._record(stats)
                     raise
                 self._record(stats)
-                return matches
+                return matches, stats
 
             return search
         if index == "automaton":
@@ -211,13 +213,13 @@ class IndexedSearcher(Searcher):
             self._node_count = trie.node_count
 
             def search(query: str, k: int,
-                       deadline=None) -> list[TrieMatch]:
+                       deadline=None) -> _Found:
                 self._reject_deadline(deadline)
                 stats = TraversalStats()
                 matches = automaton_trie_search(trie, query, k,
                                                 stats=stats)
                 self._record(stats)
-                return matches
+                return matches, stats
 
             return search
         if index == "dawg":
@@ -225,37 +227,39 @@ class IndexedSearcher(Searcher):
             self._node_count = dawg.node_count
 
             def search(query: str, k: int,
-                       deadline=None) -> list[TrieMatch]:
+                       deadline=None) -> _Found:
                 self._reject_deadline(deadline)
                 stats = TraversalStats()
                 matches = dawg.search(query, k, stats=stats)
                 self._record(stats)
-                return matches
+                return matches, stats
 
             return search
         if index == "bktree":
             tree = bktree_from(list(strings))
 
             def search(query: str, k: int,
-                       deadline=None) -> list[TrieMatch]:
+                       deadline=None) -> _Found:
                 self._reject_deadline(deadline)
                 before = tree.distance_computations
                 matches = tree.search(query, k)
-                self._record(TraversalStats(
+                stats = TraversalStats(
                     nodes_visited=tree.distance_computations - before,
                     matches=len(matches),
-                ))
-                return matches
+                )
+                self._record(stats)
+                return matches, stats
 
             return search
         qgram = QGramIndex(strings, q=q)
 
         def search(query: str, k: int,
-                   deadline=None) -> list[TrieMatch]:
+                   deadline=None) -> _Found:
             self._reject_deadline(deadline)
             matches = qgram.search(query, k)
-            self._record(TraversalStats(matches=len(matches)))
-            return matches
+            stats = TraversalStats(matches=len(matches))
+            self._record(stats)
+            return matches, stats
 
         return search
 
@@ -278,8 +282,7 @@ class IndexedSearcher(Searcher):
             )
 
     def _record(self, stats: TraversalStats) -> None:
-        """Publish one call's traversal stats and roll them into totals."""
-        self._last_stats = stats
+        """Roll one call's traversal stats into the cumulative totals."""
         with self._counters_lock:
             counters = self._counters
             counters["trie.searches"] += 1
@@ -351,11 +354,10 @@ class IndexedSearcher(Searcher):
         self._recorder = recorder
 
     def _observe_query(self, query: str, k: int, seconds: float,
-                       matches: int) -> None:
+                       matches: int, stats: TraversalStats) -> None:
         """Record one completed search's histograms and exemplar."""
-        stats = self._last_stats
-        nodes = stats.nodes_visited if stats is not None else 0
-        symbols = stats.symbols_processed if stats is not None else 0
+        nodes = stats.nodes_visited
+        symbols = stats.symbols_processed
         with self._counters_lock:
             hists = self._hists
             hists["trie.query_seconds"].record(seconds)
@@ -376,24 +378,21 @@ class IndexedSearcher(Searcher):
                deadline: Deadline | Budget | None = None) -> list[Match]:
         """All distinct dataset strings within distance ``k`` of ``query``.
 
-        The traversal stats are reset at entry and filled by every
-        kind, so the counters always describe *this* search — a failed
-        or stats-less probe can never leak a previous search's numbers.
+        Every kind hands its traversal stats back with its matches,
+        so the per-query histograms and the exemplar always describe
+        *this* search — never a concurrent one on the same searcher.
 
         With a ``deadline`` (trie kinds only), an expiring descent
         raises :class:`DeadlineExceeded` whose ``partial`` holds the
         verified :class:`Match` objects found before the cutoff.
         """
         check_threshold(k)
-        self._last_stats = None
         started = perf_counter()
         try:
             with self._metrics.timer("index.search"), \
                     trace_span("index.search"):
-                matches = [
-                    Match(m.string, m.distance)
-                    for m in self._search_fn(query, k, deadline)
-                ]
+                found, stats = self._search_fn(query, k, deadline)
+                matches = [Match(m.string, m.distance) for m in found]
         except DeadlineExceeded as error:
             raise DeadlineExceeded(
                 str(error),
@@ -403,5 +402,5 @@ class IndexedSearcher(Searcher):
                 total=error.total,
             ) from error
         self._observe_query(query, k, perf_counter() - started,
-                            len(matches))
+                            len(matches), stats)
         return matches

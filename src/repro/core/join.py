@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.core.indexed import IndexedSearcher
 from repro.distance.banded import check_threshold
-from repro.distance.bitparallel import build_peq
+from repro.distance.bitparallel import build_peq, myers_bounded
 from repro.exceptions import ReproError
 
 
@@ -77,33 +77,6 @@ def _validate(strings: Iterable[str], side: str) -> list[str]:
     return validated
 
 
-def _myers_distance_bounded(peq_get, n: int, mask: int, last: int,
-                            text: str, k: int) -> int | None:
-    """Inlined bounded Myers kernel shared by the scan join paths."""
-    pv = mask
-    mv = 0
-    score = n
-    remaining = len(text)
-    for symbol in text:
-        eq = peq_get(symbol, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        remaining -= 1
-        if score - remaining > k:
-            return None
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    return score if score <= k else None
-
-
 def _length_sorted(strings: Sequence[str]) -> list[int]:
     """Input indexes sorted by string length (stable)."""
     return sorted(range(len(strings)), key=lambda i: len(strings[i]))
@@ -150,9 +123,9 @@ def scan_join(left: Sequence[str], right: Sequence[str] | None,
             if self_join and right_index <= left_index:
                 continue
             examined += 1
-            distance = _myers_distance_bounded(
-                peq_get, n, mask, last, right_strings[right_index], k
-            )
+            candidate = right_strings[right_index]
+            distance = myers_bounded(peq_get, n, mask, last, candidate,
+                                     len(candidate), k)
             if distance is not None:
                 pairs.append(JoinPair(left_index, right_index, distance))
 
@@ -262,9 +235,8 @@ def prefix_join(left: Sequence[str], right: Sequence[str] | None,
             if abs(len(candidate) - n) > k:
                 continue
             examined += 1
-            distance = _myers_distance_bounded(
-                peq_get, n, mask, last, candidate, k
-            )
+            distance = myers_bounded(peq_get, n, mask, last, candidate,
+                                     len(candidate), k)
             if distance is not None:
                 pairs.append(JoinPair(left_index, right_index, distance))
 

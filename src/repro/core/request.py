@@ -52,14 +52,10 @@ class SearchOptions:
         Service-level: when the degradation ladder is exhausted,
         return the best partial :class:`repro.service.ServiceResult`
         instead of raising :class:`repro.exceptions.PartialResultError`.
-    use_frequency:
-        Apply the (sound) frequency prefilters; disabling isolates
-        their effect in ablations. Honored by paths that have them.
     """
 
     report: bool = False
     allow_partial: bool = True
-    use_frequency: bool = True
 
 
 #: Shared default so request construction allocates nothing extra.

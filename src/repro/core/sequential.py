@@ -194,6 +194,16 @@ class SequentialScanSearcher(Searcher):
             self._local.calculator = calculator
         return calculator
 
+    def _bounded_kernel(self):
+        """This searcher's ``(query, candidate, k) -> int | None``."""
+        if self._kernel == "reference":
+            return _reference_bounded
+        if self._kernel == "banded":
+            return edit_distance_bounded
+        if self._kernel == "banded-reused":
+            return self._calculator().distance
+        return bounded_distance
+
     def attach_metrics(self, registry) -> None:
         """Attach a :class:`repro.obs.MetricsRegistry` (or ``None``).
 
@@ -308,45 +318,7 @@ class SequentialScanSearcher(Searcher):
         early_aborts = 0
 
         kernel = self._kernel
-        if kernel == "reference":
-            for candidate in candidates:
-                if candidate in found:
-                    continue
-                if prefilter and not prefilter.admits(query, candidate, k):
-                    prefilter_rejects += 1
-                    continue
-                kernel_calls += 1
-                distance = edit_distance(query, candidate)
-                if distance <= k:
-                    found[candidate] = distance
-        elif kernel == "banded":
-            for candidate in candidates:
-                if candidate in found:
-                    continue
-                if prefilter and not prefilter.admits(query, candidate, k):
-                    prefilter_rejects += 1
-                    continue
-                kernel_calls += 1
-                distance = edit_distance_bounded(query, candidate, k)
-                if distance is not None:
-                    found[candidate] = distance
-                else:
-                    early_aborts += 1
-        elif kernel == "banded-reused":
-            calculator = self._calculator()
-            for candidate in candidates:
-                if candidate in found:
-                    continue
-                if prefilter and not prefilter.admits(query, candidate, k):
-                    prefilter_rejects += 1
-                    continue
-                kernel_calls += 1
-                distance = calculator.distance(query, candidate, k)
-                if distance is not None:
-                    found[candidate] = distance
-                else:
-                    early_aborts += 1
-        elif kernel == "bitparallel":
+        if kernel == "bitparallel":
             # The paper's "simple data types and program methods" stage
             # re-implements the hot path by hand; the Python analog is
             # inlining Myers' scan loop here — no per-candidate method
@@ -405,7 +377,10 @@ class SequentialScanSearcher(Searcher):
                     mv = ph & xv
                 if score <= k:
                     found[candidate] = score
-        else:  # dispatch
+        else:
+            # Stages 1-3 and the dispatcher differ only in the distance
+            # call, so they share this loop.
+            bounded = self._bounded_kernel()
             for candidate in candidates:
                 if candidate in found:
                     continue
@@ -413,11 +388,15 @@ class SequentialScanSearcher(Searcher):
                     prefilter_rejects += 1
                     continue
                 kernel_calls += 1
-                distance = bounded_distance(query, candidate, k)
+                distance = bounded(query, candidate, k)
                 if distance is not None:
                     found[candidate] = distance
                 else:
                     early_aborts += 1
+            if kernel == "reference":
+                # The plain DP fills its whole matrix: a non-match is
+                # not an abort.
+                early_aborts = 0
 
         self._flush_counters(query, k, started,
                              candidate_count, length_rejects,
@@ -426,6 +405,12 @@ class SequentialScanSearcher(Searcher):
         return sorted(
             (Match(string, distance) for string, distance in found.items())
         )
+
+
+def _reference_bounded(query: str, candidate: str, k: int) -> int | None:
+    """Stage 1: the full DP matrix, thresholded afterwards."""
+    distance = edit_distance(query, candidate)
+    return distance if distance <= k else None
 
 
 def _checked_candidates(candidates: Sequence[str],

@@ -14,6 +14,12 @@ needed; an ``m``-symbol pattern simply uses an ``m``-bit integer.
 Functions here accept strings or tuples of symbol codes. For repeated
 queries, precompute the pattern's symbol bitmasks with
 :func:`build_peq`.
+
+The recurrence itself is written once, in :func:`myers_bounded`;
+everything else in this module, the compiled scan and the joins call
+it. (The one other copy in the library is the hand-inlined stage-4
+loop of :class:`repro.core.sequential.SequentialScanSearcher` — see
+DESIGN.md, "Two copies of the recurrence".)
 """
 
 from __future__ import annotations
@@ -34,6 +40,56 @@ def build_peq(pattern: Sequence[Hashable]) -> dict[Hashable, int]:
     return peq
 
 
+def myers_bounded(peq_get, n: int, mask: int, last: int, row,
+                  length: int, k: int) -> int | None:
+    """The bounded Myers recurrence: the distance, or ``None`` above ``k``.
+
+    The one general-purpose scalar form of the kernel; every caller
+    outside :class:`repro.core.sequential.SequentialScanSearcher`'s
+    hand-inlined stage-4 loop runs this function. The pattern arrives
+    precompiled, so a scan pays for it once per query, not per
+    candidate:
+
+    ``peq_get``
+        ``build_peq(pattern).get`` (symbols absent from the pattern —
+        including the ``-1`` code of an out-of-alphabet query symbol —
+        look up as ``0`` and match nothing).
+    ``n``, ``mask``, ``last``
+        ``len(pattern)`` (``>= 1``), ``(1 << n) - 1`` and
+        ``1 << (n - 1)``.
+    ``row``, ``length``
+        The text — a ``str``, a tuple of symbol codes or a ``numpy``
+        code row — and its length.
+
+    The running score changes by at most one per remaining text
+    symbol, so the loop aborts as soon as ``score - remaining > k``;
+    at the last column ``remaining`` is 0, hence *every* text further
+    than ``k`` away leaves through the abort.
+    """
+    pv = mask          # vertical positive deltas: initially all +1
+    mv = 0             # vertical negative deltas
+    score = n
+    remaining = length
+    for symbol in row:
+        eq = peq_get(symbol, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        remaining -= 1
+        if score - remaining > k:
+            return None
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score if score <= k else None
+
+
 def myers_distance(pattern: Sequence[Hashable], text: Sequence[Hashable],
                    peq: Mapping[Hashable, int] | None = None) -> int:
     """Exact edit distance via Myers' bit-parallel algorithm.
@@ -48,33 +104,14 @@ def myers_distance(pattern: Sequence[Hashable], text: Sequence[Hashable],
     2
     """
     m = len(pattern)
-    if m == 0:
-        return len(text)
-    if len(text) == 0:
-        return m
+    n = len(text)
+    if m == 0 or n == 0:
+        return max(m, n)
     if peq is None:
         peq = build_peq(pattern)
-
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv = mask          # vertical positive deltas: initially all +1
-    mv = 0             # vertical negative deltas
-    score = m
-    for symbol in text:
-        eq = peq.get(symbol, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    return score
+    # No distance exceeds the longer operand, so this bound never aborts.
+    return myers_bounded(peq.get, m, (1 << m) - 1, 1 << (m - 1),
+                         text, n, max(m, n))
 
 
 def myers_within(pattern: Sequence[Hashable], text: Sequence[Hashable],
@@ -83,9 +120,8 @@ def myers_within(pattern: Sequence[Hashable], text: Sequence[Hashable],
     """``True`` iff ``edit_distance(pattern, text) <= k``.
 
     Applies the length filter (equation 5 of the paper) before running
-    the bit-parallel scan, and aborts as soon as the running score can no
-    longer come back under ``k`` (the score changes by at most 1 per
-    remaining text symbol).
+    the bounded kernel, which aborts as soon as the running score can
+    no longer come back under ``k``.
     """
     check_threshold(k)
     m = len(pattern)
@@ -96,33 +132,8 @@ def myers_within(pattern: Sequence[Hashable], text: Sequence[Hashable],
         return True  # the length filter already bounded the distance
     if peq is None:
         peq = build_peq(pattern)
-
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv = mask
-    mv = 0
-    score = m
-    remaining = n
-    for symbol in text:
-        eq = peq.get(symbol, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-        remaining -= 1
-        # The final score differs from the current one by at most the
-        # number of unprocessed symbols; prune when it cannot recover.
-        if score - remaining > k:
-            return False
-    return score <= k
+    return myers_bounded(peq.get, m, (1 << m) - 1, 1 << (m - 1),
+                         text, n, k) is not None
 
 
 class MyersMatcher:

@@ -1,9 +1,9 @@
 """Numpy-vectorized Myers kernel: one query vs a whole length bucket.
 
-The scalar bit-parallel kernel (:mod:`repro.distance.bitparallel`, and
-its inlined twin in :func:`repro.scan.executor.scan_query`) spends most
-of its time in the Python interpreter — roughly a dozen bytecodes per
-text column *per candidate*. This module runs the same Myers recurrence
+The scalar bit-parallel kernel
+(:func:`repro.distance.bitparallel.myers_bounded`) spends most of its
+time in the Python interpreter — roughly a dozen bytecodes per text
+column *per candidate*. This module runs the same Myers recurrence
 across **all candidates of a length bucket at once** as ``numpy`` array
 operations, so the interpreter cost per column is paid once per bucket
 instead of once per candidate:
@@ -42,12 +42,13 @@ import numpy as np
 from repro.core.deadline import Budget, Deadline
 from repro.exceptions import DeadlineExceeded
 
-#: Minimum candidates (post-prefilter survivors) for ``kernel="auto"``
-#: to pick the vectorized kernel. The vectorized cost is nearly flat in
-#: candidate count (~a fixed set of numpy ops per text column) while
-#: the scalar loop is linear with a strong early-abort advantage, so
-#: the measured crossover on length-100 DNA reads sits around 700-900
-#: candidates (the e2e ``dna_batch`` run times both kernels per pair:
+#: Minimum candidates (post-prefilter survivors) of a packed bucket for
+#: :func:`repro.scan.executor.scan_query` to pick the vectorized kernel.
+#: The vectorized cost is nearly flat in candidate count (~a fixed set
+#: of numpy ops per text column) while the scalar loop is linear with a
+#: strong early-abort advantage, so the measured crossover on
+#: length-100 DNA reads sits around 700-900 candidates (the e2e
+#: ``dna_batch`` run times both kernels per pair:
 #: ``distance.scalar_ns_per_pair``, ``distance.vectorized_ns_per_pair``);
 #: 1024 picks vectorized only where it clearly wins.
 DEFAULT_VECTOR_MIN_BUCKET = 1024

@@ -54,7 +54,6 @@ def _flush_trie_counters(counters: dict, stats: TraversalStats) -> None:
 
 
 def probe_query(flat: FlatTrie, query: str, k: int, *,
-                use_frequency: bool = True,
                 row_bank: list | None = None,
                 counters: dict | None = None,
                 deadline: Deadline | Budget | None = None) -> list[Match]:
@@ -75,7 +74,6 @@ def probe_query(flat: FlatTrie, query: str, k: int, *,
             Match(m.string, m.distance)
             for m in flat_similarity_search(
                 flat, query, k,
-                use_frequency_pruning=use_frequency,
                 stats=stats,
                 row_bank=row_bank,
                 deadline=deadline,
@@ -103,7 +101,6 @@ class TrieProbe:
     """The flat-trie descent as a :class:`BatchExecutor` probe."""
 
     artifact: FlatTrie
-    use_frequency: bool = True
 
     backend = "flat-index"
     what = "flat trie"
@@ -124,10 +121,8 @@ class TrieProbe:
         exists (worker probes bring their own rows).
         """
         held = len(scratch) if scratch is not None else 0
-        row = probe_query(flat, query, k,
-                          use_frequency=self.use_frequency,
-                          row_bank=scratch, counters=counters,
-                          deadline=deadline)
+        row = probe_query(flat, query, k, row_bank=scratch,
+                          counters=counters, deadline=deadline)
         if scratch is not None:
             grown = len(scratch) - held
             counters["trie.rows_allocated"] = grown
@@ -149,9 +144,6 @@ class BatchIndexExecutor(BatchExecutor):
         by :meth:`search_many` (overridable per call).
     cache_size:
         Capacity of the ``(query, k)`` result memo; ``0`` disables it.
-    use_frequency:
-        Apply PETER-style pruning when the trie carries bounds (sound,
-        so results never change).
 
     Examples
     --------
@@ -167,10 +159,9 @@ class BatchIndexExecutor(BatchExecutor):
 
     def __init__(self, flat: FlatTrie, *,
                  runner: QueryRunner | None = None,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
-                 use_frequency: bool = True) -> None:
-        super().__init__(TrieProbe(flat, use_frequency),
-                         runner=runner, cache_size=cache_size)
+                 cache_size: int = DEFAULT_CACHE_SIZE) -> None:
+        super().__init__(TrieProbe(flat), runner=runner,
+                         cache_size=cache_size)
 
     # Re-bound here because benchmarks/e2e traces it as
     # ``BatchIndexExecutor.search_many`` (span ``index.search_many``).
@@ -204,8 +195,7 @@ class FlatIndexSearcher(Searcher):
                  tracked_symbols: str | None = None,
                  alphabet: Alphabet | None = None,
                  runner: QueryRunner | None = None,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
-                 use_frequency: bool = True) -> None:
+                 cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         if isinstance(dataset, FlatTrie):
             self._flat = dataset
         else:
@@ -215,7 +205,6 @@ class FlatIndexSearcher(Searcher):
             )
         self._executor = BatchIndexExecutor(
             self._flat, runner=runner, cache_size=cache_size,
-            use_frequency=use_frequency,
         )
         self.name = "flat-index"
 

@@ -36,16 +36,10 @@ class CompiledScanSearcher(Searcher):
         Default parallel runner for workload execution.
     cache_size:
         Result-memo capacity (``0`` disables memoization).
-    use_frequency:
-        Apply the precomputed frequency-vector prefilter.
     packed:
         Compile the corpus in packed (``numpy``) storage mode — see
         :class:`CompiledCorpus`. Ignored when ``dataset`` is already a
         compiled corpus.
-    kernel:
-        Distance-kernel selection (``"auto"``, ``"scalar"`` or
-        ``"vectorized"``), forwarded to the executor — see
-        :func:`repro.scan.executor.scan_query`.
 
     Examples
     --------
@@ -58,9 +52,7 @@ class CompiledScanSearcher(Searcher):
                  alphabet: Alphabet | None = None,
                  runner: QueryRunner | None = None,
                  cache_size: int = DEFAULT_CACHE_SIZE,
-                 use_frequency: bool = True,
-                 packed: bool = False,
-                 kernel: str = "auto") -> None:
+                 packed: bool = False) -> None:
         if isinstance(dataset, CompiledCorpus):
             self._corpus = dataset
         else:
@@ -68,7 +60,6 @@ class CompiledScanSearcher(Searcher):
                                           packed=packed)
         self._executor = BatchScanExecutor(
             self._corpus, runner=runner, cache_size=cache_size,
-            use_frequency=use_frequency, kernel=kernel,
         )
         self.name = "compiled-scan"
 

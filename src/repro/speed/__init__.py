@@ -9,8 +9,8 @@ Python-object flexibility for machine-level speed:
   (:class:`repro.distance.packed.PackedBucket`), the paper's section-6
   dictionary compression in bulk (~2.6x for 3-bit DNA).
 * **Vectorized kernels** — :mod:`repro.distance.vectorized` runs the
-  Myers recurrence over a whole bucket per step; selected via
-  ``kernel="auto"|"scalar"|"vectorized"`` on the scan executors.
+  Myers recurrence over a whole bucket per step; the scan picks it for
+  packed buckets with enough prefilter survivors.
 * **Segments** (this package) — compiled artifacts serialized to
   versioned flat binaries and loaded back as zero-copy ``mmap`` views:
   near-instant cold start, and ~1× resident memory across process-pool

@@ -287,7 +287,7 @@ class _ShardCrew:
     """One shard's queue, workers and executor (thread or process)."""
 
     def __init__(self, shard: int, strings: tuple[str, ...], *,
-                 kind: str, kernel: str, process_workers: int,
+                 kind: str, process_workers: int,
                  segment_path: str | None) -> None:
         self.shard = shard
         self.queue: queue_module.Queue = queue_module.Queue()
@@ -321,7 +321,7 @@ class _ShardCrew:
                 corpus = load_or_build_corpus_segment(strings, segment_path)
             else:
                 corpus = CompiledCorpus(strings)
-            self.executor = BatchScanExecutor(corpus, kernel=kernel)
+            self.executor = BatchScanExecutor(corpus)
 
     @property
     def workers(self) -> int:
@@ -354,8 +354,6 @@ class ShardPools:
     sizer:
         The :class:`AdaptivePoolSizer` :meth:`refit` consults; pass
         ``None`` for static crews (refit becomes a no-op).
-    kernel:
-        Distance-kernel selection for the shard executors.
     segment_dir:
         Directory of per-shard segment files (``shard-NNNN.seg``;
         built on demand). Mandatory for ``kind="process"``.
@@ -369,7 +367,6 @@ class ShardPools:
                  workers_per_shard: int = 1,
                  batch_limit: int = DEFAULT_BATCH_LIMIT,
                  sizer: AdaptivePoolSizer | None = None,
-                 kernel: str = "auto",
                  segment_dir: str | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if kind not in POOL_KINDS:
@@ -421,7 +418,6 @@ class ShardPools:
                 os.makedirs(segment_dir, exist_ok=True)
                 path = os.path.join(segment_dir, f"shard-{shard:04d}.seg")
             crew = _ShardCrew(shard, corpus.shard(shard), kind=kind,
-                              kernel=kernel,
                               process_workers=workers_per_shard,
                               segment_path=path)
             self._crews.append(crew)

@@ -182,3 +182,43 @@ class TestConcurrentSearch:
         for thread in threads:
             thread.join(60)
         assert failures == []
+
+    def test_per_query_stats_stay_with_their_search(self):
+        # One search is parked on its way out of the descent (on the
+        # ``index.search`` timer's exit) while a second, far cheaper one
+        # runs start to finish on the same searcher — what a service's
+        # cached per-shard searcher sees under concurrent submits. Each
+        # search must sample its *own* traversal into the per-query
+        # histograms, so their totals are the counters' totals.
+        import threading
+        from contextlib import contextmanager
+
+        descended = threading.Event()
+        release = threading.Event()
+
+        class ParkingTimers:
+            @contextmanager
+            def timer(self, name):
+                yield
+                if threading.current_thread() is parked:
+                    descended.set()
+                    assert release.wait(30)
+
+        searcher = IndexedSearcher(DATASET, index="flat")
+        searcher.attach_metrics(ParkingTimers())
+        parked = threading.Thread(target=searcher.search,
+                                  args=("Bern", 2))
+        parked.start()
+        assert descended.wait(30)
+        assert searcher.search("zzzzzzzzzzzz", 0) == []
+        release.set()
+        parked.join(30)
+        assert not parked.is_alive()
+
+        counters = searcher.counters_snapshot()
+        hists = searcher.hists_snapshot()
+        assert hists["trie.nodes_per_query"].count == 2
+        assert hists["trie.nodes_per_query"].total \
+            == counters["trie.nodes_visited"]
+        assert hists["trie.symbols_per_query"].total \
+            == counters["trie.symbols_processed"]

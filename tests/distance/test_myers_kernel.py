@@ -1,0 +1,258 @@
+"""One differential suite for the Myers recurrence and the scan above it.
+
+The recurrence is written twice under ``src/`` (see DESIGN.md): the
+bounded kernel :func:`repro.distance.bitparallel.myers_bounded`, which
+every scan and join path calls, and the hand-inlined stage-4 loop of
+``SequentialScanSearcher`` that the e2e benchmark uses as its oracle.
+The plain DP :func:`repro.distance.levenshtein.edit_distance` shares no
+code with either, so it is the reference here:
+
+* kernel vs. DP vs. the numpy bucket kernel, over the three row types
+  the scan feeds it (``str``, code tuple, numpy row);
+* ``scan_query`` over packed vs. encoded storage — the only thing that
+  selects a scoring engine — on buckets either side of
+  ``DEFAULT_VECTOR_MIN_BUCKET``, matches *and* ``scan.*`` counters,
+  with and without a ``Budget``.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.deadline import Budget
+from repro.core.result import Match
+from repro.distance.bitparallel import (
+    build_peq,
+    myers_bounded,
+    myers_distance,
+    myers_within,
+)
+from repro.distance.levenshtein import edit_distance
+from repro.distance.vectorized import (
+    DEFAULT_VECTOR_MIN_BUCKET,
+    bucket_distances,
+    prepare_query,
+)
+from repro.exceptions import DeadlineExceeded
+from repro.scan.corpus import CompiledCorpus
+from repro.scan.executor import scan_query
+
+#: Text alphabet; ``z`` only ever appears in patterns and encodes to the
+#: corpus's out-of-alphabet marker ``-1``.
+_ALPHABET = "acgt"
+
+
+def _encode(text: str) -> tuple[int, ...]:
+    return tuple(_ALPHABET.find(symbol) for symbol in text)
+
+
+def _kernel(pattern, row, k: int) -> int | None:
+    n = len(pattern)
+    return myers_bounded(build_peq(pattern).get, n, (1 << n) - 1,
+                         1 << (n - 1), row, len(row), k)
+
+
+def _bounded(distance: int, k: int) -> int | None:
+    return distance if distance <= k else None
+
+
+@st.composite
+def bucket_cases(draw):
+    """A pattern, one length bucket of texts, and a threshold."""
+    pattern = draw(st.text(alphabet=_ALPHABET + "z", min_size=1,
+                           max_size=70))
+    length = draw(st.integers(min_value=0, max_value=40))
+    texts = draw(st.lists(
+        st.text(alphabet=_ALPHABET, min_size=length, max_size=length),
+        max_size=8))
+    k = draw(st.integers(min_value=0, max_value=max(len(pattern), length)
+                         + 1))
+    return pattern, texts, length, k
+
+
+class TestKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(bucket_cases())
+    def test_row_types_and_bucket_kernel_agree(self, case):
+        pattern, texts, length, k = case
+        codes = _encode(pattern)
+        matrix = np.array([_encode(text) for text in texts],
+                          dtype=np.uint16).reshape(len(texts), length)
+        vector = bucket_distances(
+            prepare_query(codes, len(_ALPHABET)), matrix, k).tolist()
+        for text, row, scored in zip(texts, matrix, vector):
+            expected = _bounded(edit_distance(pattern, text), k)
+            assert _kernel(pattern, text, k) == expected
+            assert _kernel(codes, _encode(text), k) == expected
+            assert _kernel(codes, row, k) == expected
+            assert scored == (k + 1 if expected is None else expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet=_ALPHABET, max_size=12),
+           st.text(alphabet=_ALPHABET, max_size=12),
+           st.integers(min_value=0, max_value=13))
+    def test_wrappers_with_empty_operands(self, x, y, k):
+        distance = edit_distance(x, y)
+        assert myers_distance(x, y) == distance
+        assert myers_within(x, y, k) == (distance <= k)
+
+    def test_empty_pattern_is_the_text_length(self):
+        assert myers_distance("", "acgt") == 4
+        assert myers_within("", "acgt", 4)
+        assert not myers_within("", "acgt", 3)
+
+    def test_out_of_alphabet_codes_never_match(self):
+        # ``zz`` encodes to (-1, -1): two substitutions against any
+        # two-symbol text, whatever the text holds.
+        row = np.array([0, 0], dtype=np.uint16)
+        assert _kernel((-1, -1), row, 2) == 2
+        assert _kernel((-1, -1), row, 1) is None
+        assert _kernel((-1, 0), (0, 0), 1) == 1
+
+    def test_threshold_zero_is_equality(self):
+        assert _kernel("acgt", "acgt", 0) == 0
+        assert _kernel("acgt", "acga", 0) is None
+        assert _kernel("acgt", "acg", 0) is None
+
+    def test_wide_threshold_never_aborts(self):
+        assert _kernel("aaaa", "cccccc", 6) == 6
+        assert _kernel("aaaa", "cccccc", 60) == 6
+        assert _kernel("aaaa", "", 4) == 4
+
+    def test_abort_on_the_last_column(self):
+        # The score only exceeds k once the final symbol is read: the
+        # abort check at ``remaining == 0`` is the one that fires.
+        assert _kernel("aaaa", "aaac", 0) is None
+        assert _kernel("aaaa", "aaac", 1) == 1
+        assert _kernel("acgtacgt", "acgtacga", 0) is None
+
+
+# -- the scan above the kernel -----------------------------------------
+
+READS = [
+    "ACGTACGTACGTACGTACGT",
+    "ACGTACGTACGTACGTACGA",
+    "TTTTTTTTTTTTTTTTTTTT",
+    "ACGTACGTACGTACGTAC",
+    "GGGGCCCCGGGGCCCCGGGG",
+    "ACGTACGTACGTACGAACGT",
+    "NNNNACGTACGTACGTACGT",
+]
+
+CITIES = ["Berlin", "Bern", "Bonn", "Bremen", "Berlingen",
+          "Hamburg", "Hamm", "Ulm", "Uelzen", "Erlangen"]
+
+
+def _wide_reads() -> list[str]:
+    """Reads whose length-12 bucket outgrows the vectorized threshold
+    while the length-11 and length-13 buckets stay far below it."""
+    rng = random.Random(21)
+    reads = {"".join(rng.choice("ACGT") for _ in range(12))
+             for _ in range(DEFAULT_VECTOR_MIN_BUCKET * 2)}
+    for length in (11, 13):
+        reads.update("".join(rng.choice("ACGT") for _ in range(length))
+                     for _ in range(40))
+    return sorted(reads)
+
+
+WIDE = _wide_reads()
+WIDE_QUERY = WIDE[5]
+
+
+def _scan(dataset, query, k, *, packed, deadline=None, tracked=None):
+    corpus = CompiledCorpus(dataset, packed=packed, tracked=tracked)
+    counters: dict = {}
+    try:
+        outcome = scan_query(corpus, query, k, counters=counters,
+                             deadline=deadline)
+    except DeadlineExceeded as error:
+        outcome = error
+    return outcome, counters
+
+
+def _exact(dataset, query, k) -> list[Match]:
+    return sorted(Match(string, edit_distance(query, string))
+                  for string in set(dataset)
+                  if edit_distance(query, string) <= k)
+
+
+class TestScanParity:
+    @pytest.mark.parametrize("dataset,query,k", [
+        (READS, "ACGTACGTACGTACGTACGT", 3),
+        (READS, "ACGTACGTACGTACGTACGT", 0),
+        (READS, "TTTTTTTTTTTTTTTTTTAA", 6),
+        (READS, "ACGTXACGTACGTACGTACG", 4),   # X is outside the alphabet
+        (CITIES, "Berlino", 2),
+        (CITIES, "Hamborg", 2),
+        (CITIES, "", 3),
+        (WIDE, WIDE_QUERY, 1),     # prefilter leaves a handful: kernel
+        (WIDE, WIDE_QUERY, 4),     # > 1024 survive: numpy bucket kernel
+    ], ids=["reads-k3", "reads-k0", "reads-k6", "reads-alien",
+            "city-Berlino", "city-Hamborg", "city-empty",
+            "wide-k1", "wide-k4"])
+    def test_matches_and_counters_identical(self, dataset, query, k):
+        encoded, encoded_counters = _scan(dataset, query, k, packed=False)
+        packed, packed_counters = _scan(dataset, query, k, packed=True)
+        assert encoded == packed == _exact(dataset, query, k)
+        assert encoded_counters == packed_counters
+        # Every kernel call ends in a match or in the abort check.
+        assert encoded_counters["scan.early_aborts"] == \
+            encoded_counters["scan.kernel_calls"] \
+            - encoded_counters["scan.matches"]
+
+    def test_both_engines_run_on_the_wide_corpus(self):
+        # The parity cases above only mean something if the wide bucket
+        # really crosses the threshold at k=4 and stays under it at k=1.
+        for k, vectorized in ((1, False), (4, True)):
+            _, counters = _scan(WIDE, WIDE_QUERY, k, packed=True)
+            narrow = 80  # the two 40-read side buckets
+            survivors = counters["scan.kernel_calls"]
+            assert (survivors - narrow >= DEFAULT_VECTOR_MIN_BUCKET) \
+                == vectorized
+
+    def test_no_prefilter_all_reach_the_kernel(self):
+        # ``tracked=""`` compiles no frequency vectors: the regime the
+        # bucket kernel is for, and the scalar kernel must agree on it.
+        encoded, encoded_counters = _scan(WIDE, WIDE_QUERY, 3,
+                                          packed=False, tracked="")
+        packed, packed_counters = _scan(WIDE, WIDE_QUERY, 3,
+                                        packed=True, tracked="")
+        assert encoded == packed == _exact(WIDE, WIDE_QUERY, 3)
+        assert encoded_counters == packed_counters
+        assert packed_counters["scan.freq_rejects"] == 0
+        assert packed_counters["scan.kernel_calls"] \
+            == packed_counters["scan.candidates"] > 0
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["encoded", "packed"])
+    def test_ample_budget_unit_per_candidate(self, packed, k):
+        budget = Budget(10 ** 9, check_interval=1)
+        matches, counters = _scan(WIDE, WIDE_QUERY, k, packed=packed,
+                                  deadline=budget)
+        unbounded, unbounded_counters = _scan(WIDE, WIDE_QUERY, k,
+                                              packed=packed)
+        assert matches == unbounded
+        assert counters == unbounded_counters
+        assert budget.spent == counters["scan.candidates"]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["encoded", "packed"])
+    @pytest.mark.parametrize("limit", [1, 60, 700, 2000])
+    def test_expiry_yields_labelled_subset(self, packed, k, limit):
+        exact = set(_exact(WIDE, WIDE_QUERY, k))
+        window = CompiledCorpus(WIDE).candidates_in_window(
+            len(WIDE_QUERY), k)
+        error, counters = _scan(WIDE, WIDE_QUERY, k, packed=packed,
+                                deadline=Budget(limit, check_interval=16))
+        assert isinstance(error, DeadlineExceeded)
+        assert error.scope == "candidates"
+        assert set(error.partial) <= exact
+        assert list(error.partial) == sorted(error.partial)
+        assert 0 <= error.completed <= error.total == window
+        # Counters are flushed on the way out, expiry or not.
+        assert counters["scan.matches"] == len(error.partial)

@@ -5,6 +5,9 @@
 through ``repro.bench.registry``. A ``BENCH_<x>.json`` at the root or a
 ``bench_*.py`` with its own harness would be a second surface with its
 own schema — the state this guard keeps from growing back.
+
+The scalar Myers recurrence is guarded the same way: it is written out
+in two files and no third (DESIGN.md, "Two copies of the recurrence").
 """
 
 import importlib.util
@@ -20,6 +23,9 @@ BENCHMARKS = REPO_ROOT / "benchmarks"
 #: ``benchmark.pedantic(run_experiment_raw, args=("table03", scale), ...)``.
 REGISTRY_CALL = re.compile(
     r"run_experiment(?:_raw)?\s*(?:,\s*args=)?\(\s*\"(\w+)\"")
+
+#: The one line of the recurrence no rewrite of it can avoid.
+RECURRENCE = "xh = (((eq & pv) + pv) ^ pv) | eq"
 
 
 def test_no_result_records_at_the_root():
@@ -52,3 +58,18 @@ def test_ci_only_names_targets_that_exist():
     for module in modules:
         assert importlib.util.find_spec(module) is not None, \
             f"ci.yml runs python -m {module}"
+
+
+def test_the_myers_recurrence_is_written_twice():
+    source = REPO_ROOT / "src"
+    copies = {
+        str(path.relative_to(source)): count
+        for path in sorted(source.rglob("*.py"))
+        if (count := path.read_text(encoding="utf-8").count(RECURRENCE))
+    }
+    assert copies == {
+        # the kernel every scan and join path calls
+        "repro/distance/bitparallel.py": 1,
+        # the paper's hand-inlined stage 4, and the e2e bench's oracle
+        "repro/core/sequential.py": 1,
+    }
