@@ -24,6 +24,7 @@ from typing import Sequence
 from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.core.deadline import Deadline
 from repro.core.engine import SearchEngine
+from repro.core.planner import STRATEGIES
 from repro.data.cities import generate_city_names
 from repro.data.dna import generate_reads
 from repro.data.io import read_queries, read_strings, write_strings
@@ -61,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("-o", "--output", default=None,
                         help="result file (default: stdout)")
     search.add_argument("--backend", default="auto",
-                        choices=("auto", "sequential", "indexed",
-                                 "compiled"),
+                        choices=("auto",) + STRATEGIES,
                         help="force a solution side (default: auto; "
                              "'indexed' is served by the compiled "
                              "flat trie)")

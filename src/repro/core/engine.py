@@ -7,7 +7,7 @@ the winner flips with the threshold ``k``, the query length and how
 many queries arrive together. :class:`SearchEngine` therefore routes
 ``backend="auto"`` through the calibrated cost model of
 :mod:`repro.core.planner`: every strategy (per-query scan, compiled
-batch scan, flat trie, q-gram pipeline) is scored against the corpus's
+batch scan, flat trie) is scored against the corpus's
 ANALYZE statistics and the request's shape, and the cheapest one
 serves. :meth:`plan` / :meth:`explain` expose the ``EXPLAIN``-style
 :class:`repro.core.planner.QueryPlan` behind any call, the same plan is
@@ -20,9 +20,7 @@ through the compiled-corpus batch path (:mod:`repro.scan`); an
 index-regime workload through the compiled flat-trie batch path
 (:mod:`repro.index.batch`). Both are the one
 :class:`repro.core.batch.BatchExecutor` — dedup, memo, fan-out,
-bookkeeping — under a different probe, and a mixed-length batch may be
-*split* between them when the planner estimates the split pays for the
-extra executor.
+bookkeeping — under a different probe.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from repro.core.deadline import Budget, Deadline
 from repro.core.indexed import IndexedSearcher
 from repro.core.planner import (
     AUTO_POLICY,
+    BATCH_STRATEGIES,
     DEFAULT_PLAN_K,
     STRATEGIES,
     CostProfile,
@@ -74,9 +73,9 @@ class SearchEngine:
         The strings to search.
     backend:
         ``"auto"`` routes every call through the cost-model planner;
-        ``"sequential"``, ``"indexed"`` (the compiled flat trie),
+        ``"sequential"``, ``"indexed"`` (the compiled flat trie) or
         ``"compiled"`` (the batch-amortized scan of :mod:`repro.scan`)
-        or ``"qgram"`` force a strategy.
+        force a strategy.
     runner:
         Optional parallel runner used by :meth:`run_workload`.
     observe:
@@ -287,7 +286,6 @@ class SearchEngine:
             else self._default_policy
         return self._planner.plan_queries(
             list(request.queries), request.k,
-            deadline=request.deadline is not None,
             batch=request.is_batch if batch is None else batch,
             policy=policy,
         )
@@ -360,34 +358,23 @@ class SearchEngine:
         except Exception:  # pragma: no cover - observation is advisory
             pass
 
-    def _observed_call(self, *, served: list[tuple], engine_name: str,
-                       mode: str, k: int,
+    def _observed_call(self, *, component, queries: list[str],
+                       engine_name: str, mode: str, k: int,
                        call: Callable[[], ResultSet | list[Match]],
                        plan: QueryPlan):
         """Run one engine call and capture its report window.
 
-        ``served`` lists what the plan names: one ``(component,
-        strategy, queries)`` per searcher or batch executor taking part
-        (several when a batch is split). Counters and histograms are
-        cumulative in each component; the window is the before/after
-        difference, so the report holds exactly this call's work no
-        matter how many calls came before. Components count in disjoint
-        namespaces, so their deltas merge; their batch dedup counters
-        sum. The window also feeds the planner's online corrections.
+        ``component`` is the searcher or batch executor the plan names.
+        Its counters and histograms are cumulative; the window is the
+        before/after difference, so the report holds exactly this
+        call's work no matter how many calls came before. The window
+        also feeds the planner's online corrections.
         """
-        def snapshots() -> list[tuple]:
-            window = []
-            for component, _, _ in served:
-                counters = getattr(component, "counters_snapshot", None)
-                hists = getattr(component, "hists_snapshot", None)
-                window.append((
-                    counters() if counters is not None else {},
-                    hists() if hists is not None else {},
-                    self._batch_state(component),
-                ))
-            return window
-
-        before = snapshots()
+        counters_of = getattr(component, "counters_snapshot", dict)
+        hists_of = getattr(component, "hists_snapshot", dict)
+        counters_before = counters_of()
+        hists_before = hists_of()
+        batch_before = self._batch_state(component)
         before_timers = (dict(self._metrics.timers())
                          if self._metrics is not None else {})
         section = f"engine.{mode}"
@@ -396,32 +383,23 @@ class SearchEngine:
         with metrics.timer(section), trace_span(section):
             result = call()
         seconds = time.perf_counter() - started
-        counters: dict = {}
-        histograms: dict = {}
-        batch = None
-        for (counters_before, hists_before, batch_before), \
-                (counters_after, hists_after, batch_after) \
-                in zip(before, snapshots()):
-            counters.update(counter_delta(counters_before, counters_after))
-            # Live Histogram deltas; build_report summarizes lazily.
-            histograms.update(hists_delta(hists_before, hists_after))
-            if batch_after is not None:
-                batch = [total + after - prior for total, after, prior
-                         in zip(batch or (0, 0, 0, 0), batch_after,
-                                batch_before)]
+        batch_after = self._batch_state(component)
         self._last_call = {
             "backend": plan.strategy,
             "engine": engine_name,
             "mode": mode,
-            "queries": sum(len(subset) for _, _, subset in served),
+            "queries": len(queries),
             "k": k,
             "matches": (result.total_matches
                         if isinstance(result, ResultSet) else len(result)),
             "seconds": seconds,
-            "counters": counters,
+            "counters": counter_delta(counters_before, counters_of()),
             "timers": self._timers_delta(before_timers),
-            "histograms": histograms,
-            "batch": BatchCounters(*batch) if batch is not None else None,
+            # Live Histogram deltas; build_report summarizes lazily.
+            "histograms": hists_delta(hists_before, hists_of()),
+            "batch": (BatchCounters(*(after - prior for after, prior
+                                      in zip(batch_after, batch_before)))
+                      if batch_after is not None else None),
             "choice_backend": plan.strategy,
             "choice_reason": plan.reason,
             "plan_obj": plan,
@@ -431,17 +409,12 @@ class SearchEngine:
             # Single-query windows only carry signal once the measured
             # work dwarfs Python dispatch overhead; below the floor
             # the observation would teach the planner the overhead,
-            # not the strategy. A split window's wall clock is shared
-            # out by the plan's own estimates; good enough for an
-            # EWMA step.
-            weights = ([plan.cost_for(strategy) for _, strategy, _ in served]
-                       if len(served) > 1 else [1.0])
-            for (_, strategy, subset), weight in zip(served, weights):
-                self._feed_planner(
-                    strategy, k,
-                    sorted({len(query) for query in subset}) or [1],
-                    seconds * weight / max(1e-12, sum(weights)),
-                )
+            # not the strategy.
+            self._feed_planner(
+                plan.strategy, k,
+                sorted({len(query) for query in queries}) or [1],
+                seconds,
+            )
         return result
 
     def _make_compiled_searcher(self) -> Searcher:
@@ -514,8 +487,6 @@ class SearchEngine:
             searcher = SequentialScanSearcher(
                 self._strings, kernel="bitparallel", order="length"
             )
-        elif strategy == "qgram":
-            searcher = IndexedSearcher(self._strings, index="qgram")
         elif strategy == "indexed":
             searcher = IndexedSearcher(self._strings, index="flat")
         else:
@@ -559,7 +530,8 @@ class SearchEngine:
         qplan = self._plan_request(request)
         component = self._searcher_for(qplan.strategy)
         matches = self._observed_call(
-            served=[(component, qplan.strategy, [request.query])],
+            component=component,
+            queries=[request.query],
             engine_name=getattr(component, "name", qplan.strategy),
             mode="search",
             k=request.k,
@@ -586,13 +558,12 @@ class SearchEngine:
         engine (:class:`repro.index.batch.BatchIndexExecutor`), which
         dedupes and memoizes the same way and fans distinct queries
         out over the configured runner. The planner scores both per
-        batch (and may split a mixed-length batch between them when
-        the estimate says the split pays for the extra executor).
+        batch.
 
         ``plan=`` overrides the routing for this call only:
         ``PlannerPolicy(strategy="compiled")`` forces the batch scan,
         ``PlannerPolicy(strategy="indexed")`` the batch index.
-        :attr:`last_report` always reflects the executor(s) that
+        :attr:`last_report` always reflects the executor that
         actually served this call.
         A :class:`SearchRequest` may be passed instead of
         ``queries``/``k``; its fields supply the same information.
@@ -614,7 +585,7 @@ class SearchEngine:
         return results
 
     def _batch_executor_for(self, strategy: str):
-        """(executor, engine name, ``search_many``) for a batch slice."""
+        """(executor, engine name, ``search_many``) of a batch strategy."""
         if strategy == "indexed":
             executor = self._ensure_batch_index()
             return executor, "batch-index[flat]", executor.search_many
@@ -623,71 +594,35 @@ class SearchEngine:
 
     def _execute_batch(self, request: SearchRequest, *,
                        mode: str) -> ResultSet:
-        """Serve one batch through the executor(s) its plan names.
-
-        Each plan group runs through its own batch executor; rows come
-        back in input order, identical to a single-executor run. The
-        planner never splits a deadline'd batch, so only a one-group
-        plan is ever bounded.
-        """
-        policy = request.plan if request.plan is not None \
-            else self._default_policy
-        if policy.strategy is not None \
-                and policy.strategy not in ("compiled", "indexed"):
-            if request.plan is not None:
-                # A per-call force of a batch-less strategy is an
-                # error, exactly as before the planner.
-                raise ReproError(
-                    f"unknown batch backend {policy.strategy!r}; "
-                    "expected None, 'compiled' or 'indexed' (the other "
-                    "strategies have no batch executor)"
-                )
-            # An engine-level sequential/qgram force cannot serve a
-            # batch; let the planner pick among the batch executors,
-            # matching the pre-planner engine's behavior.
-            policy = PlannerPolicy(allow=("compiled", "indexed"))
-        qplan = self._planner.plan_queries(
-            list(request.queries), request.k,
-            deadline=request.deadline is not None, batch=True,
-            policy=policy,
-        )
-        if qplan.strategy not in ("compiled", "indexed"):
+        """Serve one batch through the batch executor its plan names."""
+        policy = request.plan
+        if policy is None:
+            policy = self._default_policy
+            if policy.strategy is not None \
+                    and policy.strategy not in BATCH_STRATEGIES:
+                # An engine-level sequential force cannot serve a
+                # batch; let the planner pick among the batch executors.
+                policy = PlannerPolicy(allow=BATCH_STRATEGIES)
+        query_list = list(request.queries)
+        qplan = self._planner.plan_queries(query_list, request.k,
+                                           batch=True, policy=policy)
+        if qplan.strategy not in BATCH_STRATEGIES:
             raise ReproError(
                 f"unknown batch backend {qplan.strategy!r}; expected "
-                "None, 'compiled' or 'indexed' (the other strategies "
-                "have no batch executor)"
+                f"None or one of {BATCH_STRATEGIES} (the per-query scan "
+                "has no batch executor)"
             )
-        query_list = list(request.queries)
-        k = request.k
-        deadline = request.deadline
-        groups = qplan.groups
-        executors, names, entry_points = zip(*(
-            self._batch_executor_for(group.strategy) for group in groups))
-        subsets = [[query_list[index] for index in group.indices]
-                   for group in groups]
-
-        def call() -> ResultSet:
-            if len(groups) == 1:
-                return entry_points[0](query_list, k, runner=self._runner,
-                                       deadline=deadline)
-            rows: list = [None] * len(query_list)
-            for group, search_many, subset in zip(groups, entry_points,
-                                                  subsets):
-                result = search_many(subset, k, runner=self._runner)
-                for index, row in zip(group.indices, result.rows):
-                    rows[index] = list(row)
-            return ResultSet(query_list, rows)
-
+        executor, name, search_many = self._batch_executor_for(
+            qplan.strategy)
         return self._observed_call(
-            served=[(executor, group.strategy, subset)
-                    for executor, group, subset in zip(executors, groups,
-                                                       subsets)],
-            engine_name=names[0] if len(groups) == 1 else
-            "batch-split[" + "+".join(
-                group.strategy for group in groups) + "]",
+            component=executor,
+            queries=query_list,
+            engine_name=name,
             mode=mode,
-            k=k,
-            call=call,
+            k=request.k,
+            call=lambda: search_many(query_list, request.k,
+                                     runner=self._runner,
+                                     deadline=request.deadline),
             plan=qplan,
         )
 
@@ -724,7 +659,8 @@ class SearchEngine:
         qplan = self._plan_request(request, batch=False)
         component = self._searcher_for(qplan.strategy)
         results = self._observed_call(
-            served=[(component, qplan.strategy, list(request.queries))],
+            component=component,
+            queries=list(request.queries),
             engine_name=getattr(component, "name", qplan.strategy),
             mode="workload",
             k=request.k,

@@ -12,14 +12,14 @@ planner:
   versioned JSON profile.
 * :func:`collect_statistics` / :class:`CorpusStatistics` — the ANALYZE
   pass: an exact length histogram (with prefix sums, so the ±k length
-  window is an exact candidate count, not a guess), alphabet size,
-  the trie's node-per-depth profile and the q-gram posting volume.
-* :class:`Planner` — scores all four execution strategies (sequential
-  scan, compiled batch scan, flat trie, q-gram filter pipeline) for a
-  request's shape (query lengths, ``k``, batch size, deadline) and
-  picks the cheapest; :meth:`Planner.observe` feeds executed
-  :class:`repro.obs.SearchReport` windows back into per-``(strategy,
-  k)`` EWMA corrections so estimates track the actual hardware.
+  window is an exact candidate count, not a guess), alphabet size and
+  the trie's node-per-depth profile.
+* :class:`Planner` — scores the three execution strategies the stack
+  runs (sequential scan, compiled batch scan, flat trie) for a
+  request's shape (query lengths, ``k``, batch size) and
+  picks the cheapest; :meth:`Planner.observe_window` feeds executed
+  windows back into per-``(strategy, k)`` EWMA corrections so
+  estimates track the actual hardware.
 * :class:`QueryPlan` — the ``EXPLAIN`` output: the chosen strategy,
   every per-strategy cost estimate with its work breakdown, and the
   statistics that drove the decision. Engines serialize it into the
@@ -52,9 +52,10 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.data.stats import adjacent_lcp
 from repro.exceptions import ReproError
 
-#: The four execution strategies the planner scores. ``"indexed"`` is
-#: the compiled flat trie; ``"qgram"`` the inverted q-gram pipeline.
-STRATEGIES = ("sequential", "compiled", "indexed", "qgram")
+#: The execution strategies the planner scores — exactly the ones
+#: :class:`repro.core.engine.SearchEngine` can run. ``"indexed"`` is
+#: the compiled flat trie.
+STRATEGIES = ("sequential", "compiled", "indexed")
 
 #: Stamped into persisted profiles; bump on breaking constant renames.
 PROFILE_VERSION = 1
@@ -63,10 +64,6 @@ PROFILE_VERSION = 1
 #: unit of (k + 1). Random non-matching candidates accumulate roughly
 #: one mismatch every couple of columns, so the abort lands near here.
 ABORT_SPAN_PER_K = 2.5
-
-#: Survival probability, per unit of required q-gram overlap, of a
-#: length-window candidate against the count filter.
-QGRAM_SURVIVAL = 0.35
 
 #: Representative threshold for the dataset-level default plan.
 DEFAULT_PLAN_K = 2
@@ -78,9 +75,9 @@ _SCALE_MIN = 1.0 / 32.0
 _SCALE_MAX = 32.0
 
 #: Strategies the batch executors can serve (the compiled scan and the
-#: flat-trie batch path both dedupe and memoize; the other two have no
-#: batch engine — the compiled scan amortizes the same kernel anyway).
-_BATCH_STRATEGIES = ("compiled", "indexed")
+#: flat-trie batch path both dedupe and memoize; the per-query scan has
+#: no batch engine — the compiled scan amortizes the same kernel anyway).
+BATCH_STRATEGIES = ("compiled", "indexed")
 
 
 # --------------------------------------------------------------------
@@ -158,7 +155,7 @@ class CostProfile:
     Defaults are conservative laptop-class numbers; :func:`calibrate`
     fits them to the running machine and :meth:`save`/:meth:`load`
     persist them as a versioned JSON profile. The planner's online
-    corrections (:meth:`Planner.observe`) then track drift without
+    corrections (:meth:`Planner.observe_window`) then track drift without
     rewriting the profile.
 
     Examples
@@ -185,9 +182,6 @@ class CostProfile:
     #: Per flat-trie node visited, plus per-query descent setup.
     trie_node: float = 9.0e-7
     trie_setup: float = 2.0e-5
-    #: Per posting-list entry scanned by the q-gram filter, plus setup.
-    qgram_posting: float = 1.2e-7
-    qgram_setup: float = 2.0e-5
     #: A batch-dedup memo hit (result already computed this batch).
     memo_hit: float = 2.0e-6
     version: int = PROFILE_VERSION
@@ -197,8 +191,7 @@ class CostProfile:
     _CONSTANTS = (
         "seq_candidate", "seq_char", "seq_setup",
         "scan_candidate", "scan_char", "scan_setup", "scan_row",
-        "trie_node", "trie_setup", "qgram_posting", "qgram_setup",
-        "memo_hit",
+        "trie_node", "trie_setup", "memo_hit",
     )
 
     def __post_init__(self) -> None:
@@ -228,7 +221,11 @@ class CostProfile:
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "CostProfile":
-        """Rebuild a profile from its :meth:`to_dict` form."""
+        """Rebuild a profile from its :meth:`to_dict` form.
+
+        Keys that are not constants of this build are ignored, so a
+        version-1 profile saved with since-removed constants still loads.
+        """
         version = mapping.get("profile_version")
         if version != PROFILE_VERSION:
             raise ReproError(
@@ -296,17 +293,6 @@ class CorpusStatistics:
     #: ``nodes_by_depth[d]`` = character-trie nodes at depth ``d + 1``.
     nodes_by_depth: tuple[int, ...]
     trie_nodes: int
-    qgram_q: int
-    qgram_grams: int
-    qgram_positions: int
-    #: Per distinct length (aligned with ``lengths``): q-gram positions
-    #: contributed by strings of that length, and the sum over those
-    #: positions of the full-corpus posting size of the gram standing
-    #: there. Their ratio is the expected posting size of a gram drawn
-    #: from a string of that length — frequency-weighted, because a
-    #: query's grams are more likely to be the corpus's frequent ones.
-    posting_positions: tuple[int, ...] = ()
-    posting_weight: tuple[int, ...] = ()
 
     def candidates_in_window(self, length: int, k: int) -> int:
         """Exact count of strings with length in ``[length-k, length+k]``.
@@ -321,35 +307,6 @@ class CorpusStatistics:
         below = self.cumulative[lo - 1] if lo else 0
         return (self.cumulative[hi - 1] if hi else 0) - below
 
-    @property
-    def avg_posting(self) -> float:
-        """Mean posting-list length of the corpus q-gram index."""
-        if not self.qgram_grams:
-            return 0.0
-        return self.qgram_positions / self.qgram_grams
-
-    def expected_posting(self, length: int, k: int) -> float:
-        """Expected posting size of a q-gram from a length-``length``
-        query.
-
-        Conditioning on the candidate window matters on mixed corpora:
-        a short city-style query only carries city-style grams (short
-        postings), a long DNA read only carries 4-symbol grams (huge
-        postings) — the corpus-wide mean would split the difference
-        and misprice both.
-        """
-        if not self.posting_positions:
-            return self.avg_posting
-        lo = bisect_left(self.lengths, length - k)
-        hi = bisect_right(self.lengths, length + k)
-        positions = sum(self.posting_positions[lo:hi])
-        if positions:
-            return sum(self.posting_weight[lo:hi]) / positions
-        total = sum(self.posting_positions)
-        if total:
-            return sum(self.posting_weight) / total
-        return self.avg_posting
-
     def to_dict(self) -> dict[str, Any]:
         """The compact summary embedded in plans and reports."""
         return {
@@ -359,13 +316,10 @@ class CorpusStatistics:
             "mean_length": round(self.mean_length, 2),
             "max_length": self.max_length,
             "trie_nodes": self.trie_nodes,
-            "qgram_grams": self.qgram_grams,
-            "qgram_avg_posting": round(self.avg_posting, 2),
         }
 
 
-def collect_statistics(dataset: Iterable[str], *,
-                       q: int = 2) -> CorpusStatistics:
+def collect_statistics(dataset: Iterable[str]) -> CorpusStatistics:
     """One ANALYZE pass over the dataset (see :class:`CorpusStatistics`).
 
     Examples
@@ -381,26 +335,10 @@ def collect_statistics(dataset: Iterable[str], *,
     total_chars = sum(len(s) for s in strings)
     alphabet: set[str] = set()
     length_hist: dict[int, int] = {}
-    positions = 0
-    gram_counts: dict[str, int] = {}
     for s in strings:
         alphabet.update(s)
         length_hist[len(s)] = length_hist.get(len(s), 0) + 1
-        if len(s) >= q:
-            positions += len(s) - q + 1
-            for i in range(len(s) - q + 1):
-                gram = s[i:i + q]
-                gram_counts[gram] = gram_counts.get(gram, 0) + 1
     lengths = tuple(sorted(length_hist))
-    positions_by_length = {length: 0 for length in lengths}
-    weight_by_length = {length: 0 for length in lengths}
-    for s in strings:
-        if len(s) >= q:
-            positions_by_length[len(s)] += len(s) - q + 1
-            weight_by_length[len(s)] += sum(
-                gram_counts[s[i:i + q]]
-                for i in range(len(s) - q + 1)
-            )
     cumulative: list[int] = []
     running = 0
     for length in lengths:
@@ -432,13 +370,6 @@ def collect_statistics(dataset: Iterable[str], *,
         cumulative=tuple(cumulative),
         nodes_by_depth=tuple(nodes_by_depth),
         trie_nodes=sum(nodes_by_depth),
-        qgram_q=q,
-        qgram_grams=len(gram_counts),
-        qgram_positions=positions,
-        posting_positions=tuple(positions_by_length[length]
-                                for length in lengths),
-        posting_weight=tuple(weight_by_length[length]
-                             for length in lengths),
     )
 
 
@@ -470,24 +401,12 @@ class CostEstimate:
 
 
 @dataclass(frozen=True)
-class PlanGroup:
-    """One batch slice: which query indices a strategy serves."""
-
-    strategy: str
-    indices: tuple[int, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"strategy": self.strategy, "queries": len(self.indices)}
-
-
-@dataclass(frozen=True)
 class QueryPlan:
     """The planner's EXPLAIN-style answer for one request.
 
     ``estimates`` holds every strategy's scored cost (feasible ones
     first, cheapest first); ``statistics`` the numbers that drove the
-    decision; ``groups`` the per-strategy batch split (a single group
-    unless splitting a mixed batch pays for the extra executor).
+    decision.
     """
 
     strategy: str
@@ -497,7 +416,6 @@ class QueryPlan:
     unique_queries: int
     estimates: tuple[CostEstimate, ...]
     statistics: Mapping[str, Any]
-    groups: tuple[PlanGroup, ...]
     profile_source: str
     profile_version: int
     forced: bool = False
@@ -525,7 +443,6 @@ class QueryPlan:
             "forced": self.forced,
             "estimates": [e.to_dict() for e in self.estimates],
             "statistics": dict(self.statistics),
-            "groups": [g.to_dict() for g in self.groups],
             "profile": {
                 "source": self.profile_source,
                 "version": self.profile_version,
@@ -559,12 +476,6 @@ class QueryPlan:
                 f"  {marker}{rank:>2}  {estimate.strategy:<10}  "
                 f"{estimate.cost:>12.6f}  {work}{tail}"
             )
-        if len(self.groups) > 1:
-            split = ", ".join(
-                f"{group.strategy}:{len(group.indices)}"
-                for group in self.groups
-            )
-            lines.append(f"  batch split: {split}")
         lines.append(f"  reason: {self.reason}")
         return "\n".join(lines)
 
@@ -605,7 +516,7 @@ def validate_plan(mapping: Mapping[str, Any]) -> list[str]:
 
 
 class Planner:
-    """Score the four strategies for a request shape; pick the cheapest.
+    """Score every strategy for a request shape; pick the cheapest.
 
     Parameters
     ----------
@@ -619,9 +530,9 @@ class Planner:
         kernel applies, priced per row instead of per scalar call).
 
     The planner is deterministic: the same profile, statistics and
-    request always produce the same plan. :meth:`observe` adds bounded
-    per-``(strategy, k)`` EWMA corrections learned from executed
-    reports, after which plans reflect the corrected costs — still
+    request always produce the same plan. :meth:`observe_window` adds
+    bounded per-``(strategy, k)`` EWMA corrections learned from executed
+    windows, after which plans reflect the corrected costs — still
     deterministically, given the same observation history.
     """
 
@@ -750,18 +661,6 @@ class Planner:
             nodes = self._raw_trie_nodes(length, k)
             return (p.trie_setup + nodes * p.trie_node,
                     {"trie_nodes": nodes})
-        if strategy == "qgram":
-            q = stats.qgram_q
-            query_grams = max(0, length - q + 1)
-            postings = query_grams * stats.expected_posting(length, k)
-            required = query_grams - q * k
-            if required > 0:
-                survivors = window * (QGRAM_SURVIVAL ** required)
-            else:
-                survivors = float(window)
-            cost = (p.qgram_setup + postings * p.qgram_posting
-                    + survivors * (p.seq_candidate + p.seq_char * cols))
-            return cost, {"postings": postings, "verify": survivors}
         raise ReproError(f"unknown strategy {strategy!r}")
 
     def estimate(self, strategy: str, length: int, k: int) -> float:
@@ -775,20 +674,18 @@ class Planner:
              length: int | None = None,
              k: int | None = None,
              queries: Sequence[str] | None = None,
-             deadline: bool = False,
              batch: bool = False,
              policy: PlannerPolicy | None = None) -> QueryPlan:
         """Score every strategy for a request (or bare shape); pick one.
 
         Either pass a :class:`repro.core.request.SearchRequest` (its
-        queries, ``k``, deadline and ``plan`` policy are read off it),
+        queries, ``k`` and ``plan`` policy are read off it),
         or describe the shape directly with ``length``/``k`` (single
         query) or ``queries``/``k`` (batch).
         """
         if request is not None:
             query_list = list(request.queries)
             k = request.k
-            deadline = request.deadline is not None
             batch = request.is_batch
             if policy is None:
                 policy = getattr(request, "plan", None)
@@ -804,11 +701,10 @@ class Planner:
         if k is None:
             raise ReproError("plan() needs k")
         policy = policy if policy is not None else AUTO_POLICY
-        return self._plan_shape(query_list, k, deadline=deadline,
-                                batch=batch, policy=policy)
+        return self._plan_shape(query_list, k, batch=batch, policy=policy)
 
     def plan_queries(self, queries: Sequence[str], k: int, *,
-                     deadline: bool = False, batch: bool = False,
+                     batch: bool = False,
                      policy: PlannerPolicy | None = None) -> QueryPlan:
         """Plan explicit queries with explicit execution context.
 
@@ -818,29 +714,19 @@ class Planner:
         ``batch=False`` and every strategy stays feasible.
         """
         return self._plan_shape(
-            list(queries), k, deadline=deadline, batch=batch,
+            list(queries), k, batch=batch,
             policy=policy if policy is not None else AUTO_POLICY,
         )
 
-    def _feasibility(self, strategy: str, *, deadline: bool,
-                     batch: bool) -> tuple[bool, str]:
-        if strategy == "qgram" and deadline:
-            return False, "the q-gram path cannot honor deadlines"
-        if batch and strategy not in _BATCH_STRATEGIES:
-            return False, "no batch executor for this strategy"
-        return True, ""
-
     def _plan_shape(self, query_list: list[str], k: int, *,
-                    deadline: bool, batch: bool,
-                    policy: PlannerPolicy) -> QueryPlan:
+                    batch: bool, policy: PlannerPolicy) -> QueryPlan:
         cache_key = None
         if len(query_list) == 1:
-            cache_key = (len(query_list[0]), k, deadline, batch, policy)
+            cache_key = (len(query_list[0]), k, batch, policy)
             cached = self._plan_cache.get(cache_key)
             if cached is not None:
                 return cached
-        plan = self._plan_shape_uncached(query_list, k,
-                                         deadline=deadline, batch=batch,
+        plan = self._plan_shape_uncached(query_list, k, batch=batch,
                                          policy=policy)
         if cache_key is not None:
             if len(self._plan_cache) >= 4096:
@@ -849,36 +735,31 @@ class Planner:
         return plan
 
     def _plan_shape_uncached(self, query_list: list[str], k: int, *,
-                             deadline: bool, batch: bool,
+                             batch: bool,
                              policy: PlannerPolicy) -> QueryPlan:
         n = len(query_list)
         unique = len(set(query_list)) if n > 1 else n
         dup_hits = n - unique
         unique_ratio = (unique / n) if n else 1.0
         # Group by length: costs depend on the query only through it.
-        by_length: dict[int, list[int]] = {}
-        for index, query in enumerate(query_list):
-            by_length.setdefault(len(query), []).append(index)
+        by_length: dict[int, int] = {}
+        for query in query_list:
+            by_length[len(query)] = by_length.get(len(query), 0) + 1
         mean_length = (sum(len(q) for q in query_list) / n) if n \
             else self._stats.mean_length
         p = self._profile
         allowed = policy.allowed()
         totals: dict[str, float] = {}
         works: dict[str, dict[str, float]] = {}
-        per_group_cost: dict[int, dict[str, float]] = {}
         for strategy in STRATEGIES:
             total = 0.0
             work: dict[str, float] = {}
             correction = self._correction(strategy, k)
-            for length, indices in sorted(by_length.items()):
-                distinct = max(1.0, len(indices) * unique_ratio) \
-                    if n else 0.0
+            for length, count in sorted(by_length.items()):
+                distinct = max(1.0, count * unique_ratio)
                 cost_one, work_one = self._estimate_one(strategy,
                                                         length, k)
-                group_cost = distinct * cost_one * correction
-                per_group_cost.setdefault(length, {})[strategy] = \
-                    group_cost
-                total += group_cost
+                total += distinct * cost_one * correction
                 for name, value in work_one.items():
                     if name == "columns":
                         # A per-candidate width, not a volume: report
@@ -894,10 +775,10 @@ class Planner:
         # Rank: feasible & allowed first, then by corrected cost.
         estimates: list[CostEstimate] = []
         for strategy in STRATEGIES:
-            feasible, note = self._feasibility(strategy,
-                                               deadline=deadline,
-                                               batch=batch)
-            if feasible and strategy not in allowed:
+            feasible, note = True, ""
+            if batch and strategy not in BATCH_STRATEGIES:
+                feasible, note = False, "no batch executor for this strategy"
+            elif strategy not in allowed:
                 feasible, note = False, "excluded by the policy"
             estimates.append(CostEstimate(
                 strategy=strategy,
@@ -922,10 +803,6 @@ class Planner:
             chosen = "sequential"
             reason = ("no feasible strategy under the policy; "
                       "falling back to the sequential scan")
-        groups = self._split_groups(by_length, per_group_cost, chosen,
-                                    totals, batch=batch,
-                                    deadline=deadline, forced=forced,
-                                    allowed=allowed, n=n)
         statistics = dict(self._stats.to_dict())
         statistics.update({
             "query_mean_length": round(mean_length, 2),
@@ -943,7 +820,6 @@ class Planner:
             unique_queries=unique,
             estimates=tuple(estimates),
             statistics=MappingProxyType(statistics),
-            groups=groups,
             profile_source=self._profile.source,
             profile_version=self._profile.version,
             forced=forced,
@@ -974,85 +850,17 @@ class Planner:
             f"{regime}"
         )
 
-    def _split_groups(self, by_length: dict[int, list[int]],
-                      per_group_cost: dict[int, dict[str, float]],
-                      chosen: str, totals: dict[str, float], *,
-                      batch: bool, deadline: bool, forced: bool,
-                      allowed: tuple[str, ...],
-                      n: int) -> tuple[PlanGroup, ...]:
-        """The batch split: per-length-class winners, if they pay.
-
-        Splitting runs each length class through its own cheapest
-        batch-capable strategy. Only worthwhile when the combined
-        estimate beats the single-strategy plan by more than the extra
-        executor's setup; never under a deadline (a single serial
-        execution keeps the abort point well-defined) and never when
-        the strategy was forced.
-        """
-        all_indices = tuple(index for indices in by_length.values()
-                            for index in indices)
-        single = (PlanGroup(chosen, tuple(sorted(all_indices))),)
-        if not batch or forced or deadline or len(by_length) < 2:
-            return single
-        splittable = [s for s in _BATCH_STRATEGIES if s in allowed]
-        if len(splittable) < 2:
-            return single
-        assignment: dict[str, list[int]] = {}
-        combined = 0.0
-        for length, indices in sorted(by_length.items()):
-            costs = per_group_cost[length]
-            winner = min(splittable, key=lambda s: costs[s])
-            assignment.setdefault(winner, []).extend(indices)
-            combined += costs[winner]
-        if len(assignment) < 2:
-            return single
-        overhead = self._profile.scan_setup + self._profile.trie_setup
-        if combined + overhead >= 0.9 * totals[chosen]:
-            return single
-        return tuple(
-            PlanGroup(strategy, tuple(sorted(indices)))
-            for strategy, indices in sorted(assignment.items())
-        )
-
     # -- the feedback loop -------------------------------------------
-
-    def observe(self, report: Any) -> None:
-        """Re-fit corrections from an executed report.
-
-        Accepts a :class:`repro.obs.SearchReport` (or its ``to_dict``
-        mapping). The window's actual seconds-per-query are compared
-        against the model's prediction for the corpus's mean length,
-        and the ``(strategy, k)`` correction moves by a bounded EWMA
-        step — constants track the hardware without a recalibration.
-        """
-        if isinstance(report, Mapping):
-            backend = report.get("backend")
-            k = report.get("k")
-            queries = report.get("queries") or 0
-            seconds = report.get("seconds") or 0.0
-            batch = report.get("batch")
-            unique = (batch or {}).get("unique_queries", queries)
-        else:
-            backend = getattr(report, "backend", None)
-            k = getattr(report, "k", None)
-            queries = getattr(report, "queries", 0) or 0
-            seconds = getattr(report, "seconds", 0.0) or 0.0
-            batch = getattr(report, "batch", None)
-            unique = getattr(batch, "unique_queries", queries) \
-                if batch is not None else queries
-        if backend not in STRATEGIES or k is None or queries < 1:
-            return
-        length = int(round(self._stats.mean_length))
-        self.observe_window(backend, k, [length] * max(1, int(unique)),
-                            float(seconds))
 
     def observe_window(self, strategy: str, k: int,
                        lengths: Sequence[int], seconds: float) -> None:
-        """Precise form of :meth:`observe`: actual query lengths known.
+        """Re-fit the ``(strategy, k)`` correction from an executed window.
 
         Engines call this after every planner-routed call with the
-        distinct queries' lengths, so the correction compares the
-        prediction for *exactly* the executed shape.
+        distinct queries' lengths, so the window's actual seconds are
+        compared against the prediction for *exactly* the executed
+        shape, and the correction moves by a bounded EWMA step —
+        constants track the hardware without a recalibration.
         """
         if strategy not in STRATEGIES or not lengths or seconds <= 0:
             return
@@ -1127,7 +935,6 @@ def calibrate(*, seed: int = 2013, city_count: int = 400,
     from repro.core.sequential import SequentialScanSearcher
     from repro.data.cities import generate_city_names
     from repro.data.dna import generate_reads
-    from repro.index.qgram_index import QGramIndex
     from repro.scan.searcher import CompiledScanSearcher
 
     city = list(generate_city_names(city_count, seed=seed))
@@ -1195,28 +1002,12 @@ def calibrate(*, seed: int = 2013, city_count: int = 400,
     trie_node = (sum(node_rates) / len(node_rates)) if node_rates \
         else defaults.trie_node
 
-    # Q-gram filter: k=0 on DNA makes verification negligible, so the
-    # runtime is essentially the posting scans.
-    index = QGramIndex(dna, q=2)
-    probes = dna[:max(3, queries // 2)]
-    postings = 0
-    for query in probes:
-        for i in range(len(query) - 1):
-            postings += len(index.posting_list(query[i:i + 2]))
-    seconds = timed(lambda: [index.search(q, 0) for q in probes])
-    if postings > 0:
-        qgram_posting = seconds / postings
-        samples += 1
-    else:
-        qgram_posting = defaults.qgram_posting
-
     return replace(
         defaults,
         seq_candidate=seq_candidate, seq_char=seq_char,
         scan_candidate=scan_candidate, scan_char=scan_char,
         scan_row=max(scan_char / 2.0, 1e-9),
         trie_node=trie_node,
-        qgram_posting=qgram_posting,
         source="calibrated",
         samples=samples,
     )

@@ -59,7 +59,7 @@ from repro.obs.tracing import (
     trace_span,
 )
 from repro.service.plans import default_ladder
-from repro.service.sharding import ShardedCorpus
+from repro.service.sharding import STRATEGY_PLAN_KIND, ShardedCorpus
 
 #: Result statuses, best to worst.
 SERVICE_STATUSES = ("complete", "degraded", "partial", "candidates")
@@ -273,9 +273,10 @@ class Service:
     def planner(self) -> Planner:
         """The cost-model planner ordering the ladder's rungs.
 
-        Built lazily (the ANALYZE pass walks the whole corpus once);
-        shared by every submit, so its online corrections accumulate
-        across the service's lifetime.
+        Built lazily (the ANALYZE pass walks the whole corpus once)
+        and shared by every submit. Nothing in the service feeds
+        executed windows back to it, so it prices every request from
+        its profile and the corpus statistics alone.
         """
         with self._planner_lock:
             if self._planner is None:
@@ -501,16 +502,9 @@ class Service:
         """
         strategy = request.policy.strategy
         if strategy is None:
-            qplan = self.planner.plan_queries(
-                [request.query], request.k,
-                deadline=request.deadline is not None,
-            )
-            strategy = qplan.strategy
-        hint = {"indexed": "flat", "qgram": "flat",
-                "compiled": "compiled",
-                "sequential": "sequential"}.get(strategy or "")
-        if hint is None:
-            return self._plans
+            strategy = self.planner.plan_queries(
+                [request.query], request.k).strategy
+        hint = STRATEGY_PLAN_KIND[strategy]
         promoted = [plan for plan in self._plans
                     if getattr(plan, "name", "") == hint]
         rest = [plan for plan in self._plans

@@ -43,6 +43,11 @@ from repro.parallel.partition import partition_dataset
 #: searchers (see :meth:`ShardedCorpus.searcher_for`).
 SHARD_PLAN_KINDS = ("flat", "compiled", "sequential")
 
+#: The shard plan kind serving each planner strategy
+#: (:data:`repro.core.planner.STRATEGIES`): the rung a verdict promotes.
+STRATEGY_PLAN_KIND = {"indexed": "flat", "compiled": "compiled",
+                      "sequential": "sequential"}
+
 
 class _Base:
     """One full partitioning of one snapshot, with its shards' searchers.

@@ -4,24 +4,17 @@ The layer between a request stream and :mod:`repro.service`: an
 asyncio gateway (:class:`AsyncService`) accepting open-loop arrivals,
 a normalized hot-query result cache (:class:`ResultCache`),
 queue-depth load shedding ahead of the deadline ladder
-(:class:`LoadShedder`) and per-shard worker pools sized by the paper's
-§3.6 adaptive 70/30 rules (:class:`ShardPools`,
-:class:`AdaptivePoolSizer`). See docs/TRAFFIC.md for the contract.
+(:class:`LoadShedder`) and per-shard worker pools
+(:class:`ShardPools`). See docs/TRAFFIC.md for the contract.
 """
 
 from repro.traffic.cache import CACHE_COUNTERS, ResultCache, cache_key
-from repro.traffic.gateway import (
-    DEFAULT_REFIT_INTERVAL,
-    GATEWAY_COUNTERS,
-    AsyncService,
-)
+from repro.traffic.gateway import GATEWAY_COUNTERS, AsyncService
 from repro.traffic.pools import (
     DEFAULT_BATCH_LIMIT,
     POOL_COUNTERS,
     POOL_KINDS,
-    AdaptivePoolSizer,
     PoolTicket,
-    ShardLoad,
     ShardPools,
 )
 from repro.traffic.shedding import (
@@ -42,9 +35,7 @@ __all__ = [
     "DrainRateEstimator",
     "ShedDecision",
     "ShardPools",
-    "ShardLoad",
     "PoolTicket",
-    "AdaptivePoolSizer",
     "CACHE_COUNTERS",
     "GATEWAY_COUNTERS",
     "POOL_COUNTERS",
@@ -52,5 +43,4 @@ __all__ = [
     "SHED_COUNTERS",
     "SHED_ACTIONS",
     "DEFAULT_BATCH_LIMIT",
-    "DEFAULT_REFIT_INTERVAL",
 ]

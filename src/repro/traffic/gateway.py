@@ -22,11 +22,6 @@ traffic stack composes:
    ``service.cache.size`` gauges, ``service.gateway.*`` counters, a
    gateway-latency histogram, and a :meth:`AsyncService.report` that
    folds in the cache, shedder, pool and underlying-service series.
-
-The gateway also drives the pools' §3.6 adaptive re-fit: every
-``refit_interval`` completions it calls :meth:`ShardPools.refit`, so
-crew sizes track the workload with a single decision maker and no
-timer thread.
 """
 
 from __future__ import annotations
@@ -61,9 +56,6 @@ GATEWAY_COUNTERS = (
     "service.gateway.invalidation_events",
 )
 
-#: Completions between two adaptive pool re-fits.
-DEFAULT_REFIT_INTERVAL = 64
-
 
 class AsyncService:
     """Async facade over a :class:`repro.service.Service`.
@@ -92,8 +84,6 @@ class AsyncService:
         Optional registry mirroring gateway gauges and counters; also
         attached to a live corpus underneath so its ``live.*`` gauges
         land in the same registry.
-    refit_interval:
-        Completions between adaptive :meth:`ShardPools.refit` calls.
     tracer:
         Optional :class:`repro.obs.tracing.Tracer`. The gateway mints
         one :class:`TraceContext` per submit — the root of that
@@ -124,26 +114,19 @@ class AsyncService:
                  shedder: LoadShedder | None = None,
                  pools: ShardPools | None = None,
                  metrics: MetricsRegistry | None = None,
-                 refit_interval: int = DEFAULT_REFIT_INTERVAL,
                  tracer: Tracer | None = None,
                  events: EventLog | None = None) -> None:
-        if refit_interval < 1:
-            raise ReproError(
-                f"refit_interval must be positive, got {refit_interval}"
-            )
         self._service = service
         self._cache = cache
         self._shedder = shedder
         self._pools = pools
         self._metrics = metrics
-        self._refit_interval = refit_interval
         self._tracer = tracer
         self._events = events
         self._floor = FilterOnlyPlan()
         self._counters = dict.fromkeys(GATEWAY_COUNTERS, 0)
         self._hists = {"gateway.submit_seconds": Histogram()}
         self._pending = 0
-        self._completions = 0
         self._last_seconds = 0.0
         self._invalidation_source = None
         source = getattr(service.corpus, "source", None)
@@ -360,10 +343,6 @@ class AsyncService:
             self._hists["gateway.submit_seconds"].record(seconds)
             if self._shedder is not None:
                 self._shedder.observe_completion(seconds)
-            self._completions += 1
-            if self._pools is not None \
-                    and self._completions % self._refit_interval == 0:
-                self._pools.refit()
             self._finish_root(tracer, context, wall, submit_started,
                               outcome=outcome)
             self._set_gauges()

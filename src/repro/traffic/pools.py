@@ -1,4 +1,4 @@
-"""Per-shard worker pools: batch draining, §3.6 adaptive sizing.
+"""Per-shard worker pools: queue-fed crews with batch draining.
 
 The service executes a submit inline on the caller's thread; a traffic
 gateway needs the opposite — callers enqueue and *workers* execute, so
@@ -15,16 +15,6 @@ backlog is measurable. :class:`ShardPools` gives every shard of a
   not parallel scheduling — is where the pool's throughput advantage
   over one-task-per-wakeup service comes from, and the deeper the
   backlog the bigger the amortization; the bench reports it as such.
-* **adaptive sizing** — the paper's §3.6 master–slave rules
-  (:class:`repro.parallel.adaptive.ManagerRules`: open a worker above
-  70 % utilization, close one below 30 %) re-applied here to
-  *per-shard* crews. Utilization is re-fit online from the pool's
-  :mod:`repro.obs` series — busy-seconds timers per shard over the
-  wall-clock window since the last fit — by a pure
-  :class:`AdaptivePoolSizer`, so skewed shards get workers where the
-  work is while cold shards shrink to the minimum. Only the caller of
-  :meth:`ShardPools.refit` mutates crew sizes (the paper's answer to
-  resize races: one decision maker).
 * **zero-copy handoff** — with ``kind="process"``, workers are
   processes primed with a :class:`repro.speed.SegmentRef`: each child
   mmaps the shard's segment file instead of unpickling a private
@@ -41,7 +31,6 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import threading
-from dataclasses import dataclass
 from time import perf_counter, time
 from typing import Mapping, Sequence
 
@@ -51,7 +40,6 @@ from repro.exceptions import ReproError
 from repro.obs.hist import Histogram
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import current_trace, worker_span
-from repro.parallel.adaptive import ManagerRules
 from repro.scan.corpus import CompiledCorpus
 from repro.scan.executor import BatchScanExecutor
 from repro.service.service import ServiceResult
@@ -64,8 +52,8 @@ POOL_KINDS = ("thread", "process")
 #: bounded so one worker cannot starve its siblings of a whole backlog.
 DEFAULT_BATCH_LIMIT = 32
 
-#: How long an idle worker blocks on its queue before re-checking its
-#: stop flag (seconds); retirement latency is one interval.
+#: How long an idle worker blocks on its queue before re-checking the
+#: pools' stop flag (seconds); close latency is one interval.
 IDLE_POLL_SECONDS = 0.05
 
 #: Counters the pools maintain (``pool.*`` namespace).
@@ -74,8 +62,6 @@ POOL_COUNTERS = (
     "pool.served",
     "pool.batches",
     "pool.batched_tasks",
-    "pool.workers_opened",
-    "pool.workers_closed",
 )
 
 
@@ -123,75 +109,6 @@ def _process_serve(queries: Sequence[str], k: int,
             tags={"queries": str(len(queries)), "k": str(k)},
         ))
     return list(result.rows), spans
-
-
-# -- adaptive sizing ----------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardLoad:
-    """One shard crew's observed load over a fit window."""
-
-    shard: int
-    workers: int
-    utilization: float
-
-
-class AdaptivePoolSizer:
-    """The §3.6 open/close rules re-fit to per-shard crews, purely.
-
-    Given one :class:`ShardLoad` per shard, :meth:`resize` returns the
-    new crew sizes: a shard above ``rules.open_threshold`` utilization
-    opens one worker (hottest first, while the optional
-    ``total_budget`` allows), a shard below ``rules.close_threshold``
-    closes one, and every crew stays within ``[rules.min_threads,
-    rules.max_threads]``. One worker per shard per fit — the same
-    damping the paper's master applies per sample interval.
-
-    >>> sizer = AdaptivePoolSizer(ManagerRules(max_threads=4))
-    >>> sizer.resize([ShardLoad(0, 1, 0.9), ShardLoad(1, 2, 0.1)])
-    {0: 2, 1: 1}
-    """
-
-    def __init__(self, rules: ManagerRules = ManagerRules(), *,
-                 total_budget: int | None = None) -> None:
-        if total_budget is not None and total_budget < 1:
-            raise ReproError(
-                f"total_budget must be positive, got {total_budget}"
-            )
-        self._rules = rules
-        self._total_budget = total_budget
-
-    @property
-    def rules(self) -> ManagerRules:
-        """The open/close thresholds in force."""
-        return self._rules
-
-    @property
-    def total_budget(self) -> int | None:
-        """Optional cap on workers summed over every shard."""
-        return self._total_budget
-
-    def resize(self, loads: Sequence[ShardLoad]) -> dict[int, int]:
-        """New crew size per shard id."""
-        rules = self._rules
-        sizes = {load.shard: load.workers for load in loads}
-        # Close first: a freed slot can fund an open under a budget.
-        for load in sorted(loads, key=lambda item: item.utilization):
-            if load.utilization < rules.close_threshold \
-                    and sizes[load.shard] > rules.min_threads:
-                sizes[load.shard] -= 1
-        total = sum(sizes.values())
-        for load in sorted(loads, key=lambda item: -item.utilization):
-            if load.utilization <= rules.open_threshold:
-                break
-            if sizes[load.shard] >= rules.max_threads:
-                continue
-            if self._total_budget is not None \
-                    and total >= self._total_budget:
-                break
-            sizes[load.shard] += 1
-            total += 1
-        return sizes
 
 
 # -- tickets ------------------------------------------------------------
@@ -291,9 +208,7 @@ class _ShardCrew:
                  segment_path: str | None) -> None:
         self.shard = shard
         self.queue: queue_module.Queue = queue_module.Queue()
-        self.stop_flags: list[threading.Event] = []
         self.threads: list[threading.Thread] = []
-        self.busy_seconds = 0.0
         self.process_pool = None
         if not strings:
             # Nothing to scan; tasks resolve to empty rows (mirrors
@@ -346,14 +261,11 @@ class ShardPools:
         ``"process"`` (workers scan in child processes primed with a
         :class:`repro.speed.SegmentRef`; requires ``segment_dir``).
     workers_per_shard:
-        Initial crew size per shard.
+        Crew size per shard.
     batch_limit:
         Most tasks one worker drains per wakeup. ``1`` disables batch
         amortization — the static configuration benchmarks compare
         against.
-    sizer:
-        The :class:`AdaptivePoolSizer` :meth:`refit` consults; pass
-        ``None`` for static crews (refit becomes a no-op).
     segment_dir:
         Directory of per-shard segment files (``shard-NNNN.seg``;
         built on demand). Mandatory for ``kind="process"``.
@@ -366,7 +278,6 @@ class ShardPools:
                  kind: str = "thread",
                  workers_per_shard: int = 1,
                  batch_limit: int = DEFAULT_BATCH_LIMIT,
-                 sizer: AdaptivePoolSizer | None = None,
                  segment_dir: str | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if kind not in POOL_KINDS:
@@ -399,7 +310,6 @@ class ShardPools:
         self._corpus = corpus
         self._kind = kind
         self._batch_limit = batch_limit
-        self._sizer = sizer
         self._metrics = metrics
         self._counters = dict.fromkeys(POOL_COUNTERS, 0)
         self._hists = {
@@ -409,8 +319,7 @@ class ShardPools:
         self._lock = threading.Lock()
         self._pending = 0
         self._closed = False
-        self._fit_epoch = perf_counter()
-        self._fit_busy: dict[int, float] = {}
+        self._stop = threading.Event()
         self._crews: list[_ShardCrew] = []
         for shard in range(corpus.shard_count):
             path = None
@@ -421,9 +330,11 @@ class ShardPools:
                               process_workers=workers_per_shard,
                               segment_path=path)
             self._crews.append(crew)
-            self._fit_busy[shard] = 0.0
             for _ in range(workers_per_shard):
-                self._spawn(crew, count=False)
+                thread = threading.Thread(target=self._worker,
+                                          args=(crew,), daemon=True)
+                crew.threads.append(thread)
+                thread.start()
 
     # -- introspection --------------------------------------------------
 
@@ -470,33 +381,13 @@ class ShardPools:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _spawn(self, crew: _ShardCrew, *, count: bool = True) -> None:
-        stop_flag = threading.Event()
-        thread = threading.Thread(
-            target=self._worker, args=(crew, stop_flag), daemon=True,
-        )
-        crew.stop_flags.append(stop_flag)
-        crew.threads.append(thread)
-        thread.start()
-        if count:
-            self._count("pool.workers_opened")
-
-    def _retire(self, crew: _ShardCrew) -> None:
-        for flag, thread in zip(crew.stop_flags, crew.threads):
-            if thread.is_alive() and not flag.is_set():
-                flag.set()
-                self._count("pool.workers_closed")
-                return
-
     def close(self) -> None:
         """Stop every worker and process pool (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        for crew in self._crews:
-            for flag in crew.stop_flags:
-                flag.set()
+        self._stop.set()
         for crew in self._crews:
             for thread in crew.threads:
                 thread.join()
@@ -536,9 +427,8 @@ class ShardPools:
 
     # -- the worker loop ------------------------------------------------
 
-    def _worker(self, crew: _ShardCrew,
-                stop_flag: threading.Event) -> None:
-        while not stop_flag.is_set():
+    def _worker(self, crew: _ShardCrew) -> None:
+        while not self._stop.is_set():
             try:
                 first = crew.queue.get(timeout=IDLE_POLL_SECONDS)
             except queue_module.Empty:
@@ -553,7 +443,6 @@ class ShardPools:
             self._serve(crew, batch)
             seconds = perf_counter() - started
             with self._lock:
-                crew.busy_seconds += seconds
                 self._hists["pool.batch_seconds"].record(seconds)
                 self._hists["pool.batch_size"].record(len(batch))
             if self._metrics is not None:
@@ -647,55 +536,3 @@ class ShardPools:
             with self._lock:
                 self._pending -= 1
             self._count("pool.served")
-
-    # -- adaptive refit -------------------------------------------------
-
-    def loads(self) -> list[ShardLoad]:
-        """Per-shard utilization over the window since the last refit.
-
-        Utilization is ``busy worker-seconds / (window x workers)`` —
-        the same busy-over-alive proxy the paper's master samples, read
-        from the pool's cumulative :mod:`repro.obs` busy-seconds series
-        instead of an instantaneous poll.
-        """
-        now = perf_counter()
-        with self._lock:
-            window = max(now - self._fit_epoch, 1e-9)
-            loads = []
-            for crew in self._crews:
-                busy = crew.busy_seconds - self._fit_busy[crew.shard]
-                workers = max(crew.workers, 1)
-                loads.append(ShardLoad(
-                    shard=crew.shard, workers=workers,
-                    utilization=min(1.0, busy / (window * workers)),
-                ))
-        return loads
-
-    def refit(self) -> dict[int, int]:
-        """Re-fit crew sizes from the observed window; returns them.
-
-        A no-op (returning current sizes) without a sizer — the static
-        configuration. Only ever call from one thread at a time; like
-        the paper's master, the single decision maker is what makes
-        resizing race-free.
-        """
-        loads = self.loads()
-        now = perf_counter()
-        with self._lock:
-            self._fit_epoch = now
-            for crew in self._crews:
-                self._fit_busy[crew.shard] = crew.busy_seconds
-        current = {load.shard: load.workers for load in loads}
-        if self._sizer is None or self._closed:
-            return current
-        target = self._sizer.resize(loads)
-        for crew in self._crews:
-            want = target[crew.shard]
-            have = current[crew.shard]
-            while have < want:
-                self._spawn(crew)
-                have += 1
-            while have > want:
-                self._retire(crew)
-                have -= 1
-        return target

@@ -1,5 +1,6 @@
 """Tests for the cost-model query planner (`repro.core.planner`)."""
 
+import dataclasses
 import json
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.engine import SearchEngine
 from repro.core.planner import (
     AUTO_POLICY,
+    BATCH_STRATEGIES,
     STRATEGIES,
     CostProfile,
     Planner,
@@ -44,6 +46,13 @@ class TestCostProfile:
         mapping["profile_version"] = 99
         with pytest.raises(ReproError):
             CostProfile.from_dict(mapping)
+
+    def test_version_1_profile_with_removed_constants_loads(self):
+        mapping = CostProfile(trie_node=1.1e-6).to_dict()
+        mapping.update(qgram_posting=1.2e-7, qgram_setup=2.0e-5)
+        assert mapping["profile_version"] == 1
+        assert CostProfile.from_dict(mapping) \
+            == CostProfile(trie_node=1.1e-6, source="default")
 
     def test_non_positive_constants_rejected(self):
         with pytest.raises(ReproError):
@@ -82,6 +91,34 @@ class TestStatistics:
             assert stats.nodes_by_depth == tuple(
                 per_depth[d] for d in range(depth))
             assert stats.trie_nodes == sum(per_depth.values())
+
+    def test_golden_statistics_of_a_fixed_corpus(self):
+        # Every field, at the values the ANALYZE pass returned while it
+        # also sliced q-grams: dropping those passes moved none of them.
+        corpus = ["Berlin", "Bern", "Bonn", "Ulm", "Hamburg", "Bremen",
+                  "Dresden", "Berlingen", "Bernburg", "Uelzen", "Bern",
+                  "São Paulo", "ACGTACGTTGCA", "ACGTNCGTTGCA",
+                  "TTGACCGTAACG", "ACGTACGTTGCA", ""]
+        stats = collect_statistics(corpus)
+        assert dataclasses.asdict(stats) == {
+            "count": 17,
+            "distinct": 15,
+            "alphabet_size": 27,
+            "total_chars": 121,
+            "mean_length": 121 / 17,
+            "max_length": 12,
+            "lengths": (0, 3, 4, 6, 7, 8, 9, 12),
+            "cumulative": (1, 2, 5, 8, 10, 11, 13, 17),
+            "nodes_by_depth": (7, 10, 10, 10, 10, 10, 8, 6, 5, 3, 3, 3),
+            "trie_nodes": 85,
+        }
+        assert stats.to_dict() == {
+            "count": 17, "distinct": 15, "alphabet_size": 27,
+            "mean_length": 7.12, "max_length": 12, "trie_nodes": 85,
+        }
+        assert [stats.candidates_in_window(length, k)
+                for length, k in ((6, 1), (12, 2), (0, 0), (30, 3))] \
+            == [5, 4, 1, 0]
 
     def test_to_dict_is_stable_and_serializable(self, dna_reads):
         stats = collect_statistics(dna_reads)
@@ -123,16 +160,10 @@ class TestPlanner:
     def test_batch_mode_drops_non_batch_strategies(self, city_names):
         plan = Planner(city_names).plan(queries=["Berlin", "Hamburg"],
                                         k=1, batch=True)
-        assert plan.strategy in ("compiled", "indexed")
+        assert plan.strategy in BATCH_STRATEGIES
         infeasible = {e.strategy for e in plan.estimates
                       if not e.feasible}
-        assert {"sequential", "qgram"} <= infeasible
-
-    def test_deadline_mode_drops_the_qgram_path(self, city_names):
-        plan = Planner(city_names).plan(length=7, k=2, deadline=True)
-        qgram = next(e for e in plan.estimates
-                     if e.strategy == "qgram")
-        assert not qgram.feasible
+        assert infeasible == set(STRATEGIES) - set(BATCH_STRATEGIES)
 
     def test_forced_policy_wins_regardless_of_cost(self, city_names):
         planner = Planner(city_names)
@@ -212,26 +243,73 @@ class TestEnginePlanAPI:
         assert isinstance(plan, QueryPlan)
         assert plan.strategy in STRATEGIES
 
-    def test_qgram_strategy_matches_sequential_results(self,
-                                                       city_names):
-        auto = SearchEngine(city_names)
-        sequential = SearchEngine(city_names, backend="sequential")
-        qgram = SearchEngine(city_names, backend="qgram")
-        for query in ("Berlino", "Hamburq", city_names[0]):
-            expected = sequential.search(query, 2)
-            assert auto.search(query, 2) == expected
-            assert qgram.search(query, 2) == expected
+    def test_qgram_is_not_a_strategy(self, city_names):
+        for build in (lambda: SearchEngine(city_names, backend="qgram"),
+                      lambda: PlannerPolicy(strategy="qgram"),
+                      lambda: PlannerPolicy(allow=("qgram",))):
+            with pytest.raises(ReproError) as raised:
+                build()
+            for strategy in STRATEGIES:
+                assert strategy in str(raised.value)
 
-    def test_split_batch_matches_unsplit(self, city_names, dna_reads):
-        # A batch mixing the two regimes may be split across executors;
-        # results must equal the single-executor answer, row for row.
+    def test_auto_batch_matches_forced_batch(self, city_names,
+                                             dna_reads):
+        # A batch mixing the two regimes is served by one executor of
+        # the planner's choosing; rows must equal a forced one's.
         corpus = tuple(city_names) + tuple(dna_reads)
         queries = [city_names[0], dna_reads[0], city_names[1],
                    dna_reads[1]]
         engine = SearchEngine(corpus)
-        unsplit = SearchEngine(corpus, backend="compiled")
+        forced = SearchEngine(corpus, backend="compiled")
         assert engine.search_many(queries, 2) \
-            == unsplit.search_many(queries, 2)
+            == forced.search_many(queries, 2)
+
+
+class TestVerdictsAreExecutable:
+    """Whatever the planner can answer, the stack can run as named."""
+
+    def test_every_strategy_serves_a_forced_search(self, city_names):
+        expected = SearchEngine(city_names, backend="sequential") \
+            .search("Berlino", 2)
+        for strategy in STRATEGIES:
+            engine = SearchEngine(city_names, backend=strategy)
+            assert engine.search("Berlino", 2) == expected
+            assert engine.last_report.backend == strategy
+
+    def test_every_batch_strategy_serves_a_forced_search_many(
+            self, city_names):
+        queries = ["Berlino", "Hamburq", "Berlino"]
+        engine = SearchEngine(city_names)
+        rows = [engine.search_many(
+                    queries, 2, plan=PlannerPolicy(strategy=strategy))
+                for strategy in BATCH_STRATEGIES]
+        assert rows[0] == rows[1]
+        assert set(BATCH_STRATEGIES) <= set(STRATEGIES)
+        for strategy in set(STRATEGIES) - set(BATCH_STRATEGIES):
+            with pytest.raises(ReproError):
+                engine.search_many(
+                    queries, 2, plan=PlannerPolicy(strategy=strategy))
+
+    def test_the_service_maps_every_strategy_to_a_rung(self):
+        from repro.service.sharding import (
+            SHARD_PLAN_KINDS,
+            STRATEGY_PLAN_KIND,
+        )
+
+        assert tuple(sorted(STRATEGY_PLAN_KIND)) \
+            == tuple(sorted(STRATEGIES))
+        assert set(STRATEGY_PLAN_KIND.values()) <= set(SHARD_PLAN_KINDS)
+
+    def test_the_cli_offers_exactly_the_strategies(self):
+        from repro.cli import _build_parser
+
+        commands = next(
+            action for action in _build_parser()._actions
+            if action.dest == "command")
+        backend = next(
+            action for action in commands.choices["search"]._actions
+            if action.dest == "backend")
+        assert tuple(backend.choices) == ("auto",) + STRATEGIES
 
 
 class TestPerCallPolicy:
@@ -257,14 +335,10 @@ class TestPlannerProperty:
     @settings(max_examples=40, deadline=None)
     @given(length=st.integers(min_value=1, max_value=120),
            k=st.integers(min_value=0, max_value=6),
-           deadline=st.booleans(), batch=st.booleans())
+           batch=st.booleans())
     def test_never_picks_a_costlier_strategy(self, city_names, length,
-                                             k, deadline, batch):
-        planner = Planner(city_names)
-        if deadline and batch:
-            batch = False  # deadline batches degrade elsewhere
-        plan = planner.plan(length=length, k=k, deadline=deadline,
-                            batch=batch)
+                                             k, batch):
+        plan = Planner(city_names).plan(length=length, k=k, batch=batch)
         feasible = [e for e in plan.estimates if e.feasible]
         minimum = min(e.cost for e in feasible)
         assert plan.cost_for(plan.strategy) <= minimum

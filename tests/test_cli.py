@@ -358,8 +358,9 @@ class TestExplainCommand:
                      "--data", str(data)]) == 0
         out = capsys.readouterr().out
         assert "QueryPlan" in out
-        for strategy in ("sequential", "compiled", "indexed", "qgram"):
+        for strategy in ("sequential", "compiled", "indexed"):
             assert strategy in out
+        assert "qgram" not in out
 
     def test_query_plan_json(self, city_files, capsys):
         import json

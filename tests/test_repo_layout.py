@@ -8,6 +8,8 @@ own schema — the state this guard keeps from growing back.
 
 The scalar Myers recurrence is guarded the same way: it is written out
 in two files and no third (DESIGN.md, "Two copies of the recurrence").
+So are the planner strategy and the batch split that nothing measured
+could run (DESIGN.md, "Serving-layer decisions").
 """
 
 import importlib.util
@@ -73,3 +75,15 @@ def test_the_myers_recurrence_is_written_twice():
         # the paper's hand-inlined stage 4, and the e2e bench's oracle
         "repro/core/sequential.py": 1,
     }
+
+
+def test_the_planner_prices_only_what_the_engine_runs():
+    # Strategies come back through ``STRATEGIES`` and a searcher the
+    # engine builds, not through a fourth name only the planner knows
+    # or a second execution shape only the engine knows.
+    for name in ("planner.py", "engine.py"):
+        text = (REPO_ROOT / "src" / "repro" / "core" / name) \
+            .read_text(encoding="utf-8")
+        for gone in ("PlanGroup", "_split_groups", "batch-split[",
+                     "qgram"):
+            assert gone not in text, f"{gone!r} is back in core/{name}"

@@ -219,26 +219,3 @@ class TestObservability:
             assert report.gauges["pool.workers"] >= 1
         finally:
             pools.close()
-
-    def test_refit_driven_by_completions(self):
-        service = Service(DATASET, shards=2)
-        pools = ShardPools(service.corpus)
-        fits = []
-        original = pools.refit
-        pools.refit = lambda: fits.append(True) or original()
-        try:
-            gateway = AsyncService(service, pools=pools,
-                                   refit_interval=2)
-
-            async def four():
-                for index in range(4):
-                    await gateway.submit(f"q{index}", 1)
-
-            run(four())
-            assert len(fits) == 2
-        finally:
-            pools.close()
-
-    def test_bad_refit_interval_rejected(self):
-        with pytest.raises(ReproError):
-            make_gateway(refit_interval=0)

@@ -1,4 +1,4 @@
-"""Unit tests for the per-shard worker pools and the adaptive sizer."""
+"""Unit tests for the per-shard worker pools."""
 
 import time
 
@@ -8,13 +8,8 @@ from repro.core.deadline import Deadline
 from repro.core.request import SearchRequest
 from repro.core.sequential import SequentialScanSearcher
 from repro.exceptions import ReproError
-from repro.parallel.adaptive import ManagerRules
 from repro.service.sharding import ShardedCorpus
-from repro.traffic.pools import (
-    AdaptivePoolSizer,
-    ShardLoad,
-    ShardPools,
-)
+from repro.traffic.pools import ShardPools
 
 DATASET = ["Berlin", "Bern", "Bonn", "Ulm", "Hamburg", "Bremen",
            "Dresden", "Berlingen", "Bernburg", "Uelzen"] * 3
@@ -137,102 +132,3 @@ class TestProcessPools:
             assert segments == ["shard-0000.seg", "shard-0001.seg"]
         finally:
             pools.close()
-
-
-class TestAdaptivePoolSizer:
-    def test_opens_above_70_closes_below_30(self):
-        sizer = AdaptivePoolSizer(ManagerRules(max_threads=4))
-        sizes = sizer.resize([
-            ShardLoad(0, 2, 0.9),   # hot: opens
-            ShardLoad(1, 2, 0.5),   # in band: holds
-            ShardLoad(2, 2, 0.1),   # cold: closes
-        ])
-        assert sizes == {0: 3, 1: 2, 2: 1}
-
-    def test_respects_min_and_max(self):
-        sizer = AdaptivePoolSizer(
-            ManagerRules(min_threads=1, max_threads=2))
-        sizes = sizer.resize([
-            ShardLoad(0, 2, 1.0),   # hot but already at max
-            ShardLoad(1, 1, 0.0),   # cold but already at min
-        ])
-        assert sizes == {0: 2, 1: 1}
-
-    def test_total_budget_caps_opens_hottest_first(self):
-        sizer = AdaptivePoolSizer(ManagerRules(max_threads=8),
-                                  total_budget=5)
-        sizes = sizer.resize([
-            ShardLoad(0, 2, 0.8),
-            ShardLoad(1, 2, 0.95),  # hotter: wins the single free slot
-        ])
-        assert sizes == {0: 2, 1: 3}
-
-    def test_close_frees_budget_for_open(self):
-        sizer = AdaptivePoolSizer(ManagerRules(max_threads=8),
-                                  total_budget=4)
-        sizes = sizer.resize([
-            ShardLoad(0, 2, 0.9),
-            ShardLoad(1, 2, 0.0),
-        ])
-        assert sizes == {0: 3, 1: 1}
-
-    def test_one_step_per_fit_damping(self):
-        sizer = AdaptivePoolSizer(ManagerRules(max_threads=16))
-        sizes = sizer.resize([ShardLoad(0, 1, 1.0)])
-        assert sizes == {0: 2}  # +1, never a jump to max
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            AdaptivePoolSizer(total_budget=0)
-
-
-class TestRefit:
-    def test_static_pools_never_resize(self):
-        with ShardPools(DATASET, shards=2, workers_per_shard=2,
-                        sizer=None) as pools:
-            before = pools.workers()
-            assert pools.refit() == before
-            assert pools.workers() == before
-
-    def test_refit_grows_the_loaded_shard(self):
-        sizer = AdaptivePoolSizer(ManagerRules(max_threads=3))
-        pools = ShardPools(DATASET, shards=2, workers_per_shard=1,
-                           batch_limit=4, sizer=sizer)
-        try:
-            # Synthesize a skewed observation window instead of racing
-            # real work: shard 0 saturated, shard 1 idle.
-            pools.refit()  # reset the window
-            with pools._lock:
-                pools._fit_epoch -= 1.0
-                pools._crews[0].busy_seconds += 1.0
-            target = pools.refit()
-            assert target[0] == 2
-            assert target[1] == 1
-            deadline = time.monotonic() + 5
-            while pools.workers()[0] < 2 \
-                    and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert pools.workers()[0] == 2
-            counters = pools.counters_snapshot()
-            assert counters["pool.workers_opened"] == 1
-        finally:
-            pools.close()
-
-    def test_refit_shrinks_idle_crews_to_minimum(self):
-        sizer = AdaptivePoolSizer(ManagerRules(min_threads=1,
-                                               max_threads=4))
-        pools = ShardPools(DATASET, shards=2, workers_per_shard=3,
-                           sizer=sizer)
-        try:
-            # The window since construction saw no work at all.
-            target = pools.refit()
-            assert target == {0: 2, 1: 2}  # one step down per fit
-            assert pools.counters_snapshot()["pool.workers_closed"] == 2
-        finally:
-            pools.close()
-
-    def test_loads_report_utilization_in_unit_range(self):
-        with ShardPools(DATASET, shards=2) as pools:
-            pools.submit(SearchRequest("Berlino", 2)).result(timeout=30)
-            for load in pools.loads():
-                assert 0.0 <= load.utilization <= 1.0
