@@ -32,11 +32,10 @@ that workers can mmap) with
 ``histograms``
     per-query histogram name → the counter it records (``None`` for
     the probe's seconds);
-``run(artifact, query, k, *, counters, deadline=None, scratch=None)``
+``run(artifact, query, k, *, counters, deadline=None)``
     one query's sorted matches, adding its work to ``counters`` and
     raising :class:`DeadlineExceeded` with the proven partial on
-    expiry; ``scratch`` is a list the core keeps per executor and
-    thread for the probe to reuse buffers in (``None`` in workers);
+    expiry;
 ``chunks(artifact, query, k, workers)`` and ``chunk_timer`` (optional)
     split one query into units whose rows concatenate to the answer;
     ``run`` then also accepts ``chunk=``.
@@ -203,10 +202,6 @@ class BatchExecutor:
         self._hists = {name: Histogram() for name in probe.histograms}
         # Guards the counters, the histograms and ``stats``.
         self._lock = threading.Lock()
-        # Probe scratch, reused across queries but never across
-        # threads: services run concurrent submits through one shared
-        # executor, and shared DP rows would corrupt both answers.
-        self._scratch = threading.local()
         self._metrics = None
         self._recorder = None
 
@@ -387,17 +382,13 @@ class BatchExecutor:
     def _probe_serial(self, query: str, k: int,
                       deadline: Deadline | Budget | None = None
                       ) -> tuple[Match, ...]:
-        """Probe one query on the calling thread, with its scratch."""
+        """Probe one query on the calling thread."""
         probe = self._probe
-        scratch = getattr(self._scratch, "items", None)
-        if scratch is None:
-            scratch = self._scratch.items = []
         counters: dict = {}
         started = perf_counter()
         try:
             row = tuple(probe.run(probe.artifact, query, k,
-                                  counters=counters, deadline=deadline,
-                                  scratch=scratch))
+                                  counters=counters, deadline=deadline))
         except DeadlineExceeded:
             self._merge_counters(counters, perf_counter() - started,
                                  executed=0)

@@ -138,11 +138,6 @@ class IndexedSearcher(Searcher):
             self.name += "+freq"
         self._node_count = 0
         self._flat_trie: FlatTrie | None = None
-        # DP row scratch for the flat path, reused across queries but
-        # never across threads: services cache one searcher per shard
-        # and run concurrent submits through it, and a shared bank
-        # would let two in-flight searches corrupt each other's rows.
-        self._row_banks = threading.local()
         # Cumulative work counters (trie.* namespace), flushed once per
         # search under the lock so parallel runners sharing this
         # searcher aggregate correctly.
@@ -198,7 +193,6 @@ class IndexedSearcher(Searcher):
                         flat, query, k,
                         use_frequency_pruning=frequency_pruning,
                         stats=stats,
-                        row_bank=self._thread_row_bank(),
                         deadline=deadline,
                     )
                 except DeadlineExceeded:
@@ -262,14 +256,6 @@ class IndexedSearcher(Searcher):
             return matches, stats
 
         return search
-
-    def _thread_row_bank(self) -> list:
-        """This thread's DP row scratch (created on first use)."""
-        bank = getattr(self._row_banks, "bank", None)
-        if bank is None:
-            bank = []
-            self._row_banks.bank = bank
-        return bank
 
     def _reject_deadline(self, deadline) -> None:
         """Refuse a deadline on index kinds that cannot honor one."""

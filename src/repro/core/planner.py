@@ -179,9 +179,12 @@ class CostProfile:
     scan_setup: float = 4.0e-5
     #: Per corpus row through the vectorized (packed) bucket kernel.
     scan_row: float = 8.0e-8
-    #: Per flat-trie node visited, plus per-query descent setup.
-    trie_node: float = 9.0e-7
-    trie_setup: float = 2.0e-5
+    #: Per character-trie node the flat-trie descent consumes (one per
+    #: label symbol), plus its per-query setup: mostly the one array
+    #: step per depth. Median of seven :func:`calibrate` runs on a
+    #: 2-core x86-64 container.
+    trie_node: float = 3.9e-7
+    trie_setup: float = 1.6e-3
     #: A batch-dedup memo hit (result already computed this batch).
     memo_hit: float = 2.0e-6
     version: int = PROFILE_VERSION
@@ -986,28 +989,37 @@ def calibrate(*, seed: int = 2013, city_count: int = 400,
     seq_candidate, seq_char = _fit_line(
         seq_points, defaults.seq_candidate, defaults.seq_char)
 
-    # Flat trie: seconds per node visited, averaged over both regimes.
-    node_rates: list[float] = []
-    for corpus, k in ((city, 1), (dna, 2)):
+    # Flat trie: per-query seconds against character-trie nodes (the
+    # label symbols the descent consumes, the unit _raw_trie_nodes
+    # estimates). The intercept is the per-query setup, mostly the
+    # descent's per-depth array steps. One line per regime across
+    # thresholds; the two fits are averaged.
+    trie_fits: list[tuple[float, float]] = []
+    for corpus, thresholds in ((city, (1, 2, 3)), (dna, (2, 4, 8))):
         searcher = IndexedSearcher(corpus, index="flat")
         probes = corpus[:queries]
-        before = searcher.counters_snapshot()["trie.nodes_visited"]
-        seconds = timed(lambda s=searcher, p=probes, kk=k:
-                        [s.search(q, kk) for q in p])
-        nodes = (searcher.counters_snapshot()["trie.nodes_visited"]
-                 - before) / max(1, repeats)
-        if nodes > 0:
-            node_rates.append(seconds / nodes)
-            samples += 1
-    trie_node = (sum(node_rates) / len(node_rates)) if node_rates \
-        else defaults.trie_node
+        trie_points: list[tuple[float, float]] = []
+        for k in thresholds:
+            before = searcher.counters_snapshot()["trie.symbols_processed"]
+            seconds = timed(lambda s=searcher, p=probes, kk=k:
+                            [s.search(q, kk) for q in p])
+            nodes = (searcher.counters_snapshot()["trie.symbols_processed"]
+                     - before) / max(1, repeats)
+            if nodes > 0:
+                trie_points.append((nodes / len(probes),
+                                    seconds / len(probes)))
+                samples += 1
+        trie_fits.append(_fit_line(trie_points, defaults.trie_setup,
+                                   defaults.trie_node))
+    trie_setup = sum(fit[0] for fit in trie_fits) / len(trie_fits)
+    trie_node = sum(fit[1] for fit in trie_fits) / len(trie_fits)
 
     return replace(
         defaults,
         seq_candidate=seq_candidate, seq_char=seq_char,
         scan_candidate=scan_candidate, scan_char=scan_char,
         scan_row=max(scan_char / 2.0, 1e-9),
-        trie_node=trie_node,
+        trie_setup=trie_setup, trie_node=trie_node,
         source="calibrated",
         samples=samples,
     )

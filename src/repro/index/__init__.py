@@ -11,8 +11,8 @@ and the related-work alternatives it is positioned against:
 * :class:`CompressedTrie` — the radix-compressed form of section 4.2.
 * :func:`trie_similarity_search` — threshold search over either trie.
 * :class:`FlatTrie` / :func:`flat_similarity_search` — either trie
-  shape built directly as flat CSR arrays, with an iterative,
-  allocation-free descent (see :mod:`repro.index.flat`), plus
+  shape built directly as flat CSR arrays, with a level-synchronous
+  numpy descent (see :mod:`repro.index.flat`), plus
   :class:`TrieProbe` — that descent as a probe of the shared
   :class:`repro.core.batch.BatchExecutor` — and
   :class:`BatchIndexExecutor` / :class:`FlatIndexSearcher`, the core

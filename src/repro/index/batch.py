@@ -7,11 +7,9 @@ runner fan-out, deadlines, bookkeeping — probing a
 
 * :func:`probe_query` descends the trie once per distinct ``(query,
   k)`` pair, however often it repeats;
-* :class:`TrieProbe` keeps the DP row buffers in the scratch the core
-  holds per executor and thread, so the serial path allocates one fresh
-  row — row 0 — per query and concurrent callers never share rows;
 * distinct queries fan out over any :mod:`repro.parallel` runner; the
-  flat trie is plain tuples, so a process pool ships it once per chunk.
+  flat trie is a handful of numpy arrays, so a process pool ships it
+  once per chunk (or maps its segment file).
 
 Results are identical to the object-trie traversal and to the
 reference scan by construction (same DP, same sound pruning), and
@@ -54,7 +52,6 @@ def _flush_trie_counters(counters: dict, stats: TraversalStats) -> None:
 
 
 def probe_query(flat: FlatTrie, query: str, k: int, *,
-                row_bank: list | None = None,
                 counters: dict | None = None,
                 deadline: Deadline | Budget | None = None) -> list[Match]:
     """One query's matches through the compiled trie, as core matches.
@@ -75,7 +72,6 @@ def probe_query(flat: FlatTrie, query: str, k: int, *,
             for m in flat_similarity_search(
                 flat, query, k,
                 stats=stats,
-                row_bank=row_bank,
                 deadline=deadline,
             )
         ]
@@ -112,24 +108,10 @@ class TrieProbe:
     }
 
     def run(self, flat: FlatTrie, query: str, k: int, *,
-            counters: dict, deadline: Deadline | Budget | None = None,
-            scratch: list | None = None) -> list[Match]:
-        """Descend with ``scratch`` as the DP row bank.
-
-        Row-bank reuse is counted here — rows the bank already held are
-        reuses; any growth is fresh allocation — and only where a bank
-        exists (worker probes bring their own rows).
-        """
-        held = len(scratch) if scratch is not None else 0
-        row = probe_query(flat, query, k, row_bank=scratch,
-                          counters=counters, deadline=deadline)
-        if scratch is not None:
-            grown = len(scratch) - held
-            counters["trie.rows_allocated"] = grown
-            if grown == 0 and held:
-                # The descent ran entirely on previously banked rows.
-                counters["trie.bank_reuses"] = 1
-        return row
+            counters: dict, deadline: Deadline | Budget | None = None
+            ) -> list[Match]:
+        return probe_query(flat, query, k, counters=counters,
+                           deadline=deadline)
 
 
 class BatchIndexExecutor(BatchExecutor):

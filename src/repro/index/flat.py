@@ -3,8 +3,8 @@
 PR 1 gave the *scan* side a compiled execution path
 (:mod:`repro.scan`); this module is the index-side twin. A
 :class:`FlatTrie` holds the annotated prefix tree of section 4 as
-parallel tuples, so a similarity descent touches contiguous integer
-arrays instead of chasing ``TrieNode`` objects through attribute
+parallel int64 numpy arrays, so a similarity descent touches contiguous
+integer arrays instead of chasing ``TrieNode`` objects through attribute
 lookups and dict hops — the cache-conscious layout the string-index
 literature recommends (INSTRUCT-style packed tries, CSR adjacency),
 applied where pure Python actually bleeds: per-node interpreter
@@ -18,7 +18,8 @@ emits the arrays directly in O(total symbols) — no object trie is built
 on the way, and memory peaks at a small multiple of the result. See
 docs/INDEX.md.
 
-Layout (all plain tuples, so the value is immutable and pickles
+Layout (int64 arrays, the same ones a :mod:`repro.speed` segment
+maps from disk, so both kinds of trie run one descent; they pickle
 cheaply for :mod:`repro.parallel` process runners):
 
 * **CSR children** — ``child_offsets[v]:child_offsets[v + 1]`` slices
@@ -38,12 +39,12 @@ cheaply for :mod:`repro.parallel` process runners):
   nodes), so collecting a match is two array reads, never a string
   concatenation.
 
-:func:`flat_similarity_search` runs the same banded-DP descent as
+:func:`flat_similarity_search` runs the same DP descent as
 :func:`repro.index.traversal.trie_similarity_search` — same pruning
 rules, same :class:`~repro.index.traversal.TraversalStats` counters —
-but iteratively (explicit stack) and allocation-free (row buffers
-preallocated per depth, reusable across queries via ``row_bank``).
-Batch execution lives in :mod:`repro.index.batch`.
+but breadth-first over the CSR arrays, one vectorized step per depth
+for the whole frontier. Batch execution lives in
+:mod:`repro.index.batch`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.core.deadline import Budget, Deadline
 from repro.data.alphabet import Alphabet
@@ -62,9 +65,14 @@ from repro.filters.frequency import frequency_vector
 from repro.index.traversal import TraversalStats, TrieMatch
 
 #: Length bounds of a subtree no string has been folded into yet (the
-#: root of an empty trie keeps them, as an object ``TrieNode`` would).
-_NO_MIN = 2**63
+#: root of an empty trie keeps them; an object ``TrieNode`` starts at
+#: ``2**63``, one past what an int64 array holds).
+_NO_MIN = np.iinfo(np.int64).max
 _NO_MAX = -1
+
+
+def _array(values: Iterable[int], count: int) -> np.ndarray:
+    return np.fromiter(values, dtype=np.int64, count=count)
 
 
 class FlatTrie:
@@ -210,30 +218,35 @@ class FlatTrie:
         self._alphabet = alphabet
         codes = alphabet._codes if alphabet is not None else {}
         try:
-            self._label_codes = tuple(map(codes.__getitem__, text))
+            self._label_codes = _array(map(codes.__getitem__, text),
+                                       len(text))
         except KeyError as stranger:
             raise IndexConstructionError(
                 f"label symbol {stranger.args[0]!r} is not in alphabet "
                 f"{alphabet.name!r}"
             ) from None
-        self._label_offsets = tuple(accumulate(map(len, labels), initial=0))
-        self._child_offsets = tuple(accumulate(reversed(fan_out), initial=0))
-        self._child_ids = tuple(last - child for child in reversed(children))
-        self._sub_min = tuple(reversed(sub_min))
-        self._sub_max = tuple(reversed(sub_max))
-        self._terminal_count = tuple(reversed(terminal_count))
-        self._terminal_sid = tuple(reversed(terminal_sid))
+        self._label_offsets = _array(accumulate(map(len, labels),
+                                                initial=0), len(labels) + 1)
+        self._child_offsets = _array(accumulate(reversed(fan_out),
+                                                initial=0), len(fan_out) + 1)
+        self._child_ids = last - _array(reversed(children), len(children))
+        self._sub_min = _array(reversed(sub_min), len(sub_min))
+        self._sub_max = _array(reversed(sub_max), len(sub_max))
+        self._terminal_count = _array(reversed(terminal_count),
+                                      len(terminal_count))
+        self._terminal_sid = _array(reversed(terminal_sid),
+                                    len(terminal_sid))
         self._strings = tuple(distinct)
-        self._freq_min = tuple(chain.from_iterable(reversed(freq_min))) \
+        self._freq_min = _array(chain.from_iterable(reversed(freq_min)),
+                                len(freq_min) * len(tracked_symbols)) \
             if has_freq else None
-        self._freq_max = tuple(chain.from_iterable(reversed(freq_max))) \
+        self._freq_max = _array(chain.from_iterable(reversed(freq_max)),
+                                len(freq_max) * len(tracked_symbols)) \
             if has_freq else None
         # First label code per child, parallel to child_ids, so exact
         # descents binary-search instead of scanning siblings.
-        self._child_first = tuple(map(
-            self._label_codes.__getitem__,
-            map(self._label_offsets.__getitem__, self._child_ids),
-        ))
+        self._child_first = self._label_codes[
+            self._label_offsets[self._child_ids]]
 
     # ------------------------------------------------------------------
     # Introspection (mirrors the object tries)
@@ -298,11 +311,10 @@ class FlatTrie:
 
     def iter_with_counts(self) -> Iterator[tuple[str, int]]:
         """Yield ``(string, multiplicity)`` in lexicographic order."""
-        terminal_sid = self._terminal_sid
-        terminal_count = self._terminal_count
-        for node, sid in enumerate(terminal_sid):
-            if sid >= 0:
-                yield self._strings[sid], terminal_count[node]
+        terminals = np.flatnonzero(self._terminal_sid >= 0)
+        for sid, count in zip(self._terminal_sid[terminals].tolist(),
+                              self._terminal_count[terminals].tolist()):
+            yield self._strings[sid], count
 
     def __contains__(self, string: str) -> bool:
         node = self._lookup(string)
@@ -311,7 +323,7 @@ class FlatTrie:
     def count(self, string: str) -> int:
         """Multiplicity of ``string`` in the compiled trie."""
         node = self._lookup(string)
-        return self._terminal_count[node] if node >= 0 else 0
+        return int(self._terminal_count[node]) if node >= 0 else 0
 
     def _lookup(self, string: str) -> int:
         """Exact descent; ``-1`` when the walk falls off the tree."""
@@ -340,7 +352,7 @@ class FlatTrie:
                                key=symbols.__getitem__)
             if slot >= hi or child_first[slot] != code:
                 return -1
-            node = child_ids[slot]
+            node = int(child_ids[slot])
             start = label_offsets[node]
             end = label_offsets[node + 1]
             for offset in range(start, end):
@@ -388,7 +400,6 @@ class FlatTrie:
 def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
                            use_frequency_pruning: bool = True,
                            stats: TraversalStats | None = None,
-                           row_bank: list | None = None,
                            deadline: Deadline | Budget | None = None,
                            ) -> list[TrieMatch]:
     """All dataset strings within edit distance ``k`` of ``query``.
@@ -399,7 +410,10 @@ def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
     Ukkonen band cutoff and the full conditions (9)/(10) completion
     bound), identical results, identical
     :class:`~repro.index.traversal.TraversalStats` counters for the
-    same tree topology — but iterative and allocation-free.
+    same tree topology — but level-synchronous: every step advances the
+    whole frontier one depth with a few array operations, so Python
+    iterations scale with the depth of the descent, not with the nodes
+    it visits (see docs/INDEX.md, "The traversal, compiled").
 
     Parameters
     ----------
@@ -411,17 +425,13 @@ def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
         Apply PETER-style pruning when bounds were compiled in.
     stats:
         Optional counter object to fill with traversal work.
-    row_bank:
-        Optional caller-owned list of DP row buffers, reused across
-        calls (the executor passes one per worker); grown on demand,
-        never shrunk.
     deadline:
         Optional :class:`repro.core.deadline.Deadline` /
-        :class:`repro.core.deadline.Budget`, polled every
-        ``check_interval`` visited nodes; on expiry the descent raises
-        :class:`DeadlineExceeded` carrying the matches proven so far
-        (a subset of the exact answer), with the stats object already
-        updated with the partial traversal's work.
+        :class:`repro.core.deadline.Budget`, polled once per depth
+        with the nodes entered since the last poll; on expiry the
+        descent raises :class:`DeadlineExceeded` carrying the matches
+        proven so far (a subset of the exact answer), with the stats
+        object already updated with the partial traversal's work.
 
     Examples
     --------
@@ -434,20 +444,11 @@ def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
         stats = TraversalStats()
 
     n = len(query)
-    infinity = k + 1
-    encoded = flat.encode_query(query)
-
-    tracked = flat.tracked_symbols
-    query_frequency: tuple[int, ...] | None = None
-    if use_frequency_pruning and tracked is not None \
-            and flat.has_frequencies:
-        query_frequency = frequency_vector(
-            query, tracked, flat.case_insensitive_frequencies
-        )
-    width = len(tracked) if tracked is not None else 0
-
-    # Local bindings: the loop below runs once per node/symbol and every
-    # attribute hop it avoids is measurable in CPython.
+    cap = k + 1
+    width = 2 * k + 1
+    # Cells hold values in [-2k, k + 1] (the insertion pass works on
+    # cell[b] - b), so a short integer is wide enough for any sane k.
+    cell = np.int16 if k < 2**13 else np.int64
     label_offsets = flat._label_offsets
     label_codes = flat._label_codes
     child_offsets = flat._child_offsets
@@ -457,206 +458,163 @@ def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
     terminal_count = flat._terminal_count
     terminal_sid = flat._terminal_sid
     strings = flat._strings
-    freq_min = flat._freq_min
-    freq_max = flat._freq_max
 
-    if row_bank is None:
-        row_bank = []
-    need = flat.max_depth + 2
-    if len(row_bank) < need:
-        row_bank.extend([None] * (need - len(row_bank)))
-    rows = row_bank
-    rows[0] = [j if j <= k else infinity for j in range(n + 1)]
-    # A row at depth d is only ever written while d <= n + k (deeper
-    # bands leave the query and prune first), so materializing that
-    # prefix up front removes the per-symbol existence check.
-    for d in range(1, min(flat.max_depth, n + k) + 2):
-        row = rows[d]
-        if row is None or len(row) <= n:
-            rows[d] = [0] * (n + 1)
+    # Rows are Ukkonen bands: cell b of a row at depth d is DP column
+    # j = d - k + b, and columns outside [0, n] hold the cap. Cells
+    # past the band are all above k, so the band decides everything
+    # the full row would.
+    band = np.arange(width, dtype=cell)
+    # mismatch[c, d + b] is 0 iff label code c equals query symbol
+    # j - 1 of band cell b at depth d; query symbols outside the
+    # alphabet encode to -1 and the padding to -1, so neither matches.
+    padded = np.full(n + 3 * k + 2, -1, dtype=np.int64)
+    padded[k + 1:k + 1 + n] = flat.encode_query(query)
+    size = flat.alphabet.size if flat.alphabet is not None else 0
+    mismatch = (np.arange(size)[:, None] != padded).astype(cell)
 
-    nodes_visited = 0
-    symbols_total = 0
+    tracked = flat.tracked_symbols
+    box_min = box_max = query_frequency = None
+    if use_frequency_pruning and tracked is not None \
+            and flat.has_frequencies:
+        query_frequency = np.array(frequency_vector(
+            query, tracked, flat.case_insensitive_frequencies))
+        box_min = flat._freq_min.reshape(-1, len(tracked))
+        box_max = flat._freq_max.reshape(-1, len(tracked))
+
+    visited = 0
+    symbols = 0
     pruned_length = 0
     pruned_frequency = 0
     matches: list[TrieMatch] = []
 
-    # (node, depth-at-entry) frames; LIFO pushes reproduce recursive
-    # DFS order, which is what keeps the per-depth row sharing sound: a
-    # sibling subtree only writes rows *deeper* than the shared parent
-    # row it is entered from.
-    frames: list[tuple[int, int]] = [(0, 0)]
-    push = frames.append
-    pop = frames.pop
-
-    check_interval = deadline.check_interval if deadline is not None else 0
-    countdown = check_interval
-
-    while frames:
-        node, depth = pop()
-        nodes_visited += 1
-
-        if countdown:
-            countdown -= 1
-            if not countdown:
-                countdown = check_interval
-                if deadline.spend(check_interval):
-                    stats.nodes_visited += nodes_visited
-                    stats.symbols_processed += symbols_total
-                    stats.branches_pruned_by_length += pruned_length
-                    stats.branches_pruned_by_frequency += pruned_frequency
-                    stats.matches += len(matches)
-                    matches.sort(key=lambda match: match.string)
-                    raise DeadlineExceeded(
-                        f"flat-trie descent for {query!r} (k={k}) "
-                        f"exceeded its deadline after {nodes_visited} "
-                        "nodes",
-                        partial=tuple(matches), scope="nodes",
-                        completed=nodes_visited,
-                        total=flat.node_count,
-                    )
-
+    def admit(entered: np.ndarray) -> np.ndarray:
+        """Mask of entered nodes inside the frequency and length boxes."""
+        nonlocal visited, pruned_length, pruned_frequency
+        visited += len(entered)
+        keep = np.maximum(sub_min[entered] - n, n - sub_max[entered]) <= k
         if query_frequency is not None:
-            base = node * width
-            surplus = 0
-            deficit = 0
-            for position in range(width):
-                fq = query_frequency[position]
-                lo_bound = freq_min[base + position]
-                if fq < lo_bound:
-                    deficit += lo_bound - fq
-                elif fq > freq_max[base + position]:
-                    surplus += fq - freq_max[base + position]
-            if surplus > k or deficit > k:
-                pruned_frequency += 1
-                continue
+            deficit = np.maximum(box_min[entered] - query_frequency, 0)
+            surplus = np.maximum(query_frequency - box_max[entered], 0)
+            fits = (deficit.sum(axis=1) <= k) & (surplus.sum(axis=1) <= k)
+            pruned_frequency += len(entered) - np.count_nonzero(fits)
+            keep &= fits
+            pruned_length += np.count_nonzero(fits) - np.count_nonzero(keep)
+        else:
+            pruned_length += len(entered) - np.count_nonzero(keep)
+        return keep
 
-        node_lo = sub_min[node]
-        node_hi = sub_max[node]
-        length_bound = node_lo - n
-        if n - node_hi > length_bound:
-            length_bound = n - node_hi
-        if length_bound > k:
-            pruned_length += 1
-            continue
+    def settle() -> None:
+        stats.nodes_visited += visited
+        stats.symbols_processed += symbols
+        # Plain ints: the counters end up in JSON reports.
+        stats.branches_pruned_by_length += int(pruned_length)
+        stats.branches_pruned_by_frequency += int(pruned_frequency)
+        stats.matches += len(matches)
+        matches.sort(key=lambda match: match.string)
 
-        label_start = label_offsets[node]
-        label_end = label_offsets[node + 1]
-        child_start = child_offsets[node]
-        child_end = child_offsets[node + 1]
-        pruned = False
-        consumed = 0
-        if label_start != label_end:
-            parent = rows[depth]
-            last_offset = label_end - 1
-            for offset in range(label_start, label_end):
-                code = label_codes[offset]
-                depth += 1
-                consumed += 1
-                lo = depth - k
-                hi = depth + k
-                if lo > n:
-                    # The band left the query: every completion needs
-                    # more than k deletions.
-                    pruned = True
-                    pruned_length += 1
-                    break
-                if hi > n:
-                    hi = n
-                row = rows[depth]
+    # Entries that just finished their edge label and fan out next, with
+    # their rows; the root finishes its empty label at depth 0, where
+    # column j costs j deletions.
+    done = np.zeros(1, dtype=np.int64)
+    columns = band - k
+    done_rows = np.where((columns >= 0) & (columns <= n),
+                         np.minimum(columns, cap), cap)[None, :].astype(cell)
+    keep = admit(done)
+    done, done_rows = done[keep], done_rows[keep]
+    # The frontier: entries part-way through a label — node, offset of
+    # the next label symbol, end of the label, band at ``depth``.
+    nodes = cursor = end = np.zeros(0, dtype=np.int64)
+    rows = np.zeros((0, width), dtype=cell)
+    depth = 0
+    polled = 0
+    while True:
+        # Expand finished entries into their CSR children, all at once.
+        first = child_offsets[done]
+        fan = child_offsets[done + 1] - first
+        total = int(fan.sum())
+        if total:
+            kids = child_ids[np.arange(total)
+                             + np.repeat(first - np.cumsum(fan) + fan, fan)]
+            keep = admit(kids)
+            kids = kids[keep]
+            nodes = np.concatenate((nodes, kids))
+            cursor = np.concatenate((cursor, label_offsets[kids]))
+            end = np.concatenate((end, label_offsets[kids + 1]))
+            rows = np.concatenate(
+                (rows, np.repeat(done_rows, fan, axis=0)[keep]))
+        if not len(nodes):
+            break
+        if deadline is not None and deadline.spend(visited - polled):
+            settle()
+            raise DeadlineExceeded(
+                f"flat-trie descent for {query!r} (k={k}) exceeded its "
+                f"deadline after {visited} nodes",
+                partial=tuple(matches), scope="nodes",
+                completed=visited, total=flat.node_count,
+            )
+        polled = visited
 
-                # Band update, cells j in [lo, hi] clamped to [0, n].
-                # ``prev`` carries row[j - 1] and ``diagonal`` carries
-                # parent[j - 1] between iterations, so the loop body
-                # reads ``parent`` once per cell. Values above the
-                # threshold are left unclamped — every value > k is
-                # equally dead for pruning, collection and the DP mins.
-                if lo <= 0:
-                    lo = 0
-                    row[0] = depth
-                    row_min = prev = depth
-                    first = 1
-                else:
-                    row_min = prev = infinity
-                    first = lo
-                # parent's band tops out at depth - 1 + k; the one cell
-                # that can exceed it (j == depth + k, when the query
-                # did not clamp hi) is peeled below.
-                clipped = hi - 1 if hi == depth + k else hi
-                diagonal = parent[first - 1]
-                for j in range(first, clipped + 1):
-                    above = parent[j]
-                    if code == encoded[j - 1]:
-                        cost = diagonal
-                    else:
-                        cost = diagonal
-                        if above < cost:
-                            cost = above
-                        if prev < cost:
-                            cost = prev
-                        cost += 1
-                    row[j] = cost
-                    if cost < row_min:
-                        row_min = cost
-                    diagonal = above
-                    prev = cost
-                if clipped != hi:
-                    if code == encoded[hi - 1]:
-                        cost = diagonal
-                    else:
-                        cost = diagonal
-                        if prev < cost:
-                            cost = prev
-                        cost += 1
-                    row[hi] = cost
-                    if cost < row_min:
-                        row_min = cost
-                if row_min > k:
-                    # Ukkonen cutoff: the whole band left the threshold.
-                    pruned = True
-                    pruned_length += 1
-                    break
-                if offset == last_offset and child_start != child_end:
-                    # Full conditions (9)/(10) once per node, right
-                    # before the branch fans out into children.
-                    remaining_hi = node_hi - depth
-                    remaining_lo = node_lo - depth
-                    best_completion = infinity
-                    for j in range(lo, hi + 1):
-                        query_left = n - j
-                        shortfall = query_left - remaining_hi
-                        if remaining_lo - query_left > shortfall:
-                            shortfall = remaining_lo - query_left
-                        if shortfall < 0:
-                            shortfall = 0
-                        total = row[j] + shortfall
-                        if total < best_completion:
-                            best_completion = total
-                    if best_completion > k and not terminal_count[node]:
-                        pruned = True
-                        pruned_length += 1
-                        break
-                parent = row
-        symbols_total += consumed
-        if pruned:
-            continue
+        # Consume one label symbol from every entry.
+        depth += 1
+        symbols += len(nodes)
+        # Band cells past the query's last column: all of them once
+        # the band has left the query.
+        beyond = n - depth + k + 1
+        if beyond <= 0:
+            # Every completion needs more than k deletions.
+            pruned_length += len(nodes)
+            break
+        rows = _advance(rows, mismatch[label_codes[cursor],
+                                       depth:depth + width], band, cap)
+        rows[:, beyond:] = cap
+        cursor += 1
+        # Ukkonen cutoff: the whole band left the threshold.
+        alive = rows.min(axis=1) <= k
+        pruned_length += len(alive) - np.count_nonzero(alive)
+        ending = np.flatnonzero(alive & (cursor == end))
+        ended = nodes[ending]
+        terminal = terminal_count[ended]
+        ok = np.ones(len(ending), dtype=bool)
+        inner = np.flatnonzero(terminal == 0)
+        if len(inner):
+            # Full conditions (9)/(10) once per inner node, right before
+            # it fans out: can any column still be completed within k?
+            left = (n - depth + k) - band
+            below = (sub_max[ended[inner]] - depth)[:, None]
+            above = (sub_min[ended[inner]] - depth)[:, None]
+            shortfall = np.maximum(np.maximum(left - below, above - left), 0)
+            ok[inner] = (rows[ending[inner]] + shortfall).min(axis=1) <= k
+            pruned_length += len(ok) - np.count_nonzero(ok)
+        if 0 <= n - depth + k < width:
+            # Column n is in the band: collect terminals within k.
+            distances = rows[ending, n - depth + k]
+            hits = np.flatnonzero(ok & (terminal > 0) & (distances <= k))
+            for sid, distance, count in zip(
+                    terminal_sid[ended[hits]].tolist(),
+                    distances[hits].tolist(), terminal[hits].tolist()):
+                matches.append(TrieMatch(strings[sid], distance, count))
+        done, done_rows = ended[ok], rows[ending[ok]]
+        alive[ending] = False
+        nodes, cursor, end, rows = \
+            nodes[alive], cursor[alive], end[alive], rows[alive]
 
-        multiplicity = terminal_count[node]
-        if multiplicity and depth - k <= n <= depth + k:
-            distance = rows[depth][n]
-            if distance <= k:
-                matches.append(TrieMatch(
-                    strings[terminal_sid[node]], distance, multiplicity
-                ))
-
-        for slot in range(child_end - 1, child_start - 1, -1):
-            push((child_ids[slot], depth))
-
-    stats.nodes_visited += nodes_visited
-    stats.symbols_processed += symbols_total
-    stats.branches_pruned_by_length += pruned_length
-    stats.branches_pruned_by_frequency += pruned_frequency
-    stats.matches += len(matches)
-
-    matches.sort(key=lambda match: match.string)
+    settle()
     return matches
+
+
+def _advance(rows: np.ndarray, mismatch: np.ndarray, band: np.ndarray,
+             cap: int) -> np.ndarray:
+    """Every frontier band one depth deeper, capped at ``cap``.
+
+    Moving down one depth shifts the band one column right, so cell b
+    takes its diagonal from cell b and its deletion from cell b + 1 of
+    the previous band. Insertions chain along the new band, which a
+    running minimum over ``cell[b] - b`` resolves. Capping at ``k + 1``
+    keeps every value that can still matter exact.
+    """
+    out = rows + mismatch
+    np.minimum(out[:, :-1], rows[:, 1:] + 1, out=out[:, :-1])
+    out -= band
+    out = np.minimum.accumulate(out, axis=1)
+    out += band
+    return np.minimum(out, cap, out=out)

@@ -267,7 +267,6 @@ class ScanProbe:
 
     def run(self, corpus: CompiledCorpus, query: str, k: int, *,
             counters: dict, deadline: Deadline | Budget | None = None,
-            scratch: list | None = None,
             chunk: tuple[int | None, int | None] = (None, None)
             ) -> list[Match]:
         lo, hi = chunk

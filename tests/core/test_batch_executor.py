@@ -35,9 +35,6 @@ pytestmark = pytest.mark.filterwarnings(
 
 DATASET = ["Berlin", "Bern", "Ulm", "Hamburg", "Bremen", "Bonn", "Bern"]
 
-#: Counters describing the serial path's scratch reuse, not work done.
-SCRATCH_COUNTERS = ("trie.rows_allocated", "trie.bank_reuses")
-
 PROBES = {
     "scan": lambda dataset, **options:
         BatchScanExecutor(CompiledCorpus(dataset), **options),
@@ -65,12 +62,6 @@ def runner(request):
 def reference_rows(queries, k, dataset=DATASET):
     searcher = SequentialScanSearcher(dataset, kernel="reference")
     return [tuple(searcher.search(query, k)) for query in queries]
-
-
-def work_counters(executor):
-    return {name: value
-            for name, value in executor.counters_snapshot().items()
-            if name not in SCRATCH_COUNTERS}
 
 
 class TestProbeProtocol:
@@ -174,7 +165,7 @@ class TestSearchMany:
         query = city_names[0]
         assert fanned.search_many([query], 2, runner=runner) == \
             serial.search_many([query], 2)
-        assert work_counters(fanned) == work_counters(serial)
+        assert fanned.counters_snapshot() == serial.counters_snapshot()
         assert fanned.stats == serial.stats
         assert fanned.hists_snapshot().keys() == \
             serial.hists_snapshot().keys()
@@ -188,7 +179,7 @@ class TestSearchMany:
         pooled = make_executor(city_names, cache_size=0)
         assert pooled.search_many(queries, 2, runner=runner) == \
             serial.search_many(queries, 2)
-        assert work_counters(pooled) == work_counters(serial)
+        assert pooled.counters_snapshot() == serial.counters_snapshot()
         assert pooled.stats == serial.stats
         for name, hist in pooled.hists_snapshot().items():
             assert hist.count == serial.hists_snapshot()[name].count
@@ -283,9 +274,9 @@ class TestSharedAcrossThreads:
         assert executor.stats.queries_seen == total
         assert executor.stats.unique_queries == total
         assert executor.stats.scans_executed == total
-        assert work_counters(executor) == {
+        assert executor.counters_snapshot() == {
             name: value * self.THREADS
-            for name, value in work_counters(serial).items()}
+            for name, value in serial.counters_snapshot().items()}
         for hist in executor.hists_snapshot().values():
             assert hist.count == total
 

@@ -136,26 +136,6 @@ class TestWorkloadExecution:
 
 
 class TestConcurrentSearch:
-    def test_flat_row_bank_is_per_thread(self):
-        # The flat path reuses DP row buffers across queries; services
-        # cache one searcher per shard and run concurrent submits
-        # through it, so the scratch must be thread-local — a shared
-        # bank lets two in-flight searches corrupt each other's rows.
-        import threading
-
-        searcher = IndexedSearcher(DATASET, index="flat")
-        banks = {}
-
-        def grab(name):
-            searcher.search("Bern", 1)
-            banks[name] = searcher._thread_row_bank()
-
-        thread = threading.Thread(target=grab, args=("other",))
-        thread.start()
-        thread.join()
-        grab("main")
-        assert banks["main"] is not banks["other"]
-
     def test_shared_flat_searcher_is_safe_across_threads(self):
         import threading
 

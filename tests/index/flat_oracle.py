@@ -15,6 +15,8 @@ from repro.data.alphabet import Alphabet
 from repro.index.compressed import CompressedTrie
 from repro.index.trie import PrefixTrie
 
+INT64_MAX = 2**63 - 1
+
 #: Every field a :class:`FlatTrie` holds besides its alphabet.
 FIELDS = (
     "_label_offsets", "_label_codes", "_child_offsets", "_child_ids",
@@ -89,7 +91,10 @@ def freeze(trie: PrefixTrie | CompressedTrie,
         "_child_ids": tuple(child_ids),
         "_child_first": tuple(label_codes[label_offsets[child]]
                               for child in child_ids),
-        "_sub_min": tuple(n.subtree_min_length for n in order),
+        # The empty root's 2**63 "no strings yet" bound does not fit
+        # an int64 array, which stores its largest value instead.
+        "_sub_min": tuple(min(n.subtree_min_length, INT64_MAX)
+                          for n in order),
         "_sub_max": tuple(n.subtree_max_length for n in order),
         "_terminal_count": tuple(n.terminal_count for n in order),
         "_terminal_sid": tuple(terminal_sid),
@@ -104,8 +109,15 @@ def freeze(trie: PrefixTrie | CompressedTrie,
 
 
 def fields_of(flat) -> dict:
-    """The same mapping, read off a built :class:`FlatTrie`."""
+    """The same mapping, read off a built :class:`FlatTrie`.
+
+    Its int64 arrays are read out as tuples of Python ints, the
+    currency of :func:`freeze`.
+    """
     found = {name: getattr(flat, name) for name in FIELDS}
+    for name, value in found.items():
+        if hasattr(value, "tolist"):
+            found[name] = tuple(value.tolist())
     found["alphabet"] = flat.alphabet.symbols \
         if flat.alphabet is not None else None
     return found

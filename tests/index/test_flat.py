@@ -138,15 +138,12 @@ class TestSearch:
         with pytest.raises(InvalidThresholdError):
             flat_similarity_search(FlatTrie(["a"]), "a", -1)
 
-    def test_row_bank_reuse_keeps_results_stable(self):
+    def test_repeated_searches_are_stable(self):
         flat = FlatTrie(CITY_SAMPLE)
-        bank = []
-        first = flat_similarity_search(flat, "Berlino", 2, row_bank=bank)
-        assert bank  # rows were parked for reuse
-        second = flat_similarity_search(flat, "Hamm", 3, row_bank=bank)
-        third = flat_similarity_search(flat, "Berlino", 2, row_bank=bank)
-        assert first == third
-        assert second == flat_similarity_search(flat, "Hamm", 3)
+        first = flat_similarity_search(flat, "Berlino", 2)
+        second = flat_similarity_search(flat, "Hamm", 3)
+        assert flat_similarity_search(flat, "Berlino", 2) == first
+        assert flat_similarity_search(flat, "Hamm", 3) == second
 
 
 class TestStatsParity:

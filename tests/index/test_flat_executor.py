@@ -47,7 +47,7 @@ class TestSharedExecutor:
     # The dedup/memo/fan-out contract both executors share lives in
     # tests/core/test_batch_executor.py.
     def test_process_fanout_through_the_searcher(self):
-        # The flat trie is plain tuples, so it must survive pickling
+        # The flat trie is plain arrays, so it must survive pickling
         # into pool workers and answer identically there.
         searcher = FlatIndexSearcher(FlatTrie(DATASET), cache_size=0)
         queries = ["Bern", "Hamburk", "Bremen", "Ulm"]
@@ -57,16 +57,18 @@ class TestSharedExecutor:
             )
         assert list(fanned.rows) == reference_rows(queries, 2)
 
-    def test_row_bank_counters_on_one_thread(self):
+    def test_counters_are_work_counts_only(self):
         executor = BatchIndexExecutor(FlatTrie(DATASET), cache_size=0)
         executor.search("Bern", 1)
         first = executor.counters_snapshot()
-        assert first["trie.rows_allocated"] > 0
-        assert "trie.bank_reuses" not in first
-        executor.search_many(["Bern", "Ulm"], 1)
+        assert set(first) == {
+            "trie.searches", "trie.nodes_visited", "trie.symbols_processed",
+            "trie.branches_pruned_by_length",
+            "trie.branches_pruned_by_frequency", "trie.matches"}
+        executor.search_many(["Bern", "Bern"], 1)
         after = executor.counters_snapshot()
-        assert after["trie.rows_allocated"] == first["trie.rows_allocated"]
-        assert after["trie.bank_reuses"] == 2
+        # The repeat is deduplicated: one more descent, the same work.
+        assert after == {name: 2 * value for name, value in first.items()}
 
 
 class TestFlatIndexSearcher:
@@ -112,10 +114,8 @@ class TestFlatIndexSearcher:
 
 def test_shared_executor_is_safe_across_threads(city_names):
     # Services cache one searcher per shard and run concurrent
-    # submits through it. The DP row bank is scratch a descent
-    # writes into at every depth, so it must be per thread: a
-    # shared bank lets two in-flight descents corrupt each other's
-    # rows and return wrong matches.
+    # submits through it: in-flight descents must neither share
+    # state nor lose work counts.
     searcher = FlatIndexSearcher(city_names, cache_size=0)
     reference = SequentialScanSearcher(city_names)
     queries = [name[:-1] + "x" for name in city_names[:40]]
@@ -140,13 +140,10 @@ def test_shared_executor_is_safe_across_threads(city_names):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    # Each thread allocated its own bank once and reused it after.
     single = FlatIndexSearcher(city_names, cache_size=0)
     for query in queries:
         single.search(query, 2)
-    counters = searcher.counters_snapshot()
     alone = single.counters_snapshot()
-    assert counters["trie.searches"] == 4 * len(queries)
-    assert counters["trie.rows_allocated"] == \
-        4 * alone["trie.rows_allocated"]
-    assert counters["trie.bank_reuses"] == 4 * alone["trie.bank_reuses"]
+    assert alone["trie.searches"] == len(queries)
+    assert searcher.counters_snapshot() == {
+        name: 4 * value for name, value in alone.items()}

@@ -21,6 +21,7 @@ from repro.service import (
     Service,
     default_ladder,
 )
+from repro.service.sharding import STRATEGY_PLAN_KIND
 
 DATASET = ["Berlin", "Berlyn", "Bern", "Merlin", "Ulm", "Hamburg"] * 4
 
@@ -48,7 +49,9 @@ class TestLadderFallback:
         result = service.submit("Berlino", 2)
         assert result.status == "complete"
         assert result.verified
-        assert result.plan == "flat"
+        # The planner's choice is the rung that answered.
+        choice = service.planner.plan_queries(["Berlino"], 2).strategy
+        assert result.plan == STRATEGY_PLAN_KIND[choice]
 
     def test_results_verified_correct_down_the_ladder(self):
         # Whatever rung answers, an exact-status result must equal the
