@@ -6,7 +6,7 @@ a stream of :class:`QueryExemplar` records:
 
 * a **ring buffer** (``capacity`` entries, oldest evicted first) of
   every exemplar that cleared the ``threshold`` — plus every *event*
-  exemplar (degrades, retries, overloads) the service force-records
+  exemplar (degrades, expiries, overloads) the service force-records
   regardless of latency;
 * a **top-N heap** of the slowest queries ever seen, so the worst
   offenders survive even after the ring has wrapped.
@@ -65,7 +65,7 @@ class QueryExemplar:
         Matches returned (-1 when the query did not complete).
     kind:
         ``"slow"`` for threshold/top-N captures; service events use
-        their ladder label (``"degraded"``, ``"retry"``,
+        their ladder label (``"degraded"``, ``"candidates"``,
         ``"overload"``, ``"deadline"``, ``"partial"``).
     stages:
         Per-stage timings, ``{stage_name: seconds}`` — the span-level
@@ -73,7 +73,7 @@ class QueryExemplar:
     counters:
         The query's own work-counter delta (``scan.*`` / ``trie.*``).
     note:
-        Free-form context (the ladder's plan name, the retry rung...).
+        Free-form context (the ladder's plan name and rung...).
     trace_id:
         The request trace this query belonged to (empty outside a
         trace). The join key into the event log and the exported span

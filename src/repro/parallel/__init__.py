@@ -33,7 +33,6 @@ from repro.parallel.executor import (
 from repro.parallel.metrics import SimulationResult, UtilizationSample
 from repro.parallel.partition import (
     balanced_chunks,
-    partition_dataset,
     round_robin_chunks,
 )
 from repro.parallel.simulator import (
@@ -58,7 +57,6 @@ __all__ = [
     "FixedPoolStrategy",
     "AdaptiveStrategy",
     "balanced_chunks",
-    "partition_dataset",
     "round_robin_chunks",
     "SerialRunner",
     "ThreadPoolRunner",

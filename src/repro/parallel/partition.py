@@ -37,30 +37,6 @@ def balanced_chunks(items: Sequence[T], chunks: int) -> list[list[T]]:
     return result
 
 
-def partition_dataset(items: Sequence[T], shards: int, *,
-                      scheme: str = "round_robin") -> list[list[T]]:
-    """Split a *dataset* (not a query batch) into ``shards`` parts.
-
-    Used by :class:`repro.service.ShardedCorpus` to spread the corpus
-    over independently searchable shards. ``"round_robin"`` (default)
-    interleaves so shards see statistically similar length/prefix
-    mixes — important when a deadline aborts lagging shards, since each
-    completed shard should be a representative sample. ``"balanced"``
-    keeps contiguous runs (better prefix locality per shard).
-
-    >>> partition_dataset(["a", "b", "c"], 2)
-    [['a', 'c'], ['b']]
-    """
-    if scheme == "round_robin":
-        return round_robin_chunks(items, shards)
-    if scheme == "balanced":
-        return balanced_chunks(items, shards)
-    raise ParallelismError(
-        f"unknown partition scheme {scheme!r}; "
-        "expected 'round_robin' or 'balanced'"
-    )
-
-
 def round_robin_chunks(items: Sequence[T], chunks: int) -> list[list[T]]:
     """Deal ``items`` round-robin over ``chunks`` lists.
 

@@ -13,10 +13,11 @@ answer must arrive *by then*". It composes four mechanisms:
   :class:`repro.service.sharding.ShardedCorpus`, so an expiring
   deadline only forfeits the shards that had not finished;
 * **a degradation ladder** — an ordered tuple of plans
-  (:mod:`repro.service.plans`); when a rung raises, the service backs
-  off (bounded exponential, capped by the remaining wall-clock
-  deadline) and tries the next rung, down to a filter-only pass that
-  always answers;
+  (:mod:`repro.service.plans`); when a rung raises — its deadline
+  expired, or a :class:`repro.exceptions.ReproError` — the service
+  runs the next rung, down to a filter-only pass that always answers.
+  A rung is never retried: it is a pure function of immutable shards,
+  so a second try fails the same way;
 * **observability** — ``service.*`` counters and per-attempt spans
   through :mod:`repro.obs`, and a :meth:`Service.report` that emits
   the standard validated :class:`repro.obs.SearchReport` with
@@ -35,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.deadline import Budget, Deadline
 from repro.core.planner import Planner, PlannerPolicy
@@ -75,7 +76,6 @@ SERVICE_COUNTERS = (
     "service.partial",
     "service.candidates",
     "service.deadline_expirations",
-    "service.retries",
     "service.attempts",
     "service.corpus_refreshes",
     "service.corpus_rebases",
@@ -83,15 +83,6 @@ SERVICE_COUNTERS = (
 
 #: Default bounded-queue capacity (concurrent in-flight submits).
 DEFAULT_CAPACITY = 8
-
-#: Default extra attempts per rung after the first.
-DEFAULT_RETRY_BUDGET = 1
-
-#: Exponential backoff: first retry sleeps ``base``, then doubles.
-DEFAULT_BACKOFF_BASE = 0.005
-
-#: Backoff never exceeds this many seconds per sleep.
-DEFAULT_BACKOFF_CAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -153,26 +144,17 @@ class Service:
     capacity:
         Maximum concurrent in-flight submits; the bounded queue. A
         submit beyond it raises :class:`ServiceOverloaded` immediately.
-    retry_budget:
-        Extra attempts per rung after the first, for transient errors.
-        Deadline expiry never retries the same rung — it degrades.
-    backoff_base / backoff_cap:
-        Bounded exponential backoff between retries, in seconds; each
-        sleep is additionally capped by the remaining wall-clock
-        deadline.
     plans:
         The degradation ladder, best rung first. Defaults to
         :func:`repro.service.plans.default_ladder`. Injectable for
         tests (any object with ``name`` and
         ``run(corpus, query, k, deadline)``).
-    scheme:
-        Dataset partition scheme (see :class:`ShardedCorpus`).
     metrics:
         Optional :class:`repro.obs.MetricsRegistry` for timers; the
         always-on ``service.*`` counters do not need it.
     recorder:
         Optional :class:`repro.obs.FlightRecorder`. Every degradation
-        event — deadline expiry, retry, overload rejection, degraded
+        event — deadline expiry, overload rejection, degraded
         or partial answer — force-records an exemplar (the ladder's
         audit trail), and slow complete submits compete for the
         slowlog like any engine query. Exemplars carry the ambient
@@ -188,8 +170,6 @@ class Service:
         Optional :class:`repro.obs.EventLog` receiving ``admission``,
         ``ladder_rung`` and ``corpus_rebase`` lines, each stamped with
         the ambient trace_id.
-    sleep:
-        Injectable sleep function (tests pass a recorder).
 
     Examples
     --------
@@ -204,43 +184,30 @@ class Service:
     def __init__(self, dataset: Iterable[str] | ShardedCorpus, *,
                  shards: int = 4,
                  capacity: int = DEFAULT_CAPACITY,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
                  plans: Sequence | None = None,
-                 scheme: str = "round_robin",
                  metrics: MetricsRegistry | None = None,
                  recorder: FlightRecorder | None = None,
                  tracer: Tracer | None = None,
-                 events: EventLog | None = None,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
+                 events: EventLog | None = None) -> None:
         if capacity < 1:
             raise ReproError(
                 f"capacity must be positive, got {capacity}"
             )
-        if retry_budget < 0:
-            raise ReproError(
-                f"retry_budget must be >= 0, got {retry_budget}"
-            )
         if isinstance(dataset, ShardedCorpus):
             self._corpus = dataset
         else:
-            self._corpus = ShardedCorpus(dataset, shards, scheme=scheme)
+            self._corpus = ShardedCorpus(dataset, shards)
         self._plans = tuple(plans) if plans is not None \
             else default_ladder()
         if not self._plans:
             raise ReproError("the plan ladder must have at least one rung")
         self._capacity = capacity
-        self._retry_budget = retry_budget
-        self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
         self._slots = threading.BoundedSemaphore(capacity)
         self._in_flight = 0
         self._metrics = metrics if metrics is not None else NULL
         self._recorder = recorder
         self._tracer = tracer
         self._events = events
-        self._sleep = sleep
         self._counters = dict.fromkeys(SERVICE_COUNTERS, 0)
         self._hists = {"service.submit_seconds": Histogram()}
         self._counters_lock = threading.Lock()
@@ -395,7 +362,7 @@ class Service:
         """Force-record a ladder event on the flight recorder, if any.
 
         Forced records bypass the latency threshold — every degrade,
-        retry, expiry and overload leaves an exemplar; the recorder's
+        expiry and overload leaves an exemplar; the recorder's
         ring is bounded, so this stays safe always-on.
         """
         recorder = self._recorder
@@ -511,19 +478,6 @@ class Service:
                 if getattr(plan, "name", "") != hint]
         return tuple(promoted + rest)
 
-    def _backoff(self, retry: int,
-                 deadline: Deadline | Budget | None) -> None:
-        """Sleep before a retry: bounded exponential, deadline-capped."""
-        delay = min(self._backoff_cap,
-                    self._backoff_base * (2 ** retry))
-        if isinstance(deadline, Deadline):
-            remaining = deadline.remaining()
-            if remaining <= 0:
-                return
-            delay = min(delay, remaining)
-        if delay > 0:
-            self._sleep(delay)
-
     def _traced_ladder(self, request: SearchRequest,
                        started: float) -> ServiceResult:
         """Run the ladder inside a request span.
@@ -564,72 +518,56 @@ class Service:
         plans = self._ordered_plans(request)
         ladder_note = self._ladder_note(plans)
         best_partial: tuple[Match, ...] | None = None
-        attempts = 0
         for rung, plan in enumerate(plans):
             name = getattr(plan, "name", plan.__class__.__name__)
-            for retry in range(self._retry_budget + 1):
-                attempts += 1
-                self._count("service.attempts")
-                try:
-                    section = f"service.attempt[{name}]"
-                    with self._metrics.timer(section), \
-                            trace_span(section, {"rung": str(rung),
-                                                 "retry": str(retry)}):
-                        outcome = plan.run(self._corpus, query, k,
-                                           deadline)
-                except DeadlineExceeded as error:
-                    self._count("service.deadline_expirations")
-                    partial = tuple(error.partial)
-                    if best_partial is None \
-                            or len(partial) > len(best_partial):
-                        best_partial = partial
-                    self._record_event(
-                        query, k, time.perf_counter() - started,
-                        "deadline", matches=len(partial),
-                        note=f"plan={name}, rescued {len(partial)} "
-                             f"partial matches ({ladder_note})",
-                    )
-                    self._emit_event("ladder_rung", rung=rung,
-                                     plan=name, outcome="deadline",
-                                     rescued=len(partial))
-                    break  # expiry degrades; retrying the rung cannot help
-                except ReproError:
-                    if retry >= self._retry_budget:
-                        self._emit_event("ladder_rung", rung=rung,
-                                         plan=name, outcome="error")
-                        break
-                    self._count("service.retries")
-                    self._record_event(
-                        query, k, time.perf_counter() - started,
-                        "retry",
-                        note=f"plan={name}, retry {retry + 1} of "
-                             f"{self._retry_budget} ({ladder_note})",
-                    )
-                    self._backoff(retry, deadline)
-                    continue
-                if not outcome.verified:
-                    status, counter = "candidates", "service.candidates"
-                elif rung == 0:
-                    status, counter = "complete", "service.completed"
-                else:
-                    status, counter = "degraded", "service.degraded"
-                self._count(counter)
-                self._emit_event("ladder_rung", rung=rung, plan=name,
-                                 outcome=status,
-                                 matches=len(outcome.matches))
-                if status != "complete":
-                    self._record_event(
-                        query, k, time.perf_counter() - started,
-                        status, matches=len(outcome.matches),
-                        note=f"plan={outcome.plan}, rung {rung} "
-                             f"({ladder_note})",
-                    )
-                return ServiceResult(
-                    query=query, k=k, status=status,
-                    matches=tuple(outcome.matches),
-                    verified=outcome.verified,
-                    plan=outcome.plan, attempts=attempts,
+            self._count("service.attempts")
+            try:
+                section = f"service.attempt[{name}]"
+                with self._metrics.timer(section), \
+                        trace_span(section, {"rung": str(rung)}):
+                    outcome = plan.run(self._corpus, query, k, deadline)
+            except DeadlineExceeded as error:
+                self._count("service.deadline_expirations")
+                partial = tuple(error.partial)
+                if best_partial is None or len(partial) > len(best_partial):
+                    best_partial = partial
+                self._record_event(
+                    query, k, time.perf_counter() - started,
+                    "deadline", matches=len(partial),
+                    note=f"plan={name}, rescued {len(partial)} "
+                         f"partial matches ({ladder_note})",
                 )
+                self._emit_event("ladder_rung", rung=rung, plan=name,
+                                 outcome="deadline", rescued=len(partial))
+                continue
+            except ReproError:
+                # Rungs are pure functions of immutable shards: a second
+                # try fails the same way, so an error degrades too.
+                self._emit_event("ladder_rung", rung=rung, plan=name,
+                                 outcome="error")
+                continue
+            if not outcome.verified:
+                status, counter = "candidates", "service.candidates"
+            elif rung == 0:
+                status, counter = "complete", "service.completed"
+            else:
+                status, counter = "degraded", "service.degraded"
+            self._count(counter)
+            self._emit_event("ladder_rung", rung=rung, plan=name,
+                             outcome=status, matches=len(outcome.matches))
+            if status != "complete":
+                self._record_event(
+                    query, k, time.perf_counter() - started,
+                    status, matches=len(outcome.matches),
+                    note=f"plan={outcome.plan}, rung {rung} "
+                         f"({ladder_note})",
+                )
+            return ServiceResult(
+                query=query, k=k, status=status,
+                matches=tuple(outcome.matches),
+                verified=outcome.verified,
+                plan=outcome.plan, attempts=rung + 1,
+            )
         # Every rung failed. Surface the best verified partial (it is
         # still a strict subset of the exact answer).
         self._count("service.partial")
@@ -637,14 +575,15 @@ class Service:
         self._record_event(
             query, k, time.perf_counter() - started, "partial",
             matches=len(matches),
-            note=f"every rung failed after {attempts} attempts "
+            note=f"every rung failed after {len(plans)} attempts "
                  f"({ladder_note})",
         )
         self._emit_event("ladder_rung", rung=len(plans), plan="",
                          outcome="partial", matches=len(matches))
         return ServiceResult(
             query=query, k=k, status="partial",
-            matches=matches, verified=True, plan="", attempts=attempts,
+            matches=matches, verified=True, plan="",
+            attempts=len(plans),
         )
 
     # ----------------------------------------------------------------

@@ -5,8 +5,8 @@ everything past the abort point. Sharding changes the failure mode:
 the corpus is partitioned into ``shards`` independently searchable
 pieces, each shard answers in full or not at all, and an expiry only
 costs the shards that had not finished — every completed shard's
-matches are exact and keepable. With the default round-robin scheme
-each shard is a statistically representative sample of the corpus, so
+matches are exact and keepable. Strings are dealt round-robin, so
+each shard is a statistically representative sample of the corpus, and
 even a heavily truncated answer covers the whole key space rather than
 one contiguous slice of it.
 
@@ -37,7 +37,7 @@ from repro.core.searcher import Searcher
 from repro.core.sequential import SequentialScanSearcher
 from repro.exceptions import DeadlineExceeded, ReproError
 from repro.obs.tracing import trace_span
-from repro.parallel.partition import partition_dataset
+from repro.parallel.partition import round_robin_chunks
 
 #: Plan kinds a shard can serve, mapping 1:1 onto the library's
 #: searchers (see :meth:`ShardedCorpus.searcher_for`).
@@ -115,10 +115,7 @@ class ShardedCorpus:
         shards as a small overlay and is folded into a fresh
         partitioning only once it has grown (see :meth:`refresh`).
     shards:
-        Number of partitions (``>= 1``).
-    scheme:
-        ``"round_robin"`` (default; shards sample the corpus evenly)
-        or ``"balanced"`` (contiguous runs, better prefix locality).
+        Number of partitions (``>= 1``); strings are dealt round-robin.
     segment_dir:
         Optional directory of per-shard segment files (see
         :mod:`repro.speed`). With it set, the ``"compiled"`` plan
@@ -141,7 +138,6 @@ class ShardedCorpus:
     """
 
     def __init__(self, dataset: Iterable[str], shards: int = 4, *,
-                 scheme: str = "round_robin",
                  segment_dir: str | None = None) -> None:
         from repro.live.facade import Corpus
 
@@ -159,7 +155,6 @@ class ShardedCorpus:
             strings = tuple(dataset)
         self._live = self._source is not None and self._source.mutable
         self._shards = shards
-        self._scheme = scheme
         self._segment_dir = segment_dir
         self._refresh_lock = threading.Lock()
         self._view = self._rebased(strings, generation=0, folded=0)
@@ -171,10 +166,8 @@ class ShardedCorpus:
         The one place a partitioning is made: construction and every
         rebase go through here.
         """
-        parts = [
-            tuple(part) for part in
-            partition_dataset(strings, self._shards, scheme=self._scheme)
-        ]
+        parts = [tuple(part)
+                 for part in round_robin_chunks(strings, self._shards)]
         members = frozenset(strings) if self._live else None
         return _ShardView(strings, _Base(parts, members, len(strings),
                                          generation, folded))
@@ -257,7 +250,6 @@ class ShardedCorpus:
         base = view.base
         return {
             "shards": len(base.parts),
-            "scheme": self._scheme,
             "strings": len(view.strings),
             "base": base.size,
             "added": len(view.added),
@@ -270,11 +262,6 @@ class ShardedCorpus:
     def shard_count(self) -> int:
         """Number of partitions of the base (the overlay is not one)."""
         return len(self._view.base.parts)
-
-    @property
-    def scheme(self) -> str:
-        """The partitioning scheme in use."""
-        return self._scheme
 
     def shard(self, index: int) -> tuple[str, ...]:
         """The strings of one shard of the *base* partitioning.

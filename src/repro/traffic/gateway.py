@@ -252,8 +252,8 @@ class AsyncService:
         With a tracer attached, each call mints a fresh root context:
         the whole submit becomes one ``gateway.submit`` span whose
         children cover the cache probe and the execution path, across
-        the event-loop-to-thread (and, under process pools, the
-        thread-to-process) boundary — one tree per request. The shed
+        the event-loop-to-thread boundary (into the ladder's executor
+        thread or a pool worker) — one tree per request. The shed
         decision rides the context's baggage (``shed=admit|degrade``),
         which is how ladder exemplars learn about it downstream.
         """

@@ -4,21 +4,25 @@ The service executes a submit inline on the caller's thread; a traffic
 gateway needs the opposite — callers enqueue and *workers* execute, so
 arrival rate and service rate decouple and a queue forms where the
 backlog is measurable. :class:`ShardPools` gives every shard of a
-:class:`repro.service.ShardedCorpus` its own bounded crew of workers:
+:class:`repro.service.ShardedCorpus` its own bounded crew of worker
+threads.
 
-* **batch draining** — a worker that wakes up does not take one task;
-  it drains up to ``batch_limit`` queued tasks and serves them through
-  the shard's :class:`repro.scan.executor.BatchScanExecutor` in one
-  call, so a backlog is answered with the batch machinery's amortized
-  costs (duplicate queries deduplicated, the vectorized kernel fed
-  whole buckets, the result memo warm). On a single-core host this —
-  not parallel scheduling — is where the pool's throughput advantage
-  over one-task-per-wakeup service comes from, and the deeper the
-  backlog the bigger the amortization; the bench reports it as such.
-* **zero-copy handoff** — with ``kind="process"``, workers are
-  processes primed with a :class:`repro.speed.SegmentRef`: each child
-  mmaps the shard's segment file instead of unpickling a private
-  corpus copy, so N workers cost ~1x resident corpus memory.
+A worker that wakes up does not take one task; it drains up to
+``batch_limit`` queued tasks and serves them in one ``search_many``
+call on the shard's own compiled searcher —
+``ShardedCorpus.searcher_for("compiled", i)``, the object the ladder's
+``compiled`` rung uses. A backlog is thus answered with the batch
+machinery's amortized costs (duplicate queries deduplicated, the
+vectorized kernel fed whole buckets, the result memo warm). On a
+single-core host this — not parallel scheduling — is where the pool's
+throughput advantage over one-task-per-wakeup service comes from, and
+the deeper the backlog the bigger the amortization.
+
+The crews hold no compiled state of their own: pools and a service over
+one sharded corpus compile each shard once, and a corpus built with
+``segment_dir=`` serves the crews from its mmap'd shard segments.
+Process parallelism lives in the batch runners
+(``search_many(runner=ProcessPoolRunner(n))``), not here.
 
 A submit returns a :class:`PoolTicket`; ticket resolution mirrors the
 sharding failure mode — every shard answers in full or not at all, and
@@ -28,25 +32,23 @@ queue (``status="partial"``, verified matches kept).
 
 from __future__ import annotations
 
-import os
 import queue as queue_module
 import threading
 from time import perf_counter, time
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.deadline import Deadline
 from repro.core.request import SearchRequest
 from repro.exceptions import ReproError
 from repro.obs.hist import Histogram
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import current_trace, worker_span
-from repro.scan.corpus import CompiledCorpus
-from repro.scan.executor import BatchScanExecutor
+from repro.obs.tracing import current_trace
 from repro.service.service import ServiceResult
 from repro.service.sharding import ShardedCorpus, merge_matches
 
-#: Worker-pool kinds.
-POOL_KINDS = ("thread", "process")
+#: Worker-pool kinds: the crews are threads. Process parallelism is
+#: :class:`repro.parallel.ProcessPoolRunner` under ``search_many``.
+POOL_KINDS = ("thread",)
 
 #: Default per-wakeup drain bound — deep enough for real amortization,
 #: bounded so one worker cannot starve its siblings of a whole backlog.
@@ -63,52 +65,6 @@ POOL_COUNTERS = (
     "pool.batches",
     "pool.batched_tasks",
 )
-
-
-# -- process-kind worker side -------------------------------------------
-
-_WORKER_EXECUTOR: BatchScanExecutor | None = None
-
-
-def _process_worker_init(segment_path: str) -> None:
-    """Prime one pool process: mmap the shard segment, build the executor.
-
-    Runs once per worker process. The :class:`repro.speed.SegmentRef`
-    resolves through the process-global segment cache, so the corpus
-    arrays are mmap views shared with every sibling worker.
-    """
-    global _WORKER_EXECUTOR
-    from repro.speed import SegmentRef
-
-    _WORKER_EXECUTOR = BatchScanExecutor(SegmentRef(segment_path).resolve())
-
-
-def _process_serve(queries: Sequence[str], k: int,
-                   traces: Sequence[Mapping | None] | None = None):
-    """Serve one drained batch inside a primed worker process.
-
-    ``traces`` ships one serialized :class:`repro.obs.tracing
-    .TraceContext` (or ``None``) per drained ticket. When absent the
-    return value keeps its original shape — the plain row list; when
-    present it becomes ``(rows, spans)``, where ``spans`` holds one
-    ``pool.worker.batch`` span dict per sampled ticket, stamped with
-    this worker's pid/tid so the trace export stitches the batch onto
-    the child process's lane.
-    """
-    if traces is None:
-        result = _WORKER_EXECUTOR.search_many(list(queries), k)
-        return list(result.rows)
-    wall = time()
-    started = perf_counter()
-    result = _WORKER_EXECUTOR.search_many(list(queries), k)
-    seconds = perf_counter() - started
-    spans: list[dict] = []
-    for shipped in traces:
-        spans.extend(worker_span(
-            "pool.worker.batch", shipped, wall, seconds,
-            tags={"queries": str(len(queries)), "k": str(k)},
-        ))
-    return list(result.rows), spans
 
 
 # -- tickets ------------------------------------------------------------
@@ -201,42 +157,12 @@ class PoolTicket:
 # -- the pools ----------------------------------------------------------
 
 class _ShardCrew:
-    """One shard's queue, workers and executor (thread or process)."""
+    """One shard's queue and worker threads."""
 
-    def __init__(self, shard: int, strings: tuple[str, ...], *,
-                 kind: str, process_workers: int,
-                 segment_path: str | None) -> None:
+    def __init__(self, shard: int) -> None:
         self.shard = shard
         self.queue: queue_module.Queue = queue_module.Queue()
         self.threads: list[threading.Thread] = []
-        self.process_pool = None
-        if not strings:
-            # Nothing to scan; tasks resolve to empty rows (mirrors
-            # ShardedCorpus.searcher_for returning None).
-            self.executor = None
-        elif kind == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.speed import load_or_build_corpus_segment
-
-            # Build (or reuse) the segment up front in the parent so
-            # worker inits only ever mmap an existing file.
-            load_or_build_corpus_segment(strings, segment_path)
-            self.segment_path = segment_path
-            self.executor = None
-            self.process_pool = ProcessPoolExecutor(
-                max_workers=process_workers,
-                initializer=_process_worker_init,
-                initargs=(segment_path,),
-            )
-        else:
-            if segment_path is not None:
-                from repro.speed import load_or_build_corpus_segment
-
-                corpus = load_or_build_corpus_segment(strings, segment_path)
-            else:
-                corpus = CompiledCorpus(strings)
-            self.executor = BatchScanExecutor(corpus)
 
     @property
     def workers(self) -> int:
@@ -250,25 +176,21 @@ class ShardPools:
     ----------
     corpus:
         The sharded data side (or the strings to shard here). The
-        crews compile the shards once, so a corpus over a mutable
+        crews answer through its cached ``"compiled"`` shard searchers,
+        built here once; a corpus over a mutable
         :class:`repro.live.Corpus` is refused: serve live data through
         the ladder (``AsyncService(service)`` with no pools), which
         follows the corpus across writes.
     shards:
         Shard count when building the corpus here.
     kind:
-        ``"thread"`` (workers scan in-process; default) or
-        ``"process"`` (workers scan in child processes primed with a
-        :class:`repro.speed.SegmentRef`; requires ``segment_dir``).
+        ``"thread"``, the only kind (:data:`POOL_KINDS`).
     workers_per_shard:
         Crew size per shard.
     batch_limit:
         Most tasks one worker drains per wakeup. ``1`` disables batch
         amortization — the static configuration benchmarks compare
         against.
-    segment_dir:
-        Directory of per-shard segment files (``shard-NNNN.seg``;
-        built on demand). Mandatory for ``kind="process"``.
     metrics:
         Optional registry mirroring the pool's counters and timers.
     """
@@ -278,16 +200,12 @@ class ShardPools:
                  kind: str = "thread",
                  workers_per_shard: int = 1,
                  batch_limit: int = DEFAULT_BATCH_LIMIT,
-                 segment_dir: str | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         if kind not in POOL_KINDS:
             raise ReproError(
-                f"unknown pool kind {kind!r}; expected one of {POOL_KINDS}"
-            )
-        if kind == "process" and segment_dir is None:
-            raise ReproError(
-                "process pools need segment_dir: workers attach via "
-                "SegmentRef, never by pickled corpus"
+                f"unknown pool kind {kind!r}; expected one of "
+                f"{POOL_KINDS} (for process parallelism pass "
+                "runner=ProcessPoolRunner(n) to search_many)"
             )
         if workers_per_shard < 1:
             raise ReproError(
@@ -302,13 +220,12 @@ class ShardPools:
             corpus = ShardedCorpus(corpus, shards)
         if corpus.source is not None and corpus.source.mutable:
             raise ReproError(
-                "ShardPools compiles its shards once and would keep "
-                "answering from this snapshot after the next write to "
-                "the live corpus; serve a live corpus through the "
-                "ladder instead (AsyncService(service) without pools=)"
+                "ShardPools serves its shards' searchers as built and "
+                "would keep answering from this snapshot after the next "
+                "write to the live corpus; serve a live corpus through "
+                "the ladder instead (AsyncService(service) without pools=)"
             )
         self._corpus = corpus
-        self._kind = kind
         self._batch_limit = batch_limit
         self._metrics = metrics
         self._counters = dict.fromkeys(POOL_COUNTERS, 0)
@@ -322,13 +239,10 @@ class ShardPools:
         self._stop = threading.Event()
         self._crews: list[_ShardCrew] = []
         for shard in range(corpus.shard_count):
-            path = None
-            if segment_dir is not None:
-                os.makedirs(segment_dir, exist_ok=True)
-                path = os.path.join(segment_dir, f"shard-{shard:04d}.seg")
-            crew = _ShardCrew(shard, corpus.shard(shard), kind=kind,
-                              process_workers=workers_per_shard,
-                              segment_path=path)
+            # Build before any worker runs, so the first tickets pay no
+            # compile and sibling workers never race to build it.
+            corpus.searcher_for("compiled", shard)
+            crew = _ShardCrew(shard)
             self._crews.append(crew)
             for _ in range(workers_per_shard):
                 thread = threading.Thread(target=self._worker,
@@ -342,11 +256,6 @@ class ShardPools:
     def corpus(self) -> ShardedCorpus:
         """The sharded data side."""
         return self._corpus
-
-    @property
-    def kind(self) -> str:
-        """``"thread"`` or ``"process"``."""
-        return self._kind
 
     @property
     def batch_limit(self) -> int:
@@ -382,7 +291,7 @@ class ShardPools:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Stop every worker and process pool (idempotent)."""
+        """Stop every worker (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -391,8 +300,6 @@ class ShardPools:
         for crew in self._crews:
             for thread in crew.threads:
                 thread.join()
-            if crew.process_pool is not None:
-                crew.process_pool.shutdown(wait=True)
 
     def __enter__(self) -> "ShardPools":
         return self
@@ -420,7 +327,7 @@ class ShardPools:
                  if tracer is not None and context is not None
                  and context.sampled else None)
         ticket = PoolTicket(request, self._corpus.shard_count,
-                            plan=f"pool[{self._kind}]", trace=trace)
+                            plan="pool[thread]", trace=trace)
         for crew in self._crews:
             crew.queue.put(ticket)
         return ticket
@@ -452,84 +359,44 @@ class ShardPools:
             self._count("pool.batched_tasks", len(batch))
 
     def _serve(self, crew: _ShardCrew, batch: list[PoolTicket]) -> None:
-        """Answer one drained batch, grouped by k for the batch scan.
+        """Answer one drained batch, grouped by k, on the shard searcher.
 
-        Sampled tickets get one ``pool.shard[N]`` span each (a child of
-        the submitting span, pre-minted here so process workers can
-        parent under it), and process crews ship one
-        ``pool.worker.batch`` span per sampled ticket back alongside
-        the rows.
+        ``None`` (an empty shard) answers every query with an empty row.
         """
+        searcher = self._corpus.searcher_for("compiled", crew.shard)
         by_k: dict[int, list[PoolTicket]] = {}
         for ticket in batch:
             by_k.setdefault(ticket.request.k, []).append(ticket)
         for k, tickets in by_k.items():
             queries = [ticket.request.query for ticket in tickets]
-            contexts = [
-                ticket.trace[1].child() if ticket.trace is not None
-                else None
-                for ticket in tickets
-            ]
-            traced = any(context is not None for context in contexts)
             wall = time()
             started = perf_counter()
-            spans: Sequence[Mapping] = ()
             try:
-                if crew.process_pool is None and crew.executor is None:
-                    rows = [() for _ in queries]
-                elif crew.process_pool is not None:
-                    if traced:
-                        shipped = [
-                            context.to_dict() if context is not None
-                            else None
-                            for context in contexts
-                        ]
-                        rows, spans = crew.process_pool.submit(
-                            _process_serve, queries, k, shipped).result()
-                    else:
-                        rows = crew.process_pool.submit(
-                            _process_serve, queries, k).result()
-                else:
-                    rows = list(
-                        crew.executor.search_many(queries, k).rows)
+                rows = (list(searcher.search_many(queries, k).rows)
+                        if searcher is not None else [() for _ in queries])
             except BaseException as error:
                 for ticket in tickets:
                     self._task_done(ticket._fail(crew.shard, error))
                 continue
-            if traced:
-                self._record_shard_spans(
-                    crew, tickets, contexts, wall,
-                    perf_counter() - started, len(queries), k, spans)
+            self._record_shard_spans(crew, tickets, wall,
+                                     perf_counter() - started, k)
             for ticket, row in zip(tickets, rows):
                 self._task_done(ticket._fulfill(crew.shard, row))
 
-    def _record_shard_spans(self, crew: _ShardCrew,
+    @staticmethod
+    def _record_shard_spans(crew: _ShardCrew,
                             tickets: Sequence[PoolTicket],
-                            contexts: Sequence,
-                            wall: float, seconds: float,
-                            batch: int, k: int,
-                            spans: Sequence[Mapping]) -> None:
-        """Record one shard span per sampled ticket, rejoin worker spans.
-
-        Worker spans carry their trace_id, so they fold back into the
-        tracer of whichever ticket shipped their parent context —
-        drained batches can mix tickets from different traces.
-        """
-        tracers = {}
-        for ticket, context in zip(tickets, contexts):
-            if context is None:
+                            wall: float, seconds: float, k: int) -> None:
+        """One ``pool.shard[N]`` span per sampled ticket, parented under
+        the span that submitted it (batches can mix traces)."""
+        for ticket in tickets:
+            if ticket.trace is None:
                 continue
-            tracer = ticket.trace[0]
-            tracers[context.trace_id] = tracer
+            tracer, context = ticket.trace
             tracer.record_span(
-                f"pool.shard[{crew.shard}]", context, wall, seconds,
-                tags={"kind": self._kind, "batch": str(batch),
-                      "k": str(k)},
+                f"pool.shard[{crew.shard}]", context.child(), wall,
+                seconds, tags={"batch": str(len(tickets)), "k": str(k)},
             )
-        for span in spans:
-            tracer = tracers.get(span.get("trace_id"))
-            if tracer is not None:
-                tracer.adopt((span,))
 
     def _task_done(self, finished_now: bool) -> None:
         if finished_now:

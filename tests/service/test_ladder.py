@@ -1,4 +1,4 @@
-"""The degradation ladder: fallbacks, retries, honest labels."""
+"""The degradation ladder: fallbacks and honest labels."""
 
 from dataclasses import dataclass, field
 
@@ -14,6 +14,7 @@ from repro.exceptions import (
     PartialResultError,
     ReproError,
 )
+from repro.obs.events import EventLog
 from repro.service import (
     BackendPlan,
     FilterOnlyPlan,
@@ -77,37 +78,23 @@ class TestLadderFallback:
         assert flaky.calls == 1  # expiry does not retry the same rung
         assert result.attempts == 2
 
-    def test_transient_error_retries_with_backoff(self):
-        sleeps = []
-        plan = ScriptedPlan("wobbly", failures=[ReproError("transient")])
-        service = Service(DATASET, plans=[plan], retry_budget=2,
-                          sleep=sleeps.append)
-        result = service.submit("Berlino", 2)
-        assert result.status == "complete"
-        assert plan.calls == 2
-        assert len(sleeps) == 1
-        assert sleeps[0] > 0
-
-    def test_backoff_is_bounded_exponential(self):
-        sleeps = []
-        plan = ScriptedPlan("wobbly", failures=[
-            ReproError("one"), ReproError("two"), ReproError("three"),
-        ])
-        service = Service(DATASET, plans=[plan], retry_budget=3,
-                          backoff_base=0.01, backoff_cap=0.025,
-                          sleep=sleeps.append)
-        service.submit("Berlino", 2)
-        assert sleeps == [0.01, 0.02, 0.025]  # doubling, then capped
-
-    def test_retry_budget_exhausted_falls_through(self):
+    def test_erroring_rung_degrades_without_retry(self):
+        # A rung is a pure function of immutable shards, so an error
+        # would only repeat: the rung runs once, the next one answers.
+        events = EventLog()
         always_down = ScriptedPlan("down", failures=[
             ReproError("boom")] * 10)
         solid = ScriptedPlan("solid")
         service = Service(DATASET, plans=[always_down, solid],
-                          retry_budget=1, sleep=lambda _: None)
+                          events=events)
         result = service.submit("Berlino", 2)
         assert result.status == "degraded"
-        assert always_down.calls == 2  # first try + one retry
+        assert result.plan == "solid"
+        assert always_down.calls == 1
+        assert result.attempts == 2
+        rungs = [event["outcome"] for event in events.events()
+                 if event["kind"] == "ladder_rung"]
+        assert rungs == ["error", "degraded"]
 
     def test_full_default_ladder_ends_in_candidates(self):
         service = Service(DATASET, shards=2)

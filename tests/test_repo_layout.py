@@ -9,11 +9,13 @@ own schema — the state this guard keeps from growing back.
 The scalar Myers recurrence is guarded the same way: it is written out
 in two files and no third (DESIGN.md, "Two copies of the recurrence").
 So are the planner strategy and the batch split that nothing measured
-could run (DESIGN.md, "Serving-layer decisions").
+could run (DESIGN.md, "Serving-layer decisions"), and the library surface
+the frozen e2e benchmark patches and calls.
 """
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 from repro.bench.registry import EXPERIMENTS
@@ -87,3 +89,31 @@ def test_the_planner_prices_only_what_the_engine_runs():
         for gone in ("PlanGroup", "_split_groups", "batch-split[",
                      "qgram"):
             assert gone not in text, f"{gone!r} is back in core/{name}"
+
+
+def test_the_e2e_benchmark_finds_what_it_patches_and_calls(monkeypatch):
+    # ``benchmarks/e2e`` is frozen: a simplification that deletes a
+    # method it traces, or a keyword its probes pass, breaks it there.
+    e2e = BENCHMARKS / "e2e"
+    monkeypatch.syspath_prepend(str(e2e))
+    fresh = "common" not in sys.modules  # layers.py imports its sibling
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "e2e_layers", e2e / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        points = layers.trace_points()
+    finally:
+        if fresh:
+            sys.modules.pop("common", None)
+    assert points
+    for owner, attribute, _ in points:
+        assert attribute in owner.__dict__, (owner, attribute)
+    # The two constructors the pools and sharding probes call.
+    from repro import IndexedSearcher
+    from repro.traffic import ShardPools
+
+    strings = ["Berlin", "Bern", "Ulm"]
+    with ShardPools(strings, shards=2, kind="thread"):
+        pass
+    IndexedSearcher(strings, index="flat")

@@ -1,13 +1,18 @@
 """Unit tests for the per-shard worker pools."""
 
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.core.deadline import Deadline
+from repro.core.planner import PlannerPolicy
 from repro.core.request import SearchRequest
 from repro.core.sequential import SequentialScanSearcher
 from repro.exceptions import ReproError
+from repro.scan.corpus import CompiledCorpus
+from repro.service.service import Service
 from repro.service.sharding import ShardedCorpus
 from repro.traffic.pools import ShardPools
 
@@ -112,23 +117,85 @@ class TestThreadPools:
             ShardPools(DATASET, workers_per_shard=0)
         with pytest.raises(ReproError):
             ShardPools(DATASET, batch_limit=0)
-        with pytest.raises(ReproError):
-            ShardPools(DATASET, kind="process")  # needs segment_dir
+        # Process parallelism is the batch runners', not the crews'.
+        with pytest.raises(ReproError, match="ProcessPoolRunner"):
+            ShardPools(DATASET, kind="process")
 
 
-class TestProcessPools:
-    def test_segment_ref_handoff_matches_reference(self, tmp_path):
-        pools = ShardPools(DATASET, shards=2, kind="process",
-                           segment_dir=str(tmp_path))
+class TestSharedShardSearchers:
+    """The crews answer through the corpus's own shard searchers."""
+
+    def test_service_and_pools_compile_each_shard_once(self, monkeypatch):
+        builds = []
+        build = CompiledCorpus.__init__
+
+        def counted(corpus, *args, **kwargs):
+            builds.append(1)
+            build(corpus, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledCorpus, "__init__", counted)
+        service = Service(DATASET, shards=2)
+        with ShardPools(service.corpus) as pools:
+            pooled = pools.submit(SearchRequest("Berlino", 2)) \
+                .result(timeout=30)
+        laddered = service.submit(
+            "Berlino", 2, plan=PlannerPolicy(strategy="compiled"))
+        assert laddered.plan == "compiled"
+        assert pooled.matches == laddered.matches \
+            == reference_row("Berlino", 2)
+        assert len(builds) == 2  # one per shard, shared by both paths
+
+    def test_segment_backed_shards_match_reference(self, tmp_path):
+        corpus = ShardedCorpus(DATASET, 2, segment_dir=str(tmp_path))
+        with ShardPools(corpus) as pools:
+            for query in QUERIES:
+                result = pools.submit(SearchRequest(query, 2)) \
+                    .result(timeout=30)
+                assert result.status == "complete"
+                assert result.matches == reference_row(query, 2)
+        # One segment file per shard, mmap-loaded on every later start.
+        segments = sorted(path.name for path in tmp_path.iterdir())
+        assert segments == ["shard-0000.seg", "shard-0001.seg"]
+
+    def test_ladder_and_crews_share_searchers_under_contention(self):
+        # Four ladder threads and three workers per shard hit the same
+        # shard searchers at once; a lost stats update or a torn memo
+        # row would show below.
+        service = Service(DATASET, shards=2)
+        compiled = PlannerPolicy(strategy="compiled")
+        jobs = [(query, k) for query in QUERIES for k in (1, 2)] * 4
+        answers: list = []
+        barrier = threading.Barrier(5)
+
+        def ladder():
+            barrier.wait(timeout=30)
+            for query, k in jobs[:10]:
+                answers.append(service.submit(query, k, plan=compiled))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            result = pools.submit(SearchRequest("Berlino", 2)) \
-                .result(timeout=60)
-            assert result.status == "complete"
-            assert result.matches == reference_row("Berlino", 2)
-            assert result.plan == "pool[process]"
-            # The zero-copy contract: one segment file per shard exists
-            # for workers to mmap.
-            segments = sorted(p.name for p in tmp_path.iterdir())
-            assert segments == ["shard-0000.seg", "shard-0001.seg"]
+            with ShardPools(service.corpus, workers_per_shard=3,
+                            batch_limit=4) as pools:
+                threads = [threading.Thread(target=ladder)
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                barrier.wait(timeout=30)
+                tickets = [pools.submit(SearchRequest(query, k))
+                           for query, k in jobs]
+                answers.extend(ticket.result(timeout=60)
+                               for ticket in tickets)
+                for thread in threads:
+                    thread.join(timeout=60)
         finally:
-            pools.close()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 4 * 10 + len(jobs)
+        for result in answers:
+            assert result.complete
+            assert result.matches == reference_row(result.query, result.k)
+        for shard in range(2):
+            stats = service.corpus.searcher_for("compiled", shard) \
+                .executor.stats
+            assert stats.queries_seen == 4 * 10 + len(jobs)

@@ -1,24 +1,28 @@
 """Trace propagation across the stack's concurrency boundaries.
 
 Each serving layer crosses a boundary that drops thread-local state:
-the gateway hops from the event loop into executor threads, process
-pools ship work to other *processes*, and the live corpus compacts on
+the gateway hops from the event loop into executor threads, shard
+pools hand tickets to worker threads, and the live corpus compacts on
 a background thread. These tests pin the contract that one submit (or
 one ingest burst) still yields one coherent span tree, and that
 tracing enabled-but-unsampled stays on the null fast path.
 """
 
 import asyncio
-import os
 import sys
 import threading
-import time
 
 from repro.core.planner import PlannerPolicy
 from repro.core.request import SearchRequest
 from repro.live.corpus import LiveCorpus
 from repro.obs.events import EventLog
-from repro.obs.tracing import Tracer, span_tree, trace_span, use_trace
+from repro.obs.tracing import (
+    TraceContext,
+    Tracer,
+    span_tree,
+    trace_span,
+    use_trace,
+)
 from repro.service.service import Service
 from repro.traffic.gateway import AsyncService
 from repro.traffic.pools import ShardPools
@@ -118,32 +122,7 @@ class TestConcurrentServiceSubmits:
 
 
 class TestPoolProcessTrace:
-    """thread -> process: worker spans rejoin the submitter's tree."""
-
-    def test_worker_spans_parent_under_shard_spans(self, tmp_path):
-        tracer = Tracer()
-        pools = ShardPools(DATASET, shards=2, kind="process",
-                           segment_dir=str(tmp_path))
-        try:
-            with tracer.root("client.submit"):
-                ticket = pools.submit(SearchRequest("Berlino", 2))
-            # Spans are recorded before the ticket resolves, so the
-            # result is the synchronization point.
-            result = ticket.result(timeout=60)
-            assert result.status == "complete"
-        finally:
-            pools.close()
-        spans = tracer.spans()
-        tree = span_tree(spans)
-        assert [root.name for root in tree.roots] == ["client.submit"]
-        depths = {span.name: depth for depth, span in tree.walk()}
-        shard_depths = [depth for name, depth in depths.items()
-                        if name.startswith("pool.shard[")]
-        assert shard_depths and all(d == 1 for d in shard_depths)
-        assert depths["pool.worker.batch"] == 2
-        # The worker span really crossed a process boundary.
-        worker = [s for s in spans if s.name == "pool.worker.batch"][0]
-        assert worker.pid != os.getpid()
+    """thread -> pool worker: shard spans join the submitter's tree."""
 
     def test_thread_pools_record_shard_spans(self):
         tracer = Tracer()
@@ -154,21 +133,12 @@ class TestPoolProcessTrace:
             ticket.result(timeout=60)
         finally:
             pools.close()
-        names = {span.name for span in tracer.spans()}
-        assert any(name.startswith("pool.shard[") for name in names)
-        # In-process crews need no worker-side span: the shard span
-        # already covers the scan.
-        assert "pool.worker.batch" not in names
-
-    def test_untraced_submit_ships_no_contexts(self, tmp_path):
-        pools = ShardPools(DATASET, shards=2, kind="process",
-                           segment_dir=str(tmp_path))
-        try:
-            result = pools.submit(SearchRequest("Berlino", 2)) \
-                .result(timeout=60)
-            assert result.status == "complete"
-        finally:
-            pools.close()
+        tree = span_tree(tracer.spans())
+        assert [root.name for root in tree.roots] == ["client.submit"]
+        depths = {span.name: depth for depth, span in tree.walk()}
+        # The workers' one span per ticket and shard covers the scan.
+        assert depths == {"client.submit": 0, "pool.shard[0]": 1,
+                          "pool.shard[1]": 1}
 
 
 class TestBackgroundCompactionTrace:
@@ -207,10 +177,8 @@ class TestUnsampledOverhead:
 
     What full tracing costs is measured by the e2e benchmark
     (``obs.tracing_overhead_ratio``); unit tests pin the *mechanism*
-    that keeps the unsampled path cheap — the shared null span, zero
-    recorded spans — plus a deliberately generous wall-clock bound
-    that only catches gross regressions (an allocation or lock on the
-    unsampled path).
+    that keeps the unsampled path cheap — the shared null span, and no
+    span minted or recorded, counted rather than timed.
     """
 
     def test_unsampled_submit_records_nothing(self):
@@ -226,24 +194,25 @@ class TestUnsampledOverhead:
         with use_trace(tracer, tracer.mint()):
             assert trace_span("scan.query") is trace_span("merge")
 
-    def test_unsampled_overhead_is_bounded(self):
+    def test_unsampled_path_mints_no_spans(self, monkeypatch):
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
         service = Service(DATASET, shards=2)
         request = SearchRequest("Berlino", 2)
-        service.submit(request)  # warm caches before timing
-
-        def clocked(repeats=40):
-            best = float("inf")
-            for _ in range(3):
-                started = time.perf_counter()
-                for _ in range(repeats):
-                    service.submit(request)
-                best = min(best, time.perf_counter() - started)
-            return best
-
-        baseline = clocked()
         tracer = Tracer(sample_rate=0.0)
-        with use_trace(tracer, tracer.mint()):
-            traced = clocked()
-        # Generous: CI noise dwarfs the real delta; this only trips if
-        # the unsampled path grows real per-call work.
-        assert traced <= baseline * 3 + 0.05
+        context = tracer.mint()
+        counted(Tracer, "record_span")
+        counted(TraceContext, "child")
+        with use_trace(tracer, context):
+            for _ in range(40):
+                assert service.submit(request).status == "complete"
+        assert calls == []
