@@ -38,7 +38,12 @@ that workers can mmap) with
     expiry;
 ``chunks(artifact, query, k, workers)`` and ``chunk_timer`` (optional)
     split one query into units whose rows concatenate to the answer;
-    ``run`` then also accepts ``chunk=``.
+    ``run`` then also accepts ``chunk=``;
+``run_many(artifact, queries, k)`` and ``weight`` (optional)
+    one ``(matches, counters)`` pair per query from a single call; a
+    serial batch without a deadline then probes all its distinct misses
+    at once, and ``weight`` names the counter that apportions the
+    call's wall time to its queries.
 
 :class:`repro.scan.executor.BatchScanExecutor` and
 :class:`repro.index.batch.BatchIndexExecutor` are this class with
@@ -422,9 +427,37 @@ class BatchExecutor:
             resolved[query] = row
             self._store_row(query, k, row)
 
+    def _probe_many(self, misses: list[str], k: int
+                    ) -> list[tuple[Match, ...]]:
+        """Probe every miss in one ``run_many`` call on this thread.
+
+        Work counters stay per query. The call's wall time is split
+        across the queries by the probe's ``weight`` counter (evenly
+        when that is zero everywhere), so the per-query latency series
+        and exemplars add up to what the call took.
+        """
+        probe = self._probe
+        started = perf_counter()
+        answers = probe.run_many(probe.artifact, misses, k)
+        wall = perf_counter() - started
+        weights = [counters.get(probe.weight, 0) for _, counters in answers]
+        total = sum(weights)
+        rows: list[tuple[Match, ...]] = []
+        for query, (found, counters), weight in zip(misses, answers,
+                                                     weights):
+            seconds = wall * (weight / total if total else 1 / len(misses))
+            row = tuple(found)
+            self._merge_counters(counters, seconds)
+            self._offer_exemplar(query, k, seconds, len(row), counters)
+            rows.append(row)
+        emit_span(probe.timer, wall, {"queries": str(len(misses))})
+        return rows
+
     def _execute(self, misses: list[str], k: int,
                  runner: QueryRunner | None) -> list[tuple[Match, ...]]:
         if runner is None:
+            if getattr(self._probe, "run_many", None) is not None:
+                return self._probe_many(misses, k)
             return [self._probe_serial(query, k) for query in misses]
         if len(misses) == 1:
             return [self._probe_chunked(misses[0], k, runner)]

@@ -180,9 +180,10 @@ class CostProfile:
     #: Per corpus row through the vectorized (packed) bucket kernel.
     scan_row: float = 8.0e-8
     #: Per character-trie node the flat-trie descent consumes (one per
-    #: label symbol), plus its per-query setup: mostly the one array
-    #: step per depth. Median of seven :func:`calibrate` runs on a
-    #: 2-core x86-64 container.
+    #: label symbol), plus its per-descent setup: mostly the one array
+    #: step per depth, paid once per query and once per batch call.
+    #: Median of seven :func:`calibrate` runs on a 2-core x86-64
+    #: container.
     trie_node: float = 3.9e-7
     trie_setup: float = 1.6e-3
     #: A batch-dedup memo hit (result already computed this batch).
@@ -755,14 +756,17 @@ class Planner:
         totals: dict[str, float] = {}
         works: dict[str, dict[str, float]] = {}
         for strategy in STRATEGIES:
-            total = 0.0
+            # A batch call sends all its distinct queries down one trie
+            # descent, so the descent's setup is paid once per call.
+            shared = p.trie_setup if batch and strategy == "indexed" \
+                else 0.0
+            total = shared
             work: dict[str, float] = {}
-            correction = self._correction(strategy, k)
             for length, count in sorted(by_length.items()):
                 distinct = max(1.0, count * unique_ratio)
                 cost_one, work_one = self._estimate_one(strategy,
                                                         length, k)
-                total += distinct * cost_one * correction
+                total += distinct * (cost_one - shared)
                 for name, value in work_one.items():
                     if name == "columns":
                         # A per-candidate width, not a volume: report
@@ -772,8 +776,8 @@ class Planner:
                     else:
                         work[name] = work.get(name, 0.0) \
                             + value * distinct
-            total += dup_hits * p.memo_hit
-            totals[strategy] = total
+            totals[strategy] = total * self._correction(strategy, k) \
+                + dup_hits * p.memo_hit
             works[strategy] = work
         # Rank: feasible & allowed first, then by corrected cost.
         estimates: list[CostEstimate] = []
@@ -934,10 +938,10 @@ def calibrate(*, seed: int = 2013, city_count: int = 400,
     """
     from time import perf_counter
 
-    from repro.core.indexed import IndexedSearcher
     from repro.core.sequential import SequentialScanSearcher
     from repro.data.cities import generate_city_names
     from repro.data.dna import generate_reads
+    from repro.index.batch import FlatIndexSearcher
     from repro.scan.searcher import CompiledScanSearcher
 
     city = list(generate_city_names(city_count, seed=seed))
@@ -989,26 +993,34 @@ def calibrate(*, seed: int = 2013, city_count: int = 400,
     seq_candidate, seq_char = _fit_line(
         seq_points, defaults.seq_candidate, defaults.seq_char)
 
-    # Flat trie: per-query seconds against character-trie nodes (the
-    # label symbols the descent consumes, the unit _raw_trie_nodes
-    # estimates). The intercept is the per-query setup, mostly the
-    # descent's per-depth array steps. One line per regime across
-    # thresholds; the two fits are averaged.
+    # Flat trie: seconds per descent against the character-trie nodes
+    # it consumes (label symbols, the unit _raw_trie_nodes estimates).
+    # Single searches run one descent per probe, a batch of the same
+    # distinct probes one descent in all, so the intercept is the
+    # per-descent setup (mostly its per-depth array steps) and the
+    # slope the per-node cost. One line per regime across thresholds;
+    # the two fits are averaged.
     trie_fits: list[tuple[float, float]] = []
     for corpus, thresholds in ((city, (1, 2, 3)), (dna, (2, 4, 8))):
-        searcher = IndexedSearcher(corpus, index="flat")
-        probes = corpus[:queries]
+        searcher = FlatIndexSearcher(corpus, cache_size=0)
+        probes = list(dict.fromkeys(corpus))[:queries]
         trie_points: list[tuple[float, float]] = []
         for k in thresholds:
-            before = searcher.counters_snapshot()["trie.symbols_processed"]
-            seconds = timed(lambda s=searcher, p=probes, kk=k:
-                            [s.search(q, kk) for q in p])
-            nodes = (searcher.counters_snapshot()["trie.symbols_processed"]
-                     - before) / max(1, repeats)
-            if nodes > 0:
-                trie_points.append((nodes / len(probes),
-                                    seconds / len(probes)))
-                samples += 1
+            for call, descents in (
+                    (lambda s=searcher, p=probes, kk=k:
+                     [s.search(q, kk) for q in p], len(probes)),
+                    (lambda s=searcher, p=probes, kk=k:
+                     s.search_many(p, kk), 1)):
+                before = searcher.counters_snapshot().get(
+                    "trie.symbols_processed", 0)
+                seconds = timed(call)
+                nodes = (searcher.counters_snapshot()
+                         ["trie.symbols_processed"] - before) \
+                    / max(1, repeats)
+                if nodes > 0:
+                    trie_points.append((nodes / descents,
+                                        seconds / descents))
+                    samples += 1
         trie_fits.append(_fit_line(trie_points, defaults.trie_setup,
                                    defaults.trie_node))
     trie_setup = sum(fit[0] for fit in trie_fits) / len(trie_fits)

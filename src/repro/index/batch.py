@@ -6,7 +6,9 @@ runner fan-out, deadlines, bookkeeping — probing a
 :class:`repro.index.flat.FlatTrie`:
 
 * :func:`probe_query` descends the trie once per distinct ``(query,
-  k)`` pair, however often it repeats;
+  k)`` pair, however often it repeats, and a serial batch sends all
+  its distinct misses down one shared descent
+  (:meth:`TrieProbe.run_many`);
 * distinct queries fan out over any :mod:`repro.parallel` runner; the
   flat trie is a handful of numpy arrays, so a process pool ships it
   once per chunk (or maps its segment file).
@@ -29,7 +31,11 @@ from repro.core.searcher import QueryRunner, Searcher
 from repro.data.alphabet import Alphabet
 from repro.data.workload import Workload
 from repro.exceptions import DeadlineExceeded
-from repro.index.flat import FlatTrie, flat_similarity_search
+from repro.index.flat import (
+    FlatTrie,
+    flat_similarity_search,
+    flat_similarity_search_many,
+)
 from repro.index.traversal import TraversalStats
 from repro.obs.hist import Histogram
 
@@ -107,11 +113,28 @@ class TrieProbe:
         "trie.symbols_per_query": "trie.symbols_processed",
     }
 
+    #: The counter ``run_many`` splits a call's wall time by.
+    weight = "trie.symbols_processed"
+
     def run(self, flat: FlatTrie, query: str, k: int, *,
             counters: dict, deadline: Deadline | Budget | None = None
             ) -> list[Match]:
         return probe_query(flat, query, k, counters=counters,
                            deadline=deadline)
+
+    def run_many(self, flat: FlatTrie, queries: list[str], k: int
+                 ) -> list[tuple[list[Match], dict]]:
+        """Every query's ``(matches, counters)`` from one descent."""
+        stats = [TraversalStats() for _ in queries]
+        answers = []
+        for found, traversal in zip(
+                flat_similarity_search_many(flat, queries, k, stats=stats),
+                stats):
+            counters: dict = {}
+            _flush_trie_counters(counters, traversal)
+            answers.append(([Match(m.string, m.distance) for m in found],
+                            counters))
+        return answers
 
 
 class BatchIndexExecutor(BatchExecutor):

@@ -43,7 +43,8 @@ cheaply for :mod:`repro.parallel` process runners):
 :func:`repro.index.traversal.trie_similarity_search` — same pruning
 rules, same :class:`~repro.index.traversal.TraversalStats` counters —
 but breadth-first over the CSR arrays, one vectorized step per depth
-for the whole frontier. Batch execution lives in
+for the whole frontier; :func:`flat_similarity_search_many` runs one
+such descent for a whole batch of queries. Batch execution lives in
 :mod:`repro.index.batch`.
 """
 
@@ -397,6 +398,97 @@ class FlatTrie:
         )
 
 
+#: Band cells (frontier entries x (2k + 1)) a frontier may hold before it
+#: is split in two and the halves finish one after the other: 2**21 int16
+#: cells are 4 MiB per band array.
+_FRONTIER_CELLS = 2**21
+
+#: Query ids a batch's work tally holds before it counts them (512 KiB):
+#: the ids of every symbol a descent consumes would otherwise outgrow
+#: the frontier.
+_KEPT_IDS = 2**16
+
+#: The query-id column of a one-query descent. Indexing a per-query table
+#: with it keeps a length-1 query axis that broadcasts against the whole
+#: frontier, so a single query gathers nothing per entry.
+_ONE = slice(0, 1)
+
+#: Added to node ids, the offsets of their labels' first and last-plus-one
+#: symbols in ``label_offsets``.
+_LABEL = np.array([[0], [1]])
+
+# Rows of the per-query work tally.
+_VISITED, _SYMBOLS, _BY_LENGTH, _BY_FREQUENCY = range(4)
+
+
+def _take(who, index):
+    """The query ids of the frontier entries ``index`` selects."""
+    return who if who is _ONE else who[index]
+
+
+class _Tally:
+    """Per-query work counters of one descent.
+
+    A single query counts with plain additions. A batch keeps the query
+    id of every counted entry and counts them with one ``bincount`` per
+    counter at the end — or sooner, whenever it holds ``_KEPT_IDS``.
+    """
+
+    def __init__(self, queries: int) -> None:
+        self._one = queries == 1
+        self._counts = [0, 0, 0, 0]
+        self._totals = np.zeros((4, queries), dtype=np.int64)
+        self._kept: list[list[np.ndarray]] = [[], [], [], []]
+        self._held = 0
+
+    def every(self, counter: int, who, count: int) -> None:
+        """Count all ``count`` entries ``who`` describes."""
+        if self._one:
+            self._counts[counter] += count
+        else:
+            self._keep(counter, who)
+
+    def where(self, counter: int, who, mask: np.ndarray) -> None:
+        """Count the entries ``mask`` selects."""
+        if self._one:
+            self._counts[counter] += int(np.count_nonzero(mask))
+        else:
+            self._keep(counter, who[mask])
+
+    def unless(self, counter: int, who, mask: np.ndarray) -> None:
+        """Count the entries ``mask`` leaves out."""
+        if self._one:
+            self._counts[counter] += len(mask) - int(np.count_nonzero(mask))
+        else:
+            self._keep(counter, who[~mask])
+
+    def one(self, counter: int) -> int:
+        """A single query's count so far."""
+        return self._counts[counter]
+
+    def per_query(self) -> list[list[int]]:
+        """Every query's four counts, in counter order."""
+        if self._one:
+            return [self._counts]
+        self._fold()
+        return self._totals.T.tolist()
+
+    def _keep(self, counter: int, ids: np.ndarray) -> None:
+        self._kept[counter].append(ids)
+        self._held += len(ids)
+        if self._held > _KEPT_IDS:
+            self._fold()
+
+    def _fold(self) -> None:
+        queries = self._totals.shape[1]
+        for counter, kept in enumerate(self._kept):
+            if kept:
+                self._totals[counter] += np.bincount(
+                    np.concatenate(kept), minlength=queries)
+                kept.clear()
+        self._held = 0
+
+
 def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
                            use_frequency_pruning: bool = True,
                            stats: TraversalStats | None = None,
@@ -413,7 +505,8 @@ def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
     same tree topology — but level-synchronous: every step advances the
     whole frontier one depth with a few array operations, so Python
     iterations scale with the depth of the descent, not with the nodes
-    it visits (see docs/INDEX.md, "The traversal, compiled").
+    it visits (see docs/INDEX.md, "The traversal, compiled"). This is
+    the one-query case of :func:`flat_similarity_search_many`.
 
     Parameters
     ----------
@@ -440,14 +533,53 @@ def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
     ['Bern']
     """
     check_threshold(k)
-    if stats is None:
-        stats = TraversalStats()
+    [matches] = _descend(flat, [query], k, use_frequency_pruning,
+                         None if stats is None else [stats], deadline)
+    return matches
 
-    n = len(query)
+
+def flat_similarity_search_many(flat: FlatTrie, queries: Iterable[str],
+                                k: int, *,
+                                use_frequency_pruning: bool = True,
+                                stats: list[TraversalStats] | None = None,
+                                ) -> list[list[TrieMatch]]:
+    """:func:`flat_similarity_search` for a batch, in one descent.
+
+    Every query's entries share one frontier, so each depth costs the
+    batch the array steps one query would pay. Returns one sorted match
+    list per query, in input order; ``stats``, when given, holds one
+    :class:`~repro.index.traversal.TraversalStats` per query. Rows and
+    counters equal those of one :func:`flat_similarity_search` per
+    query.
+
+    Examples
+    --------
+    >>> flat = FlatTrie(["Berlin", "Bern", "Ulm"])
+    >>> [[m.string for m in row]
+    ...  for row in flat_similarity_search_many(flat, ["Bern", "Ul"], 1)]
+    [['Bern'], ['Ulm']]
+    """
+    check_threshold(k)
+    queries = list(queries)
+    if stats is not None and len(stats) != len(queries):
+        raise ValueError(
+            f"stats holds {len(stats)} entries for {len(queries)} queries"
+        )
+    return _descend(flat, queries, k, use_frequency_pruning, stats, None)
+
+
+def _descend(flat: FlatTrie, queries: list[str], k: int,
+             use_frequency_pruning: bool,
+             stats: list[TraversalStats] | None,
+             deadline: Deadline | Budget | None) -> list[list[TrieMatch]]:
+    """The descent behind both entry points (see docs/INDEX.md)."""
+    count = len(queries)
+    if not count:
+        return []
     cap = k + 1
     width = 2 * k + 1
-    # Cells hold values in [-2k, k + 1] (the insertion pass works on
-    # cell[b] - b), so a short integer is wide enough for any sane k.
+    # Cells hold values in [0, k + 1], so a short integer is wide enough
+    # for any sane k.
     cell = np.int16 if k < 2**13 else np.int64
     label_offsets = flat._label_offsets
     label_codes = flat._label_codes
@@ -459,162 +591,221 @@ def flat_similarity_search(flat: FlatTrie, query: str, k: int, *,
     terminal_sid = flat._terminal_sid
     strings = flat._strings
 
-    # Rows are Ukkonen bands: cell b of a row at depth d is DP column
-    # j = d - k + b, and columns outside [0, n] hold the cap. Cells
-    # past the band are all above k, so the band decides everything
-    # the full row would.
+    # Rows are Ukkonen bands stored band-major, one column per frontier
+    # entry: cell b of an entry at depth d is DP column j = d - k + b.
+    # Cells past the band are all above k, so the band decides
+    # everything the full row would.
     band = np.arange(width, dtype=cell)
-    # mismatch[c, d + b] is 0 iff label code c equals query symbol
-    # j - 1 of band cell b at depth d; query symbols outside the
-    # alphabet encode to -1 and the padding to -1, so neither matches.
-    padded = np.full(n + 3 * k + 2, -1, dtype=np.int64)
-    padded[k + 1:k + 1 + n] = flat.encode_query(query)
+    lengths = np.fromiter(map(len, queries), dtype=np.int64, count=count)
+    # padded[d + b, q] is query q's symbol j - 1 for band cell b at depth
+    # d; symbols outside the alphabet and the padding encode to -1, which
+    # no label code equals.
     size = flat.alphabet.size if flat.alphabet is not None else 0
-    mismatch = (np.arange(size)[:, None] != padded).astype(cell)
+    code = np.int16 if size < 2**15 else np.int64
+    padded = np.full((int(lengths.max()) + 3 * k + 2, count), -1,
+                     dtype=code)
+    for qid, query in enumerate(queries):
+        padded[k + 1:k + 1 + len(query), qid] = flat.encode_query(query)
 
     tracked = flat.tracked_symbols
     box_min = box_max = query_frequency = None
     if use_frequency_pruning and tracked is not None \
             and flat.has_frequencies:
-        query_frequency = np.array(frequency_vector(
-            query, tracked, flat.case_insensitive_frequencies))
+        query_frequency = np.array(
+            [frequency_vector(query, tracked,
+                              flat.case_insensitive_frequencies)
+             for query in queries], dtype=np.int64).reshape(count, -1)
         box_min = flat._freq_min.reshape(-1, len(tracked))
         box_max = flat._freq_max.reshape(-1, len(tracked))
 
-    visited = 0
-    symbols = 0
-    pruned_length = 0
-    pruned_frequency = 0
-    matches: list[TrieMatch] = []
+    shortest = int(lengths.min())
+    # n + k per query: the band cell that holds column n is reach - depth.
+    reach_of = lengths + k
+    band_column = band[:, None]
+    tally = _Tally(count)
+    found: list[tuple] = []
 
-    def admit(entered: np.ndarray) -> np.ndarray:
+    def admit(entered: np.ndarray, who) -> np.ndarray:
         """Mask of entered nodes inside the frequency and length boxes."""
-        nonlocal visited, pruned_length, pruned_frequency
-        visited += len(entered)
+        tally.every(_VISITED, who, len(entered))
+        n = lengths[who]
         keep = np.maximum(sub_min[entered] - n, n - sub_max[entered]) <= k
         if query_frequency is not None:
-            deficit = np.maximum(box_min[entered] - query_frequency, 0)
-            surplus = np.maximum(query_frequency - box_max[entered], 0)
+            wanted = query_frequency[who]
+            deficit = np.maximum(box_min[entered] - wanted, 0)
+            surplus = np.maximum(wanted - box_max[entered], 0)
             fits = (deficit.sum(axis=1) <= k) & (surplus.sum(axis=1) <= k)
-            pruned_frequency += len(entered) - np.count_nonzero(fits)
+            tally.unless(_BY_FREQUENCY, who, fits)
             keep &= fits
-            pruned_length += np.count_nonzero(fits) - np.count_nonzero(keep)
+            tally.where(_BY_LENGTH, who, fits ^ keep)
         else:
-            pruned_length += len(entered) - np.count_nonzero(keep)
+            tally.unless(_BY_LENGTH, who, keep)
         return keep
 
-    def settle() -> None:
-        stats.nodes_visited += visited
-        stats.symbols_processed += symbols
-        # Plain ints: the counters end up in JSON reports.
-        stats.branches_pruned_by_length += int(pruned_length)
-        stats.branches_pruned_by_frequency += int(pruned_frequency)
-        stats.matches += len(matches)
-        matches.sort(key=lambda match: match.string)
+    def settle() -> list[list[TrieMatch]]:
+        rows: list[list[TrieMatch]] = [[] for _ in queries]
+        for who, sids, distances, counts in found:
+            owners = [0] * len(sids) if who is _ONE else who.tolist()
+            for qid, sid, distance, multiplicity in zip(
+                    owners, sids.tolist(), distances.tolist(),
+                    counts.tolist()):
+                rows[qid].append(TrieMatch(strings[sid], distance,
+                                           multiplicity))
+        for row in rows:
+            row.sort(key=lambda match: match.string)
+        if stats is not None:
+            # Plain ints: the counters end up in JSON reports.
+            for into, row, (visited, symbols, by_length, by_frequency) \
+                    in zip(stats, rows, tally.per_query()):
+                into.nodes_visited += visited
+                into.symbols_processed += symbols
+                into.branches_pruned_by_length += by_length
+                into.branches_pruned_by_frequency += by_frequency
+                into.matches += len(row)
+        return rows
 
-    # Entries that just finished their edge label and fan out next, with
-    # their rows; the root finishes its empty label at depth 0, where
-    # column j costs j deletions.
-    done = np.zeros(1, dtype=np.int64)
+    # The root finishes its empty label at depth 0, where column j costs
+    # j deletions (columns before the query hold the cap).
+    roots = np.zeros(count, dtype=np.int64)
+    who = _ONE if count == 1 else np.arange(count)
+    keep = admit(roots, who)
     columns = band - k
-    done_rows = np.where((columns >= 0) & (columns <= n),
-                         np.minimum(columns, cap), cap)[None, :].astype(cell)
-    keep = admit(done)
-    done, done_rows = done[keep], done_rows[keep]
-    # The frontier: entries part-way through a label — node, offset of
-    # the next label symbol, end of the label, band at ``depth``.
-    nodes = cursor = end = np.zeros(0, dtype=np.int64)
-    rows = np.zeros((0, width), dtype=cell)
-    depth = 0
+    start = np.where(columns >= 0, np.minimum(columns, cap), cap)
+    # A frontier part: its depth; the entries that just finished their
+    # edge label and fan out next (node, query id, band); and the entries
+    # part-way through a label (one array whose rows are node, offset of
+    # the next label symbol and end of the label; query id; band).
+    parts = [(0, roots[keep], _take(who, keep),
+              np.repeat(start.astype(cell)[:, None],
+                        np.count_nonzero(keep), axis=1),
+              np.zeros((3, 0), dtype=np.int64), _take(who, roots[:0]),
+              np.zeros((width, 0), dtype=cell))]
     polled = 0
-    while True:
-        # Expand finished entries into their CSR children, all at once.
-        first = child_offsets[done]
-        fan = child_offsets[done + 1] - first
-        total = int(fan.sum())
-        if total:
-            kids = child_ids[np.arange(total)
-                             + np.repeat(first - np.cumsum(fan) + fan, fan)]
-            keep = admit(kids)
-            kids = kids[keep]
-            nodes = np.concatenate((nodes, kids))
-            cursor = np.concatenate((cursor, label_offsets[kids]))
-            end = np.concatenate((end, label_offsets[kids + 1]))
-            rows = np.concatenate(
-                (rows, np.repeat(done_rows, fan, axis=0)[keep]))
-        if not len(nodes):
-            break
-        if deadline is not None and deadline.spend(visited - polled):
-            settle()
-            raise DeadlineExceeded(
-                f"flat-trie descent for {query!r} (k={k}) exceeded its "
-                f"deadline after {visited} nodes",
-                partial=tuple(matches), scope="nodes",
-                completed=visited, total=flat.node_count,
-            )
-        polled = visited
+    while parts:
+        depth, done, done_who, done_rows, entries, who, rows = parts.pop()
+        while True:
+            first = child_offsets[done]
+            fan = child_offsets[done + 1] - first
+            total = int(fan.sum())
+            held = entries.shape[1]
+            if (held + total) * width > _FRONTIER_CELLS \
+                    and (len(done) > 1 or held > 1):
+                # Over budget: finish the first half of every array
+                # before the second. Counters are sums and rows are
+                # sorted at the end, so the split changes no output.
+                low, high = slice(len(done) // 2), slice(held // 2)
+                rest, tail = slice(low.stop, None), slice(high.stop, None)
+                parts.append((depth, done[rest], _take(done_who, rest),
+                              done_rows[:, rest], entries[:, tail],
+                              _take(who, tail), rows[:, tail]))
+                done, done_who, done_rows = \
+                    done[low], _take(done_who, low), done_rows[:, low]
+                entries, who, rows = \
+                    entries[:, high], _take(who, high), rows[:, high]
+                continue
+            # Expand finished entries into their CSR children, all at
+            # once; every child starts from its parent's band.
+            if total:
+                parent = np.repeat(np.arange(len(done)), fan)
+                kids = child_ids[np.arange(total)
+                                 + (first - np.cumsum(fan) + fan)[parent]]
+                kids_who = _take(done_who, parent)
+                keep = admit(kids, kids_who).nonzero()[0]
+                kids = kids[keep]
+                entries = np.concatenate((entries, np.concatenate(
+                    (kids[None, :], label_offsets[kids + _LABEL]))), axis=1)
+                if who is not _ONE:
+                    who = np.concatenate((who, kids_who[keep]))
+                rows = np.concatenate((rows, done_rows[:, parent[keep]]),
+                                      axis=1)
+            if not entries.shape[1]:
+                break
+            if deadline is not None:
+                visited = tally.one(_VISITED)
+                if deadline.spend(visited - polled):
+                    [partial] = settle()
+                    raise DeadlineExceeded(
+                        f"flat-trie descent for {queries[0]!r} (k={k}) "
+                        f"exceeded its deadline after {visited} nodes",
+                        partial=tuple(partial), scope="nodes",
+                        completed=visited, total=flat.node_count,
+                    )
+                polled = visited
 
-        # Consume one label symbol from every entry.
-        depth += 1
-        symbols += len(nodes)
-        # Band cells past the query's last column: all of them once
-        # the band has left the query.
-        beyond = n - depth + k + 1
-        if beyond <= 0:
-            # Every completion needs more than k deletions.
-            pruned_length += len(nodes)
-            break
-        rows = _advance(rows, mismatch[label_codes[cursor],
-                                       depth:depth + width], band, cap)
-        rows[:, beyond:] = cap
-        cursor += 1
-        # Ukkonen cutoff: the whole band left the threshold.
-        alive = rows.min(axis=1) <= k
-        pruned_length += len(alive) - np.count_nonzero(alive)
-        ending = np.flatnonzero(alive & (cursor == end))
-        ended = nodes[ending]
-        terminal = terminal_count[ended]
-        ok = np.ones(len(ending), dtype=bool)
-        inner = np.flatnonzero(terminal == 0)
-        if len(inner):
-            # Full conditions (9)/(10) once per inner node, right before
-            # it fans out: can any column still be completed within k?
-            left = (n - depth + k) - band
-            below = (sub_max[ended[inner]] - depth)[:, None]
-            above = (sub_min[ended[inner]] - depth)[:, None]
-            shortfall = np.maximum(np.maximum(left - below, above - left), 0)
-            ok[inner] = (rows[ending[inner]] + shortfall).min(axis=1) <= k
-            pruned_length += len(ok) - np.count_nonzero(ok)
-        if 0 <= n - depth + k < width:
-            # Column n is in the band: collect terminals within k.
-            distances = rows[ending, n - depth + k]
-            hits = np.flatnonzero(ok & (terminal > 0) & (distances <= k))
-            for sid, distance, count in zip(
-                    terminal_sid[ended[hits]].tolist(),
-                    distances[hits].tolist(), terminal[hits].tolist()):
-                matches.append(TrieMatch(strings[sid], distance, count))
-        done, done_rows = ended[ok], rows[ending[ok]]
-        alive[ending] = False
-        nodes, cursor, end, rows = \
-            nodes[alive], cursor[alive], end[alive], rows[alive]
+            # Consume one label symbol from every entry.
+            depth += 1
+            tally.every(_SYMBOLS, who, entries.shape[1])
+            if depth > shortest + k:
+                # Past its reach the band has left the query: every
+                # completion needs more than k deletions.
+                gone = reach_of[who] < depth
+                if gone.all():
+                    tally.every(_BY_LENGTH, who, entries.shape[1])
+                    break
+                if gone.any():
+                    tally.where(_BY_LENGTH, who, gone)
+                    stay = (~gone).nonzero()[0]
+                    entries, who, rows = \
+                        entries[:, stay], _take(who, stay), rows[:, stay]
+            nodes, cursor, end = entries
+            # One DP step: moving down one depth shifts the band one
+            # column right, so cell b takes its diagonal from cell b and
+            # its deletion from cell b + 1 of the previous band;
+            # insertions then chain along the new band, one contiguous
+            # minimum across the frontier per cell. Capping at k + 1
+            # first keeps every value that can still matter exact.
+            mismatch = padded[depth:depth + width, who] \
+                != label_codes[cursor].astype(code, copy=False)
+            step = rows + mismatch
+            np.minimum(step[:-1], rows[1:] + 1, out=step[:-1])
+            np.minimum(step, cap, out=step)
+            for b in range(1, width):
+                np.minimum(step[b], step[b - 1] + 1, out=step[b])
+            rows = step
+            # In place: every part owns its columns of ``entries``.
+            cursor += 1
+            # Ukkonen cutoff: the whole band left the threshold.
+            alive = rows.min(axis=0) <= k
+            tally.unless(_BY_LENGTH, who, alive)
+            ending = (alive & (cursor == end)).nonzero()[0]
+            ending_who = _take(who, ending)
+            ended = nodes[ending]
+            terminal = terminal_count[ended]
+            collect = terminal > 0
+            ok = collect.copy()
+            inner = (~collect).nonzero()[0]
+            if len(inner):
+                # Full conditions (9)/(10) once per inner node, right
+                # before it fans out: can any column still be completed
+                # within k? Column j leaves n - j query symbols against
+                # sub_min - depth to sub_max - depth label symbols, so
+                # the depths cancel.
+                reach = reach_of[_take(ending_who, inner)]
+                forks = ended[inner]
+                shortfall = np.maximum(np.maximum(
+                    (reach - sub_max[forks]) - band_column,
+                    (sub_min[forks] - reach) + band_column), 0)
+                ok[inner] = (rows[:, ending[inner]]
+                             + shortfall).min(axis=0) <= k
+                tally.unless(_BY_LENGTH, ending_who, ok)
+            if depth >= shortest - k:
+                # Terminals whose column n is in the band and within k.
+                hits = (collect & (reach_of[ending_who] - depth < width)
+                        ).nonzero()[0]
+                if len(hits):
+                    hits_who = _take(ending_who, hits)
+                    distances = rows[reach_of[hits_who] - depth,
+                                     ending[hits]]
+                    within = distances <= k
+                    hits = hits[within]
+                    found.append((_take(hits_who, within),
+                                  terminal_sid[ended[hits]],
+                                  distances[within], terminal[hits]))
+            done, done_who, done_rows = \
+                ended[ok], _take(ending_who, ok), rows[:, ending[ok]]
+            alive[ending] = False
+            stay = alive.nonzero()[0]
+            entries, who, rows = \
+                entries[:, stay], _take(who, stay), rows[:, stay]
 
-    settle()
-    return matches
-
-
-def _advance(rows: np.ndarray, mismatch: np.ndarray, band: np.ndarray,
-             cap: int) -> np.ndarray:
-    """Every frontier band one depth deeper, capped at ``cap``.
-
-    Moving down one depth shifts the band one column right, so cell b
-    takes its diagonal from cell b and its deletion from cell b + 1 of
-    the previous band. Insertions chain along the new band, which a
-    running minimum over ``cell[b] - b`` resolves. Capping at ``k + 1``
-    keeps every value that can still matter exact.
-    """
-    out = rows + mismatch
-    np.minimum(out[:, :-1], rows[:, 1:] + 1, out=out[:, :-1])
-    out -= band
-    out = np.minimum.accumulate(out, axis=1)
-    out += band
-    return np.minimum(out, cap, out=out)
+    return settle()

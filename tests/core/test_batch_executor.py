@@ -11,6 +11,8 @@ import threading
 
 import pytest
 
+import repro.core.batch as batch_module
+import repro.index.flat as flat_module
 from repro.core.batch import BatchExecutor
 from repro.core.deadline import Budget
 from repro.core.engine import SearchEngine
@@ -24,6 +26,7 @@ from repro.exceptions import (
 )
 from repro.index.batch import BatchIndexExecutor, TrieProbe
 from repro.index.flat import FlatTrie
+from repro.obs.tracing import Tracer
 from repro.parallel.executor import ProcessPoolRunner, ThreadPoolRunner
 from repro.scan.corpus import CompiledCorpus
 from repro.scan.executor import BatchScanExecutor, ScanProbe
@@ -233,6 +236,115 @@ class TestDeadline:
         assert executor.stats.scans_executed == 0
         assert tuple(executor.search(query, 2)) == exact
         assert executor.stats.cache_hits == 0
+
+
+class TestOneDescentPerSerialBatch:
+    """The trie probe sends a serial batch's misses down one descent."""
+
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        """Query counts of every flat-trie descent in this process."""
+        calls = []
+        descend = flat_module._descend
+
+        def counted(flat, queries, *args):
+            calls.append(len(queries))
+            return descend(flat, queries, *args)
+
+        monkeypatch.setattr(flat_module, "_descend", counted)
+        return calls
+
+    @staticmethod
+    def misses(city_names, count=6):
+        return list(dict.fromkeys(city_names))[:count]
+
+    def test_serial_batch_descends_once(self, descents, city_names):
+        queries = self.misses(city_names)
+        executor = BatchIndexExecutor(FlatTrie(city_names))
+        result = executor.search_many(queries + queries[:2], 2)
+        assert descents == [len(queries)]
+        assert list(result.rows) == reference_rows(
+            queries + queries[:2], 2, city_names)
+
+    @pytest.mark.parametrize("mode", ["search", "deadline", "threads"])
+    def test_other_paths_descend_per_query(self, descents, city_names,
+                                           mode):
+        queries = self.misses(city_names)
+        executor = BatchIndexExecutor(FlatTrie(city_names))
+        if mode == "search":
+            for query in queries:
+                executor.search(query, 2)
+        elif mode == "deadline":
+            executor.search_many(queries, 2, deadline=Budget(10 ** 9))
+        else:
+            executor.search_many(queries, 2,
+                                 runner=ThreadPoolRunner(threads=3))
+        assert descents == [1] * len(queries)
+
+    def test_process_pool_probes_per_query(self, city_names):
+        # Worker descents are out of reach of a patch; their spans are
+        # not: one ``index.probe`` span per query, against one for the
+        # whole serial call.
+        queries = self.misses(city_names)
+        spans = {}
+        for name, runner in (("serial", None),
+                             ("processes", ProcessPoolRunner(processes=2))):
+            tracer = Tracer()
+            with tracer.root("test"):
+                BatchIndexExecutor(FlatTrie(city_names)).search_many(
+                    queries, 2, runner=runner)
+            spans[name] = [dict(span.tags) for span in tracer.spans()
+                           if span.name == "index.probe"]
+        assert spans["serial"] == [{"queries": str(len(queries))}]
+        assert sorted(tags["query"] for tags in spans["processes"]) \
+            == sorted(queries)
+
+    def test_bookkeeping_equals_one_at_a_time(self, city_names):
+        queries = self.misses(city_names, 8)
+        batched = BatchIndexExecutor(FlatTrie(city_names))
+        alone = BatchIndexExecutor(FlatTrie(city_names))
+        batched.search_many(queries + queries[:3], 2)
+        for query in queries + queries[:3]:
+            alone.search_many([query], 2)
+        assert batched.counters_snapshot() == alone.counters_snapshot()
+        assert batched.stats.scans_executed == alone.stats.scans_executed \
+            == len(queries)
+        assert batched.stats.queries_seen == alone.stats.queries_seen
+        for name in ("trie.nodes_per_query", "trie.symbols_per_query"):
+            assert batched.hists_snapshot()[name].to_dict() \
+                == alone.hists_snapshot()[name].to_dict()
+
+    def test_query_seconds_share_the_calls_wall_time(self, city_names,
+                                                     monkeypatch):
+        # A clock that advances one second per read: the descent call
+        # reads it twice, so its wall time is exactly one second.
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(batch_module, "perf_counter",
+                            lambda: float(next(ticks)))
+        queries = self.misses(city_names)
+        executor = BatchIndexExecutor(FlatTrie(city_names))
+        executor.search_many(queries, 2)
+        seconds = executor.hists_snapshot()["trie.query_seconds"]
+        assert seconds.count == len(queries)
+        assert seconds.total == pytest.approx(1.0)
+
+    def test_budget_expiry_still_gives_a_query_scoped_partial(
+            self, city_names):
+        queries = self.misses(city_names)
+        exact = dict(zip(queries, reference_rows(queries, 2, city_names)))
+        meter = Budget(10 ** 9, check_interval=16)
+        BatchIndexExecutor(FlatTrie(city_names)).search_many(
+            queries, 2, deadline=meter)
+        executor = BatchIndexExecutor(FlatTrie(city_names))
+        with pytest.raises(DeadlineExceeded) as raised:
+            executor.search_many(
+                queries, 2,
+                deadline=Budget(meter.spent // 2, check_interval=16))
+        error = raised.value
+        assert error.scope == "queries"
+        assert 1 <= len(error.partial) < len(queries)
+        for query, row in error.partial.items():
+            assert row == exact[query]
 
 
 class TestSharedAcrossThreads:

@@ -165,6 +165,23 @@ class TestPlanner:
                       if not e.feasible}
         assert infeasible == set(STRATEGIES) - set(BATCH_STRATEGIES)
 
+    def test_a_batch_pays_one_trie_setup(self, city_names):
+        # Four distinct queries of one length: the batch executor runs
+        # one descent for all of them, per-query execution four.
+        planner = Planner(city_names)
+        profile = planner.profile
+        queries = ["Berlin", "Bremen", "Erfurt", "Hameln"]
+        nodes = planner.estimate("indexed", 6, 1) - profile.trie_setup
+        batch = planner.plan_queries(queries, 1, batch=True)
+        assert batch.cost_for("indexed") == pytest.approx(
+            profile.trie_setup + 4 * nodes)
+        apart = planner.plan_queries(queries, 1, batch=False)
+        assert apart.cost_for("indexed") == pytest.approx(
+            4 * (profile.trie_setup + nodes))
+        # One query is one query either way.
+        assert planner.plan_queries(queries[:1], 1, batch=True).cost_for(
+            "indexed") == pytest.approx(profile.trie_setup + nodes)
+
     def test_forced_policy_wins_regardless_of_cost(self, city_names):
         planner = Planner(city_names)
         for strategy in STRATEGIES:

@@ -25,7 +25,12 @@ from repro.data.cities import generate_city_names
 from repro.data.dna import generate_reads
 from repro.data.workload import make_workload
 from repro.exceptions import DeadlineExceeded
-from repro.index.flat import FlatTrie, flat_similarity_search
+import repro.index.flat as flat_module
+from repro.index.flat import (
+    FlatTrie,
+    flat_similarity_search,
+    flat_similarity_search_many,
+)
 from repro.index.traversal import TraversalStats
 
 QUERIES = {"city": 20, "dna": 10}
@@ -174,6 +179,53 @@ def test_counts_and_matches_are_pinned(case):
     kind, k, tracked, shuffle = case
     flat = trie(kind, tracked, shuffled(kind) if shuffle else None)
     assert run(flat, queries(kind, k, shuffle), k) == PINNED[case]
+
+
+def run_batched(flat: FlatTrie, batch, k: int, *,
+                reverse: bool = False) -> tuple[tuple, str]:
+    """:func:`run` through one ``flat_similarity_search_many`` call.
+
+    ``reverse`` asks the queries in reverse order; the digest still
+    covers the rows in ``batch`` order.
+    """
+    stats = [TraversalStats() for _ in batch]
+    if reverse:
+        rows = flat_similarity_search_many(flat, batch[::-1], k,
+                                           stats=stats)[::-1]
+    else:
+        rows = flat_similarity_search_many(flat, batch, k, stats=stats)
+    digest = hashlib.sha256()
+    for query, matches in zip(batch, rows):
+        digest.update(repr((query, [(m.string, m.distance, m.multiplicity)
+                                    for m in matches])).encode())
+    return tuple(sum(getattr(one, name) for one in stats) for name in (
+        "nodes_visited", "symbols_processed", "branches_pruned_by_length",
+        "branches_pruned_by_frequency", "matches")), \
+        digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["forward", "reversed"])
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_one_batch_reproduces_the_pinned_counts(case, reverse):
+    kind, k, tracked, shuffle = case
+    flat = trie(kind, tracked, shuffled(kind) if shuffle else None)
+    batch = list(queries(kind, k, shuffle))
+    assert run_batched(flat, batch, k, reverse=reverse) == PINNED[case]
+
+
+@pytest.mark.parametrize("case", [("city", 2, "AEIOU", True),
+                                  ("dna", 5, None, False)], ids=case_id)
+def test_a_split_frontier_changes_no_output(case, monkeypatch):
+    kind, k, tracked, shuffle = case
+    flat = trie(kind, tracked, shuffled(kind) if shuffle else None)
+    batch = list(queries(kind, k, shuffle))
+    # A few hundred cells: nearly every depth splits its frontier, and
+    # the tally counts its query ids many times over.
+    monkeypatch.setattr(flat_module, "_FRONTIER_CELLS", 400)
+    monkeypatch.setattr(flat_module, "_KEPT_IDS", 100)
+    assert run_batched(flat, batch, k) == PINNED[case]
+    assert run(flat, batch, k) == PINNED[case]
 
 
 @pytest.mark.parametrize("limit", [1, 50, 500, 5_000])

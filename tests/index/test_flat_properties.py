@@ -13,9 +13,14 @@ algorithm does.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.alphabet import Alphabet
 from repro.distance.levenshtein import edit_distance
 from repro.index.compressed import CompressedTrie
-from repro.index.flat import FlatTrie, flat_similarity_search
+from repro.index.flat import (
+    FlatTrie,
+    flat_similarity_search,
+    flat_similarity_search_many,
+)
 from repro.index.traversal import TraversalStats, trie_similarity_search
 from repro.index.trie import PrefixTrie
 
@@ -99,6 +104,60 @@ class TestThreeWayEquivalence:
                                           use_frequency_pruning=False)
         assert pruned == unpruned
         assert [m.string for m in pruned] == brute_force(dataset, query, k)
+
+
+def one_at_a_time(flat, batch, k, **options):
+    stats = [TraversalStats() for _ in batch]
+    rows = [flat_similarity_search(flat, query, k, stats=one, **options)
+            for query, one in zip(batch, stats)]
+    return rows, [vars(one) for one in stats]
+
+
+def all_at_once(flat, batch, k, **options):
+    stats = [TraversalStats() for _ in batch]
+    rows = flat_similarity_search_many(flat, batch, k, stats=stats,
+                                       **options)
+    return rows, [vars(one) for one in stats]
+
+
+class TestBatchComposition:
+    """A query's row and counters never depend on its batch-mates."""
+
+    @settings(max_examples=80)
+    @given(city_datasets, st.lists(city_queries, min_size=1, max_size=5),
+           thresholds, st.booleans(), st.booleans(), st.booleans(),
+           st.data())
+    def test_city_batch_equals_one_at_a_time(self, dataset, queries, k,
+                                              explicit, frequencies,
+                                              pruning, data):
+        # 'd' is a stranger to the dataset; the explicit alphabet's code
+        # order is not code-point order.
+        flat = FlatTrie(dataset,
+                        alphabet=Alphabet("reversed", "dcba")
+                        if explicit else None,
+                        tracked_symbols="ab" if frequencies else None,
+                        case_insensitive_frequencies=False)
+        # Duplicates and a query shorter than k ride along, in any order.
+        batch = data.draw(st.permutations(queries + queries[:1] + ["a"]))
+        options = {"use_frequency_pruning": pruning}
+        assert all_at_once(flat, batch, k, **options) \
+            == one_at_a_time(flat, batch, k, **options)
+
+    @settings(max_examples=40)
+    @given(dna_datasets, st.lists(dna_queries, min_size=1, max_size=4),
+           thresholds, st.data())
+    def test_dna_batch_with_frequency_boxes(self, dataset, queries, k,
+                                            data):
+        flat = FlatTrie(dataset, tracked_symbols="ACGNT",
+                        case_insensitive_frequencies=False)
+        batch = data.draw(st.permutations(queries + [""]))
+        assert all_at_once(flat, batch, k) == one_at_a_time(flat, batch, k)
+
+    def test_empty_trie_and_empty_batch(self):
+        empty = FlatTrie([])
+        batch = ["", "a", "abc"]
+        assert all_at_once(empty, batch, 2) == one_at_a_time(empty, batch, 2)
+        assert flat_similarity_search_many(FlatTrie(["ab"]), [], 1) == []
 
 
 class TestStatsParity:
