@@ -34,8 +34,8 @@ def test_memory_footprints(benchmark, scale, emit):
 def test_compiled_footprints(scale, emit, tmp_path):
     """The raw-speed layer's storage ladder, measured on DNA.
 
-    Packed ``numpy`` buckets must compress the code storage by the
-    bits-per-symbol ratio (~2.6x for 3-bit DNA, 4x for 2-bit), and an
+    The buckets' bit-packed words must compress the code storage by
+    the bits-per-symbol ratio (~2.6x for 3-bit DNA, 4x for 2-bit), and an
     mmap-loaded segment must cost this process's heap almost nothing —
     its arrays are views into the page cache.
     """
@@ -49,14 +49,11 @@ def test_compiled_footprints(scale, emit, tmp_path):
          render_compiled_footprints(dna, "DNA", segment_path=segment))
 
     sizes = measure_compiled_footprints(dna, segment_path=segment)
-    # Packed numpy buckets beat the encoded corpus's Python tuples.
-    assert sizes["compiled corpus (packed)"] < \
-        sizes["compiled corpus (encoded)"]
     # The mmap load keeps no bucket payloads on the heap.
     assert sizes["corpus segment (mmap heap cost)"] < \
-        sizes["compiled corpus (packed)"] / 5
+        sizes["compiled corpus"] / 5
 
     # The paper's section-6 compression ratio, in bulk: byte codes vs
-    # bit-packed codes inside the packed corpus itself.
-    profile = CompiledCorpus(dna, packed=True).storage_profile()
+    # bit-packed codes inside the compiled corpus itself.
+    profile = CompiledCorpus(dna).storage_profile()
     assert profile["packed_reduction"] >= 2.0

@@ -137,26 +137,24 @@ def measure_compiled_footprints(
 ) -> dict[str, int]:
     """Deep sizes (bytes) of the compiled scan/index artifacts.
 
-    Measures the raw-speed layer's storage ladder: the encoded
-    compiled corpus, its packed (``numpy``) variant, the flat trie —
-    and, when ``segment_path`` is given, the same packed corpus saved
-    there and mmap-loaded back, whose arrays cost this process nothing
-    beyond object headers.
+    Measures the raw-speed layer's storage ladder: the compiled corpus
+    (``numpy`` buckets), the flat trie — and, when ``segment_path`` is
+    given, the same corpus saved there and mmap-loaded back, whose
+    arrays cost this process nothing beyond object headers.
     """
     from repro.index.flat import FlatTrie
     from repro.scan.corpus import CompiledCorpus
 
-    packed = CompiledCorpus(strings, packed=True)
+    corpus = CompiledCorpus(strings)
     sizes = {
         "raw strings (list)": deep_sizeof(list(strings)),
-        "compiled corpus (encoded)": deep_sizeof(CompiledCorpus(strings)),
-        "compiled corpus (packed)": deep_sizeof(packed),
+        "compiled corpus": deep_sizeof(corpus),
         "flat trie": deep_sizeof(FlatTrie(strings)),
     }
     if segment_path is not None:
         from repro.speed import load_segment, save_segment
 
-        save_segment(packed, segment_path)
+        save_segment(corpus, segment_path)
         sizes["corpus segment (mmap heap cost)"] = deep_sizeof(
             load_segment(segment_path)
         )
@@ -181,7 +179,7 @@ def render_compiled_footprints(strings: list[str], label: str, *,
         lines.append(
             f"{name:<34} {format_bytes(size):>10}   {ratio:>5.1f}x raw"
         )
-    profile = CompiledCorpus(strings, packed=True).storage_profile()
+    profile = CompiledCorpus(strings).storage_profile()
     lines.append(
         f"packed code storage: {format_bytes(profile['packed_bytes'])} "
         f"vs {format_bytes(profile['byte_code_bytes'])} byte codes "

@@ -570,7 +570,7 @@ def _search_engine(args: argparse.Namespace, dataset, queries,
         if corpus is None:
             from repro.scan.corpus import CompiledCorpus
 
-            corpus = CompiledCorpus(dataset, packed=True)
+            corpus = CompiledCorpus(dataset)
         saved = save_segment(corpus, args.save_segment)
         print(f"segment: compiled corpus saved to {saved}",
               file=sys.stderr)

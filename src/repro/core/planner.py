@@ -177,8 +177,6 @@ class CostProfile:
     scan_candidate: float = 4.0e-7
     scan_char: float = 1.2e-7
     scan_setup: float = 4.0e-5
-    #: Per corpus row through the vectorized (packed) bucket kernel.
-    scan_row: float = 8.0e-8
     #: Per character-trie node the flat-trie descent consumes (one per
     #: label symbol), plus its per-descent setup: mostly the one array
     #: step per depth, paid once per query and once per batch call.
@@ -194,7 +192,7 @@ class CostProfile:
 
     _CONSTANTS = (
         "seq_candidate", "seq_char", "seq_setup",
-        "scan_candidate", "scan_char", "scan_setup", "scan_row",
+        "scan_candidate", "scan_char", "scan_setup",
         "trie_node", "trie_setup", "memo_hit",
     )
 
@@ -529,9 +527,6 @@ class Planner:
         which is analyzed here).
     profile:
         A :class:`CostProfile`; defaults to the built-in constants.
-    packed:
-        Whether the compiled corpus is packed (the vectorized bucket
-        kernel applies, priced per row instead of per scalar call).
 
     The planner is deterministic: the same profile, statistics and
     request always produce the same plan. :meth:`observe_window` adds
@@ -541,13 +536,11 @@ class Planner:
     """
 
     def __init__(self, statistics: CorpusStatistics | Iterable[str], *,
-                 profile: CostProfile | None = None,
-                 packed: bool = False) -> None:
+                 profile: CostProfile | None = None) -> None:
         if not isinstance(statistics, CorpusStatistics):
             statistics = collect_statistics(statistics)
         self._stats = statistics
         self._profile = profile if profile is not None else CostProfile()
-        self._packed = packed
         #: (strategy, k) -> EWMA of actual/predicted seconds.
         self._corrections: dict[tuple[str, int], float] = {}
         self._observed_windows = 0
@@ -654,13 +647,9 @@ class Planner:
                                            + p.seq_char * cols)
             return cost, {"candidates": float(window), "columns": cols}
         if strategy == "compiled":
-            if self._packed:
-                per_candidate = p.scan_row * cols
-                work = {"rows": float(window), "columns": cols}
-            else:
-                per_candidate = p.scan_candidate + p.scan_char * cols
-                work = {"candidates": float(window), "columns": cols}
-            return p.scan_setup + window * per_candidate, work
+            return (p.scan_setup
+                    + window * (p.scan_candidate + p.scan_char * cols),
+                    {"candidates": float(window), "columns": cols})
         if strategy == "indexed":
             nodes = self._raw_trie_nodes(length, k)
             return (p.trie_setup + nodes * p.trie_node,
@@ -960,7 +949,8 @@ def calibrate(*, seed: int = 2013, city_count: int = 400,
     # Compiled scan: per-candidate seconds at two column regimes.
     scan_points: list[tuple[float, float]] = []
     for corpus, k in ((city, 1), (dna, 8)):
-        searcher = CompiledScanSearcher(corpus)
+        # No memo: the warm-up batch would answer the timed searches.
+        searcher = CompiledScanSearcher(corpus, cache_size=0)
         probes = corpus[:queries]
         searcher.search_many(probes, k)  # warm the encoder, off-clock
         before = searcher.counters_snapshot()["scan.candidates"]
@@ -1030,7 +1020,6 @@ def calibrate(*, seed: int = 2013, city_count: int = 400,
         defaults,
         seq_candidate=seq_candidate, seq_char=seq_char,
         scan_candidate=scan_candidate, scan_char=scan_char,
-        scan_row=max(scan_char / 2.0, 1e-9),
         trie_setup=trie_setup, trie_node=trie_node,
         source="calibrated",
         samples=samples,

@@ -209,10 +209,10 @@ class PackedBucket:
     Two parallel representations of the same symbols:
 
     ``codes``
-        ``(count, length)`` matrix of dense symbol codes (``uint8``,
-        or ``uint16`` for alphabets wider than 256 symbols). This is
-        what the vectorized kernels gather from — one fancy-indexing
-        ``Peq`` lookup per text column.
+        ``(count, length)`` matrix of dense symbol codes (``uint8``;
+        ``uint16`` or ``uint32`` for alphabets wider than 256 or
+        65,536 symbols). This is what the vectorized kernels gather
+        from — one fancy-indexing ``Peq`` lookup per text column.
     ``packed``
         ``(count, row_bytes)`` matrix of the bit-packed words: each row
         is the string's symbols at ``bits_per_symbol`` bits each,
@@ -259,7 +259,7 @@ class PackedBucket:
 
     @property
     def codes_nbytes(self) -> int:
-        """Bytes of the kernel-facing code matrix (1–2 per symbol)."""
+        """Bytes of the kernel-facing code matrix (1, 2 or 4 per symbol)."""
         return self.codes.nbytes
 
     @property
@@ -295,7 +295,11 @@ class PackedBucket:
 
 def code_dtype(alphabet: Alphabet) -> np.dtype:
     """The narrowest unsigned dtype that holds the alphabet's codes."""
-    return np.dtype(np.uint8 if alphabet.size <= 256 else np.uint16)
+    if alphabet.size <= 1 << 8:
+        return np.dtype(np.uint8)
+    if alphabet.size <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -330,13 +334,19 @@ def unpack_codes(packed: np.ndarray, length: int, bits: int,
     return (bit_planes << shifts).sum(axis=2, dtype=dtype)
 
 
-def pack_bucket(strings, alphabet: Alphabet, *,
-                encoded=None) -> PackedBucket:
+def _code_points(text: str) -> np.ndarray:
+    """``text``'s Unicode code points as one ``uint32`` array."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                         dtype=np.uint32)
+
+
+def pack_bucket(strings, alphabet: Alphabet) -> PackedBucket:
     """Pack equal-length ``strings`` into a :class:`PackedBucket`.
 
-    ``encoded`` optionally supplies the already-encoded symbol tuples
-    (as :class:`repro.scan.corpus.CompiledCorpus` holds them), skipping
-    a second encode pass.
+    The bucket is encoded in one pass: the code points of the joined
+    strings index a lookup table that maps each alphabet symbol to its
+    code (alphabet order, whatever the code-point order) and every
+    other code point to ``-1``.
 
     Raises
     ------
@@ -348,17 +358,23 @@ def pack_bucket(strings, alphabet: Alphabet, *,
     from repro.exceptions import ReproError
 
     strings = tuple(strings)
-    if encoded is None:
-        encoded = tuple(alphabet.encode(s) for s in strings)
-    length = len(encoded[0]) if encoded else 0
-    for position, row in enumerate(encoded):
-        if len(row) != length:
+    length = len(strings[0]) if strings else 0
+    for position, string in enumerate(strings):
+        if len(string) != length:
             raise ReproError(
                 f"pack_bucket needs equal-length strings: row "
-                f"{position} has length {len(row)}, expected {length}"
+                f"{position} has length {len(string)}, expected {length}"
             )
-    dtype = code_dtype(alphabet)
-    codes = np.array(encoded, dtype=dtype).reshape(len(encoded), length)
+    points = _code_points("".join(strings))
+    symbols = _code_points(alphabet.symbols)
+    top = max(int(symbols.max()), int(points.max()) if points.size else 0)
+    lookup = np.full(top + 1, -1, dtype=np.int32)
+    lookup[symbols] = np.arange(len(symbols))
+    flat = lookup[points]
+    if points.size and flat.min() < 0:
+        # Re-encode the first offending string: raises naming it.
+        alphabet.encode(strings[int(np.argmax(flat < 0)) // length])
+    codes = flat.astype(code_dtype(alphabet)).reshape(len(strings), length)
     packed = pack_codes(codes, alphabet.bits_per_symbol)
     return PackedBucket(codes, packed, length, alphabet)
 

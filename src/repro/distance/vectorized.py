@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.deadline import Budget, Deadline
 from repro.exceptions import DeadlineExceeded
 
-#: Minimum candidates (post-prefilter survivors) of a packed bucket for
+#: Minimum candidates (post-prefilter survivors) of a bucket for
 #: :func:`repro.scan.executor.scan_query` to pick the vectorized kernel.
 #: The vectorized cost is nearly flat in candidate count (~a fixed set
 #: of numpy ops per text column) while the scalar loop is linear with a

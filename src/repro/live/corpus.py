@@ -144,10 +144,6 @@ class LiveCorpus:
         Optional directory; segments are persisted there in the
         :mod:`repro.speed` format plus a JSON manifest, and
         :meth:`open` restores the corpus from it.
-    packed:
-        Compile in-memory segments in packed (numpy) mode. Segments
-        written to ``segment_dir`` are always stored packed (the
-        format stores arrays), whatever this says.
 
     Examples
     --------
@@ -164,8 +160,7 @@ class LiveCorpus:
                  flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
                  fanout: int = DEFAULT_FANOUT,
                  compaction: str = "inline",
-                 segment_dir: str | None = None,
-                 packed: bool = False) -> None:
+                 segment_dir: str | None = None) -> None:
         if flush_threshold < 1:
             raise ReproError(
                 f"flush_threshold must be positive, got {flush_threshold}"
@@ -183,7 +178,6 @@ class LiveCorpus:
         self._fanout = fanout
         self._compaction_mode = compaction
         self._segment_dir = segment_dir
-        self._packed = packed
         self._lock = threading.RLock()
         self._contents: Counter[str] = Counter()
         self._memtable: Counter[str] = Counter()
@@ -538,16 +532,14 @@ class LiveCorpus:
             self._seq += 1
             sequence = self._seq
         path = None
+        corpus = CompiledCorpus(strings)
         if self._segment_dir is not None:
             from repro.speed import save_segment, segment_cache
 
             path = os.path.join(self._segment_dir,
                                 f"seg-{sequence:06d}.seg")
-            corpus = CompiledCorpus(strings, packed=True)
             save_segment(corpus, path)
             corpus = segment_cache.get(path)
-        else:
-            corpus = CompiledCorpus(strings, packed=self._packed)
         return LiveSegment(
             corpus=corpus,
             searcher=CompiledScanSearcher(corpus),
@@ -902,8 +894,7 @@ class LiveCorpus:
 
     @classmethod
     def open(cls, segment_dir: str, *,
-             compaction: str = "inline",
-             packed: bool = False) -> "LiveCorpus":
+             compaction: str = "inline") -> "LiveCorpus":
         """Restore a live corpus persisted under ``segment_dir``.
 
         Segments are mmap-loaded through the process-global
@@ -935,7 +926,6 @@ class LiveCorpus:
             flush_threshold=manifest["flush_threshold"],
             fanout=manifest["fanout"],
             compaction=compaction,
-            packed=packed,
         )
         corpus._segment_dir = segment_dir
         segments = []

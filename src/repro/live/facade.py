@@ -85,7 +85,6 @@ class Corpus:
     @classmethod
     def frozen(cls, dataset: Iterable[str] | CompiledCorpus, *,
                alphabet=None, tracked: str | None = None,
-               packed: bool = False,
                segment: str | None = None) -> "Corpus":
         """An immutable corpus, compiled once.
 
@@ -103,7 +102,7 @@ class Corpus:
             compiled = dataset
         else:
             compiled = CompiledCorpus(dataset, alphabet=alphabet,
-                                      tracked=tracked, packed=packed)
+                                      tracked=tracked)
         return cls(_compiled=compiled)
 
     @classmethod
@@ -111,13 +110,11 @@ class Corpus:
              flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
              fanout: int = DEFAULT_FANOUT,
              compaction: str = "inline",
-             segment_dir: str | None = None,
-             packed: bool = False) -> "Corpus":
+             segment_dir: str | None = None) -> "Corpus":
         """A mutable LSM corpus (see :class:`LiveCorpus`)."""
         return cls(_live=LiveCorpus(
             dataset, flush_threshold=flush_threshold, fanout=fanout,
             compaction=compaction, segment_dir=segment_dir,
-            packed=packed,
         ))
 
     @classmethod
@@ -292,5 +289,4 @@ class Corpus:
     def __repr__(self) -> str:
         if self._live is not None:
             return f"Corpus.live({self._live!r})"
-        return (f"Corpus.frozen(size={self._compiled.size}, "
-                f"packed={self._compiled.packed})")
+        return f"Corpus.frozen(size={self._compiled.size})"

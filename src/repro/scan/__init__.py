@@ -13,11 +13,12 @@ query by :func:`scan_query` and shared across every bucket it probes.
 Layers
 ------
 :class:`CompiledCorpus`
-    The data side, preprocessed once: interned strings, dense symbol
-    codes over an :class:`repro.data.alphabet.Alphabet`, length buckets
+    The data side, preprocessed once: interned strings, length buckets
     with sorted offsets (equation 5's length filter becomes one binary
-    search instead of a per-candidate branch), and per-string frequency
-    vectors for the PETER-style prefilter.
+    search instead of a per-candidate branch), and per bucket a
+    ``numpy`` matrix of dense symbol codes over an
+    :class:`repro.data.alphabet.Alphabet` plus a frequency matrix for
+    the PETER-style prefilter.
 :func:`scan_query` / :class:`ScanProbe`
     One query against (a bucket slice of) the corpus — the scan as a
     probe of the shared batch core.

@@ -7,22 +7,28 @@ data-side cost exactly once, at compile time:
 
 * **Interning and deduplication** — result sets list distinct strings,
   so duplicates are collapsed up front and each survivor is interned.
-* **Dense symbol encoding** — every string becomes a tuple of integer
-  codes over a :class:`repro.data.alphabet.Alphabet` (provided or
-  inferred), so the hot loop compares small ints instead of characters.
 * **Length bucketing with sorted offsets** — strings sharing a length
   live in one :class:`LengthBucket`; buckets are sorted by length, so
   the equation-5 length filter is two binary searches yielding a
   contiguous bucket range instead of a branch per candidate.
-* **Frequency vectors** — per-string counts of a tracked symbol set
-  (all symbols for tiny alphabets, vowels for large ones — the paper's
-  section 6 suggestion), ready for the
-  :mod:`repro.filters.frequency` lower bound without re-walking the
-  candidate.
+* **Dense symbol encoding** — each bucket is one ``(count, length)``
+  ``numpy`` matrix of integer codes over a
+  :class:`repro.data.alphabet.Alphabet` (provided or inferred), plus
+  its bit-packed words (:class:`repro.distance.packed.PackedBucket`,
+  the paper's section-6 dictionary compression), so the hot loop
+  compares small ints instead of characters.
+* **Frequency matrices** — one ``(count, |tracked|)`` ``int64`` matrix
+  of tracked-symbol counts per bucket (all symbols for tiny alphabets,
+  vowels for large ones — the paper's section 6 suggestion), ready for
+  a whole-bucket :mod:`repro.filters.frequency` lower bound without
+  re-walking any candidate.
 
-The compiled value is immutable and built from plain tuples, so it
-pickles cheaply: a :class:`repro.parallel.executor.ProcessPoolRunner`
-ships it to workers once per chunk and scans never re-encode anything.
+Both matrices are built per bucket with array operations (the paper's
+section 3.4 "simple data types" taken to this language), never string
+by string. The compiled value is immutable; a
+:class:`repro.parallel.executor.ProcessPoolRunner` ships it to workers
+once per chunk (or a :class:`repro.speed.SegmentRef` to its segment
+file) and scans never re-encode anything.
 """
 
 from __future__ import annotations
@@ -32,8 +38,10 @@ from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.data.alphabet import Alphabet
-from repro.distance.packed import PackedBucket, pack_bucket
+from repro.distance.packed import PackedBucket, code_dtype, pack_bucket
 from repro.exceptions import ReproError
 
 #: Alphabets at or below this size track every symbol in their
@@ -56,35 +64,40 @@ class LengthBucket:
         bucketing makes the window lookup precise).
     strings:
         The distinct strings, in first-occurrence corpus order.
-    encoded:
-        Symbol-code tuples parallel to ``strings``.
     frequencies:
-        Tracked-symbol count vectors parallel to ``strings``.
+        ``(count, |tracked|)`` ``int64`` matrix of tracked-symbol
+        counts, rows parallel to ``strings``.
+    packed:
+        The symbol codes: ``packed.codes`` is the ``(count, length)``
+        code matrix, rows parallel to ``strings``.
     """
 
     length: int
     strings: tuple[str, ...]
-    encoded: tuple[tuple[int, ...], ...]
-    frequencies: tuple[tuple[int, ...], ...]
-    packed: PackedBucket | None = None
+    frequencies: np.ndarray
+    packed: PackedBucket
 
     def __len__(self) -> int:
         return len(self.strings)
-
-    def code_rows(self):
-        """Per-string symbol codes, whichever storage mode holds them.
-
-        Encoded mode returns the symbol-code tuples; packed mode
-        returns the rows of the contiguous ``numpy`` code matrix. Both
-        index and compare identically, so the scalar kernel runs
-        unchanged on either.
-        """
-        return self.encoded if self.packed is None else self.packed.codes
 
 
 def _count_vector(text: str, tracked: str) -> tuple[int, ...]:
     """Case-sensitive tracked-symbol counts (see module docstring)."""
     return tuple(text.count(symbol) for symbol in tracked)
+
+
+def _frequency_matrix(codes: np.ndarray, alphabet: Alphabet,
+                      tracked: str) -> np.ndarray:
+    """A bucket's tracked-symbol counts, one column per tracked symbol.
+
+    Each column compares the whole code matrix against one code; a
+    tracked symbol outside the alphabet occurs nowhere and counts 0.
+    """
+    counts = np.zeros((codes.shape[0], len(tracked)), dtype=np.int64)
+    for column, symbol in enumerate(tracked):
+        if symbol in alphabet:
+            counts[:, column] = (codes == alphabet.code(symbol)).sum(axis=1)
+    return counts
 
 
 class CompiledCorpus:
@@ -103,15 +116,8 @@ class CompiledCorpus:
         the whole alphabet when it is tiny (DNA) and to vowels for
         large alphabets.
     packed:
-        Store each length bucket as a contiguous
-        :class:`repro.distance.packed.PackedBucket` (``numpy`` code
-        matrix + bit-packed words) instead of Python tuples — the
-        paper's section-6 dictionary compression in bulk. Packed
-        storage feeds the vectorized kernel directly, shrinks the
-        resident payload (~2.6x for 3-bit DNA, see
-        :meth:`storage_profile`) and is what
-        :func:`repro.speed.save_segment` serializes. Results are
-        identical in either mode.
+        Accepted only as ``True``, the one layout; kept for callers
+        that still pass it. ``False`` raises :class:`ReproError`.
 
     Examples
     --------
@@ -127,7 +133,14 @@ class CompiledCorpus:
     def __init__(self, dataset: Iterable[str], *,
                  alphabet: Alphabet | None = None,
                  tracked: str | None = None,
-                 packed: bool = False) -> None:
+                 packed: bool = True) -> None:
+        if packed is not True:
+            raise ReproError(
+                f"CompiledCorpus(packed={packed!r}) is gone: every "
+                "compiled corpus now stores its buckets as numpy "
+                "matrices (the tuple layout was removed), so omit the "
+                "keyword"
+            )
         raw = tuple(dataset)
         for index, string in enumerate(raw):
             if not string:
@@ -140,7 +153,7 @@ class CompiledCorpus:
         unique = tuple(sys.intern(s) for s in dict.fromkeys(raw))
 
         if alphabet is None and unique:
-            symbols = sorted({symbol for s in unique for symbol in s})
+            symbols = sorted(set("".join(unique)))
             alphabet = Alphabet("inferred", "".join(symbols))
         self._alphabet = alphabet
 
@@ -153,7 +166,6 @@ class CompiledCorpus:
 
         self._total_strings = len(raw)
         self._strings = unique
-        self._packed = bool(packed)
         self._segment_path: str | None = None
 
         by_length: dict[int, list[str]] = {}
@@ -162,34 +174,14 @@ class CompiledCorpus:
         buckets = []
         for length in sorted(by_length):
             members = tuple(by_length[length])
-            encoded = tuple(alphabet.encode(s) for s in members) \
-                if alphabet is not None else ()
-            counts = tuple(
-                _count_vector(s, self._tracked) for s in members
-            )
-            if self._packed and alphabet is not None:
-                # Packed mode drops the per-string Python tuples: the
-                # code matrix (kernel-facing) plus the bit-packed words
-                # (resident payload) replace ``encoded``, and the
-                # frequency vectors collapse into one integer matrix.
-                import numpy as np
-
-                bulk = pack_bucket(members, alphabet, encoded=encoded)
-                buckets.append(LengthBucket(
-                    length=length,
-                    strings=members,
-                    encoded=(),
-                    frequencies=np.array(counts, dtype=np.int64).reshape(
-                        len(members), len(self._tracked)),
-                    packed=bulk,
-                ))
-            else:
-                buckets.append(LengthBucket(
-                    length=length,
-                    strings=members,
-                    encoded=encoded,
-                    frequencies=counts,
-                ))
+            bulk = pack_bucket(members, alphabet)
+            buckets.append(LengthBucket(
+                length=length,
+                strings=members,
+                frequencies=_frequency_matrix(bulk.codes, alphabet,
+                                              self._tracked),
+                packed=bulk,
+            ))
         self._buckets = tuple(buckets)
         self._lengths = tuple(bucket.length for bucket in self._buckets)
 
@@ -220,11 +212,6 @@ class CompiledCorpus:
     def tracked(self) -> str:
         """Symbols counted into frequency vectors."""
         return self._tracked
-
-    @property
-    def packed(self) -> bool:
-        """Whether buckets use packed (``numpy``) storage."""
-        return self._packed
 
     @property
     def segment_path(self) -> str | None:
@@ -308,28 +295,22 @@ class CompiledCorpus:
         return _count_vector(query, self._tracked)
 
     def storage_profile(self) -> dict:
-        """Byte accounting of the symbol payload, per storage mode.
+        """Byte accounting of the symbol payload.
 
-        ``byte_code_bytes`` is what one-byte-per-symbol code storage
-        costs (two for alphabets wider than 256 symbols);
-        ``packed_bytes`` is the bit-packed payload
+        ``byte_code_bytes`` is what the code matrices cost (one byte
+        per symbol, two for alphabets wider than 256 symbols, four
+        above 65,536); ``packed_bytes`` is the bit-packed payload
         (``bits_per_symbol`` bits each, rows padded to whole bytes).
         ``packed_reduction`` is their ratio — ~2.6x for 3-bit DNA, the
         paper's section-6 dictionary-compression estimate.
         """
         symbols = sum(bucket.length * len(bucket) for bucket in self._buckets)
-        itemsize = 1
-        packed_bytes = 0
-        if self._packed:
-            for bucket in self._buckets:
-                if bucket.packed is not None:
-                    itemsize = bucket.packed.codes.dtype.itemsize
-                    packed_bytes += bucket.packed.packed_nbytes
-        elif self._alphabet is not None and self._alphabet.size > 256:
-            itemsize = 2
+        itemsize = code_dtype(self._alphabet).itemsize \
+            if self._alphabet is not None else 1
         byte_code_bytes = symbols * itemsize
+        packed_bytes = sum(bucket.packed.packed_nbytes
+                           for bucket in self._buckets)
         return {
-            "mode": "packed" if self._packed else "encoded",
             "strings": self.size,
             "symbols": symbols,
             "byte_code_bytes": byte_code_bytes,
@@ -348,7 +329,6 @@ class CompiledCorpus:
             "min_length": self.min_length,
             "max_length": self.max_length,
             "tracked_symbols": self._tracked,
-            "storage": "packed" if self._packed else "encoded",
         }
 
     def __repr__(self) -> str:

@@ -42,17 +42,15 @@ from repro.exceptions import DeadlineExceeded
 from repro.scan.corpus import CompiledCorpus, LengthBucket
 
 
-def _packed_survivors(bucket: LengthBucket, query_vector: tuple[int, ...],
-                      k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A packed bucket's ``(indices, code rows)`` within the frequency
-    bound, as one ``numpy`` expression over its count matrix."""
+def _survivors(bucket: LengthBucket, query_vector: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A bucket's ``(indices, code rows)`` within the frequency bound,
+    as one ``numpy`` expression over its count matrix."""
     codes = bucket.packed.codes
     count = len(bucket.strings)
-    if not query_vector:
+    if not query_vector.size:
         return np.arange(count), codes
-    difference = np.asarray(query_vector, dtype=np.int64) \
-        - np.asarray(bucket.frequencies, dtype=np.int64).reshape(
-            count, len(query_vector))
+    difference = query_vector - bucket.frequencies
     positive = difference > 0
     surplus = np.where(positive, difference, 0).sum(axis=1)
     deficit = np.where(positive, 0, -difference).sum(axis=1)
@@ -73,20 +71,18 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
     one pipeline:
 
     1. **select survivors** of the (sound) frequency bound — one
-       ``numpy`` expression over a packed bucket's count matrix, a
-       per-candidate check over an encoded bucket's tuples;
-    2. **score survivors** — :func:`bucket_distances` when the rows are
-       a ``numpy`` matrix and at least
+       ``numpy`` expression over the bucket's count matrix;
+    2. **score survivors** — :func:`bucket_distances` over the survivor
+       code matrix when at least
        :data:`repro.distance.vectorized.DEFAULT_VECTOR_MIN_BUCKET`
        survived (where paying the interpreter once per column beats
        paying it once per candidate), :func:`myers_bounded` per
-       survivor otherwise;
+       survivor row otherwise;
     3. **emit** the survivors within ``k``.
 
-    The scoring engine follows from what the code can see — storage
-    mode and survivor count — so there is nothing to configure, and
-    match sets, distances and ``scan.*`` counters are identical
-    whichever engine runs.
+    The scoring engine follows from the survivor count, so there is
+    nothing to configure, and match sets, distances and ``scan.*``
+    counters are identical whichever engine runs.
 
     ``lo``/``hi`` restrict the scan to ``corpus.buckets[lo:hi]`` (they
     are intersected with the query's length window), which is how a
@@ -98,11 +94,10 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
     maintains local integers; the mapping is touched once on the way
     out, expiry included.
 
-    ``deadline`` bounds the scan at one work unit per candidate. An
-    encoded bucket polls every ``deadline.check_interval`` candidates;
-    a packed bucket charges what the prefilter and the scalar kernel
-    handle up front and lets the bucket kernel charge its own rows
-    between column blocks. On expiry the function raises
+    ``deadline`` bounds the scan at one work unit per candidate. Each
+    bucket charges what the prefilter and the scalar kernel handle up
+    front and lets the bucket kernel charge its own rows between
+    column blocks. On expiry the function raises
     :class:`DeadlineExceeded` carrying the matches proven so far (a
     subset of the exact answer).
     """
@@ -120,9 +115,8 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
     candidates = 0
     freq_rejects = 0
     early_aborts = 0
-
-    check_interval = deadline.check_interval if deadline is not None else 0
-    countdown = check_interval
+    query_vector = np.asarray(corpus.query_frequencies(query),
+                              dtype=np.int64)
 
     def expire(completed: int) -> NoReturn:
         matches.sort()
@@ -134,44 +128,13 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
             total=sum(len(bucket.strings) for bucket in buckets),
         )
 
-    tracked_width = len(corpus.tracked)
-    query_vector = corpus.query_frequencies(query)
-
-    def bounded_rows(bucket: LengthBucket, done: int):
-        """An encoded bucket's ``(index, codes)`` within the bound."""
-        nonlocal countdown, freq_rejects
-        frequencies = bucket.frequencies
-        for index, codes in enumerate(bucket.encoded):
-            if countdown:
-                countdown -= 1
-                if not countdown:
-                    countdown = check_interval
-                    if deadline.spend(check_interval):
-                        expire(done + index)
-            if tracked_width:
-                # Inlined frequency_lower_bound: the larger of total
-                # surplus and total deficit bounds the edit distance.
-                surplus = 0
-                deficit = 0
-                candidate_vector = frequencies[index]
-                for position in range(tracked_width):
-                    difference = (query_vector[position]
-                                  - candidate_vector[position])
-                    if difference > 0:
-                        surplus += difference
-                    else:
-                        deficit -= difference
-                if surplus > k or deficit > k:
-                    freq_rejects += 1
-                    continue
-            yield index, codes
-
     try:
         if n == 0:
             # Every bucket in the window has length <= k; the distance
             # to an empty query is the candidate's length.
             for bucket in buckets:
-                if check_interval and deadline.spend(len(bucket.strings)):
+                if deadline is not None \
+                        and deadline.spend(len(bucket.strings)):
                     expire(candidates)
                 candidates += len(bucket.strings)
                 matches.extend(Match(string, bucket.length)
@@ -190,20 +153,13 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
             done = candidates
             candidates += len(strings)
 
-            if bucket.packed is None:
-                vectorize = False
-                survivors = bounded_rows(bucket, done)
-            else:
-                kept, rows = _packed_survivors(bucket, query_vector, k)
-                freq_rejects += len(strings) - len(kept)
-                vectorize = len(kept) >= DEFAULT_VECTOR_MIN_BUCKET
-                # The bucket kernel charges the rows it scores itself.
-                upfront = len(strings) - (len(kept) if vectorize else 0)
-                if deadline is not None and upfront \
-                        and deadline.spend(upfront):
-                    expire(done)
-                if not vectorize:
-                    survivors = zip(kept.tolist(), rows)
+            kept, rows = _survivors(bucket, query_vector, k)
+            freq_rejects += len(strings) - len(kept)
+            vectorize = len(kept) >= DEFAULT_VECTOR_MIN_BUCKET
+            # The bucket kernel charges the rows it scores itself.
+            upfront = len(strings) - (len(kept) if vectorize else 0)
+            if deadline is not None and upfront and deadline.spend(upfront):
+                expire(done)
 
             if vectorize:
                 if vector_query is None:
@@ -223,7 +179,7 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
                     for index, distance in zip(kept[hits].tolist(),
                                                scores[hits].tolist()))
             else:
-                for index, codes in survivors:
+                for index, codes in zip(kept.tolist(), rows):
                     distance = myers_bounded(peq_get, n, mask, last, codes,
                                              length, k)
                     if distance is None:

@@ -36,10 +36,6 @@ class CompiledScanSearcher(Searcher):
         Default parallel runner for workload execution.
     cache_size:
         Result-memo capacity (``0`` disables memoization).
-    packed:
-        Compile the corpus in packed (``numpy``) storage mode — see
-        :class:`CompiledCorpus`. Ignored when ``dataset`` is already a
-        compiled corpus.
 
     Examples
     --------
@@ -51,13 +47,11 @@ class CompiledScanSearcher(Searcher):
     def __init__(self, dataset: Iterable[str] | CompiledCorpus, *,
                  alphabet: Alphabet | None = None,
                  runner: QueryRunner | None = None,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
-                 packed: bool = False) -> None:
+                 cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         if isinstance(dataset, CompiledCorpus):
             self._corpus = dataset
         else:
-            self._corpus = CompiledCorpus(dataset, alphabet=alphabet,
-                                          packed=packed)
+            self._corpus = CompiledCorpus(dataset, alphabet=alphabet)
         self._executor = BatchScanExecutor(
             self._corpus, runner=runner, cache_size=cache_size,
         )

@@ -4,13 +4,13 @@ The paper's method is "optimize the hot loop stage by stage, gate each
 stage with a benchmark"; this package holds the stages that trade
 Python-object flexibility for machine-level speed:
 
-* **Packed corpora** — ``CompiledCorpus(packed=True)`` stores length
+* **The compiled layout** — every ``CompiledCorpus`` stores its length
   buckets as contiguous ``numpy`` arrays
   (:class:`repro.distance.packed.PackedBucket`), the paper's section-6
   dictionary compression in bulk (~2.6x for 3-bit DNA).
 * **Vectorized kernels** — :mod:`repro.distance.vectorized` runs the
   Myers recurrence over a whole bucket per step; the scan picks it for
-  packed buckets with enough prefilter survivors.
+  buckets with enough prefilter survivors.
 * **Segments** (this package) — compiled artifacts serialized to
   versioned flat binaries and loaded back as zero-copy ``mmap`` views:
   near-instant cold start, and ~1× resident memory across process-pool
@@ -60,7 +60,7 @@ def load_or_build_corpus_segment(dataset, path, *, alphabet=None,
 
     If ``path`` already holds a segment, it is mmap-loaded through the
     process-global :data:`segment_cache` (near-instant). Otherwise the
-    corpus is compiled in packed mode, saved to ``path``, and the
+    corpus is compiled, saved to ``path``, and the
     mmap-backed load is returned — so callers always get an artifact
     whose ``segment_path`` is set and whose arrays live in the page
     cache, whichever branch ran. :class:`repro.service.ShardedCorpus`
@@ -73,6 +73,6 @@ def load_or_build_corpus_segment(dataset, path, *, alphabet=None,
         if parent:
             os.makedirs(parent, exist_ok=True)
         corpus = CompiledCorpus(dataset, alphabet=alphabet,
-                                tracked=tracked, packed=True)
+                                tracked=tracked)
         save_segment(corpus, path)
     return segment_cache.get(path)

@@ -238,8 +238,6 @@ def _read_segment(path: str | os.PathLike) -> tuple[dict, dict]:
 
 
 def _corpus_payload(corpus) -> tuple[dict, dict]:
-    from repro.distance.packed import pack_bucket
-
     alphabet = corpus.alphabet
     strings = tuple(corpus.strings)
     sid = {string: index for index, string in enumerate(strings)}
@@ -254,16 +252,12 @@ def _corpus_payload(corpus) -> tuple[dict, dict]:
     sid_parts = []
     for bucket in corpus.buckets:
         bulk = bucket.packed
-        if bulk is None:
-            bulk = pack_bucket(bucket.strings, alphabet,
-                               encoded=bucket.encoded)
         lengths.append(bucket.length)
         counts.append(len(bucket))
         row_bytes.append(bulk.packed.shape[1])
         codes_parts.append(bulk.codes.reshape(-1))
         packed_parts.append(bulk.packed.reshape(-1))
-        freq_parts.append(np.asarray(bucket.frequencies, dtype=np.int64)
-                          .reshape(-1))
+        freq_parts.append(bucket.frequencies.reshape(-1))
         sid_parts.append(np.array([sid[s] for s in bucket.strings],
                                   dtype=np.int64))
 
@@ -332,7 +326,6 @@ def _corpus_from_segment(header: dict, arrays: dict, path: str):
         buckets.append(LengthBucket(
             length=length,
             strings=IndexedStrings(table, sids),
-            encoded=(),
             frequencies=frequencies,
             packed=PackedBucket(codes, packed_rows, length, alphabet),
         ))
@@ -342,7 +335,6 @@ def _corpus_from_segment(header: dict, arrays: dict, path: str):
     corpus._tracked = tracked
     corpus._total_strings = meta["total_strings"]
     corpus._strings = table
-    corpus._packed = True
     corpus._buckets = tuple(buckets)
     corpus._lengths = tuple(b.length for b in buckets)
     corpus._segment_path = os.path.abspath(path)
@@ -424,8 +416,7 @@ def save_segment(artifact, path: str | os.PathLike) -> str:
     ``artifact`` is a :class:`repro.scan.corpus.CompiledCorpus` or a
     :class:`repro.index.flat.FlatTrie`. Returns the absolute path
     written. The file is self-describing; reload it with
-    :func:`load_segment` (any storage mode — an unpacked corpus is
-    packed on the way out, since segments always store the array form).
+    :func:`load_segment`.
     """
     from repro.index.flat import FlatTrie
     from repro.scan.corpus import CompiledCorpus

@@ -49,7 +49,8 @@ class TestCostProfile:
 
     def test_version_1_profile_with_removed_constants_loads(self):
         mapping = CostProfile(trie_node=1.1e-6).to_dict()
-        mapping.update(qgram_posting=1.2e-7, qgram_setup=2.0e-5)
+        mapping.update(qgram_posting=1.2e-7, qgram_setup=2.0e-5,
+                       scan_row=8.0e-8)
         assert mapping["profile_version"] == 1
         assert CostProfile.from_dict(mapping) \
             == CostProfile(trie_node=1.1e-6, source="default")

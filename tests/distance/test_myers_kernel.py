@@ -9,13 +9,14 @@ code with either, so it is the reference here:
 
 * kernel vs. DP vs. the numpy bucket kernel, over the three row types
   the scan feeds it (``str``, code tuple, numpy row);
-* ``scan_query`` over packed vs. encoded storage — the only thing that
-  selects a scoring engine — on buckets either side of
-  ``DEFAULT_VECTOR_MIN_BUCKET``, matches *and* ``scan.*`` counters,
-  with and without a ``Budget``.
+* ``scan_query`` with each scoring engine forced (the survivor-count
+  threshold ``DEFAULT_VECTOR_MIN_BUCKET`` is the only thing that
+  selects one), against the DP and ``SequentialScanSearcher``:
+  matches *and* ``scan.*`` counters, with and without a ``Budget``.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.deadline import Budget
 from repro.core.result import Match
+from repro.core.sequential import SequentialScanSearcher
 from repro.distance.bitparallel import (
     build_peq,
     myers_bounded,
@@ -162,14 +164,25 @@ WIDE = _wide_reads()
 WIDE_QUERY = WIDE[5]
 
 
-def _scan(dataset, query, k, *, packed, deadline=None, tracked=None):
-    corpus = CompiledCorpus(dataset, packed=packed, tracked=tracked)
+#: The scan's survivor-count threshold, pinned to force one scoring
+#: engine on every bucket: ``encoded`` scores survivors one code row at
+#: a time (``myers_bounded``), ``packed`` scores the whole survivor
+#: code matrix at once (``bucket_distances``).
+ENGINES = {"encoded": sys.maxsize, "packed": 1}
+
+
+def _scan(dataset, query, k, *, engine=None, deadline=None, tracked=None):
+    corpus = CompiledCorpus(dataset, tracked=tracked)
     counters: dict = {}
-    try:
-        outcome = scan_query(corpus, query, k, counters=counters,
-                             deadline=deadline)
-    except DeadlineExceeded as error:
-        outcome = error
+    with pytest.MonkeyPatch.context() as patch:
+        if engine is not None:
+            patch.setattr("repro.scan.executor.DEFAULT_VECTOR_MIN_BUCKET",
+                          ENGINES[engine])
+        try:
+            outcome = scan_query(corpus, query, k, counters=counters,
+                                 deadline=deadline)
+        except DeadlineExceeded as error:
+            outcome = error
     return outcome, counters
 
 
@@ -194,10 +207,13 @@ class TestScanParity:
             "city-Berlino", "city-Hamborg", "city-empty",
             "wide-k1", "wide-k4"])
     def test_matches_and_counters_identical(self, dataset, query, k):
-        encoded, encoded_counters = _scan(dataset, query, k, packed=False)
-        packed, packed_counters = _scan(dataset, query, k, packed=True)
-        assert encoded == packed == _exact(dataset, query, k)
-        assert encoded_counters == packed_counters
+        encoded, encoded_counters = _scan(dataset, query, k,
+                                          engine="encoded")
+        packed, packed_counters = _scan(dataset, query, k, engine="packed")
+        chosen, chosen_counters = _scan(dataset, query, k)
+        assert encoded == packed == chosen == _exact(dataset, query, k)
+        assert encoded == SequentialScanSearcher(dataset).search(query, k)
+        assert encoded_counters == packed_counters == chosen_counters
         # Every kernel call ends in a match or in the abort check.
         assert encoded_counters["scan.early_aborts"] == \
             encoded_counters["scan.kernel_calls"] \
@@ -207,7 +223,7 @@ class TestScanParity:
         # The parity cases above only mean something if the wide bucket
         # really crosses the threshold at k=4 and stays under it at k=1.
         for k, vectorized in ((1, False), (4, True)):
-            _, counters = _scan(WIDE, WIDE_QUERY, k, packed=True)
+            _, counters = _scan(WIDE, WIDE_QUERY, k)
             narrow = 80  # the two 40-read side buckets
             survivors = counters["scan.kernel_calls"]
             assert (survivors - narrow >= DEFAULT_VECTOR_MIN_BUCKET) \
@@ -217,9 +233,9 @@ class TestScanParity:
         # ``tracked=""`` compiles no frequency vectors: the regime the
         # bucket kernel is for, and the scalar kernel must agree on it.
         encoded, encoded_counters = _scan(WIDE, WIDE_QUERY, 3,
-                                          packed=False, tracked="")
+                                          engine="encoded", tracked="")
         packed, packed_counters = _scan(WIDE, WIDE_QUERY, 3,
-                                        packed=True, tracked="")
+                                        engine="packed", tracked="")
         assert encoded == packed == _exact(WIDE, WIDE_QUERY, 3)
         assert encoded_counters == packed_counters
         assert packed_counters["scan.freq_rejects"] == 0
@@ -227,27 +243,25 @@ class TestScanParity:
             == packed_counters["scan.candidates"] > 0
 
     @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("packed", [False, True],
-                             ids=["encoded", "packed"])
-    def test_ample_budget_unit_per_candidate(self, packed, k):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ample_budget_unit_per_candidate(self, engine, k):
         budget = Budget(10 ** 9, check_interval=1)
-        matches, counters = _scan(WIDE, WIDE_QUERY, k, packed=packed,
+        matches, counters = _scan(WIDE, WIDE_QUERY, k, engine=engine,
                                   deadline=budget)
         unbounded, unbounded_counters = _scan(WIDE, WIDE_QUERY, k,
-                                              packed=packed)
+                                              engine=engine)
         assert matches == unbounded
         assert counters == unbounded_counters
         assert budget.spent == counters["scan.candidates"]
 
     @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("packed", [False, True],
-                             ids=["encoded", "packed"])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("limit", [1, 60, 700, 2000])
-    def test_expiry_yields_labelled_subset(self, packed, k, limit):
+    def test_expiry_yields_labelled_subset(self, engine, k, limit):
         exact = set(_exact(WIDE, WIDE_QUERY, k))
         window = CompiledCorpus(WIDE).candidates_in_window(
             len(WIDE_QUERY), k)
-        error, counters = _scan(WIDE, WIDE_QUERY, k, packed=packed,
+        error, counters = _scan(WIDE, WIDE_QUERY, k, engine=engine,
                                 deadline=Budget(limit, check_interval=16))
         assert isinstance(error, DeadlineExceeded)
         assert error.scope == "candidates"

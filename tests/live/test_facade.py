@@ -66,7 +66,7 @@ class TestConstructors:
         from repro.speed import save_segment
 
         path = str(tmp_path / "frozen.seg")
-        save_segment(CompiledCorpus(DATASET, packed=True), path)
+        save_segment(CompiledCorpus(DATASET), path)
         frozen = Corpus.open(path)
         assert not frozen.mutable
         assert sorted(frozen) == sorted(DATASET)

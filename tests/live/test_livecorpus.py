@@ -161,7 +161,7 @@ class TestCompaction:
         strings = ["Berlin", "Bern", "Bonn", "Ulm", "Hamburg", "Bremen",
                    "Berlino", "Bonna", "Ulma", "Hamburk", "Brem", "Ber"]
         corpus = LiveCorpus(flush_threshold=3, fanout=5,
-                            compaction="inline", packed=True)
+                            compaction="inline")
         for string in strings:
             corpus.insert(string)
         assert corpus.segment_count == 4

@@ -2,11 +2,15 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.core.sequential import SequentialScanSearcher
 from repro.data.alphabet import DNA_ALPHABET, Alphabet
 from repro.exceptions import AlphabetError, ReproError
 from repro.scan.corpus import CompiledCorpus
+from repro.scan.executor import scan_query
+from repro.speed import load_segment, save_segment
 
 
 class TestCompilation:
@@ -37,11 +41,35 @@ class TestCompilation:
         with pytest.raises(AlphabetError):
             CompiledCorpus(["ACGT", "HELLO"], alphabet=DNA_ALPHABET)
 
+    def test_foreign_symbol_error_names_the_string(self):
+        with pytest.raises(AlphabetError, match="'GAXA'"):
+            CompiledCorpus(["ACGT", "GATT", "GAXA", "TTTT"],
+                           alphabet=DNA_ALPHABET)
+
     def test_encoding_round_trips(self):
         corpus = CompiledCorpus(["GATT", "ACA"], alphabet=DNA_ALPHABET)
         for bucket in corpus.buckets:
-            for string, codes in zip(bucket.strings, bucket.encoded):
-                assert DNA_ALPHABET.decode(codes) == string
+            for string, codes in zip(bucket.strings, bucket.packed.codes):
+                assert DNA_ALPHABET.decode(codes.tolist()) == string
+
+    def test_codes_follow_alphabet_order_not_code_points(self):
+        corpus = CompiledCorpus(["abcd", "dcba", "bd"],
+                                alphabet=Alphabet("reversed", "dcba"))
+        assert corpus.buckets[0].packed.codes.tolist() == [[2, 0]]
+        assert corpus.buckets[1].packed.codes.tolist() == \
+            [[3, 2, 1, 0], [0, 1, 2, 3]]
+
+    def test_first_occurrence_order_inside_a_bucket(self):
+        corpus = CompiledCorpus(["zz", "ab", "x", "ba", "ab", "mm"])
+        assert corpus.buckets[1].strings == ("zz", "ab", "ba", "mm")
+        assert [corpus.alphabet.decode(row.tolist())
+                for row in corpus.buckets[1].packed.codes] == \
+            ["zz", "ab", "ba", "mm"]
+
+    def test_the_tuple_layout_is_gone(self):
+        assert CompiledCorpus(["ab"], packed=True).size == 1
+        with pytest.raises(ReproError, match="tuple layout"):
+            CompiledCorpus(["ab"], packed=False)
 
 
 class TestBuckets:
@@ -71,7 +99,9 @@ class TestFrequencyVectors:
     def test_tiny_alphabet_tracks_everything(self):
         corpus = CompiledCorpus(["ACCA"], alphabet=DNA_ALPHABET)
         assert corpus.tracked == "ACGNT"
-        assert corpus.buckets[0].frequencies[0] == (2, 2, 0, 0, 0)
+        frequencies = corpus.buckets[0].frequencies
+        assert frequencies.dtype == np.int64
+        assert frequencies.tolist() == [[2, 2, 0, 0, 0]]
 
     def test_large_alphabet_tracks_vowels(self):
         alphabet = Alphabet("wide", "abcdefghij")
@@ -85,7 +115,47 @@ class TestFrequencyVectors:
     def test_tracked_override(self):
         corpus = CompiledCorpus(["abc"], tracked="a")
         assert corpus.tracked == "a"
-        assert corpus.buckets[0].frequencies[0] == (1,)
+        assert corpus.buckets[0].frequencies.tolist() == [[1]]
+
+    def test_tracked_symbol_outside_the_alphabet_counts_zero(self):
+        corpus = CompiledCorpus(["ACCA", "GATT"], alphabet=DNA_ALPHABET,
+                                tracked="AX")
+        assert corpus.buckets[0].frequencies.tolist() == [[2, 0], [1, 0]]
+
+    def test_no_tracked_symbols_is_an_empty_matrix(self):
+        corpus = CompiledCorpus(["abc", "abd"], tracked="")
+        assert corpus.buckets[0].frequencies.shape == (2, 0)
+
+
+class TestWideAlphabet:
+    """More than 65,536 distinct symbols need 32-bit codes."""
+
+    @staticmethod
+    def _symbols(count: int) -> str:
+        points = (point for point in range(0x100, 0x110000)
+                  if not 0xD800 <= point < 0xE000)
+        return "".join(chr(next(points)) for _ in range(count))
+
+    def test_seventy_thousand_symbols_compile_scan_and_round_trip(
+            self, tmp_path):
+        symbols = self._symbols(70_000)
+        strings = [symbols[start:start + 7]
+                   for start in range(0, len(symbols), 7)]
+        corpus = CompiledCorpus(strings)
+        assert corpus.alphabet.size == 70_000
+        assert corpus.buckets[0].packed.codes.dtype == np.uint32
+        path = str(tmp_path / "wide.seg")
+        save_segment(corpus, path)
+        loaded = load_segment(path)
+        assert np.array_equal(loaded.buckets[0].packed.codes,
+                              corpus.buckets[0].packed.codes)
+        reference = SequentialScanSearcher(strings)
+        for query, k in ((strings[-1], 0), (strings[5][:6], 1),
+                         (strings[9999][1:] + symbols[0], 2)):
+            expected = reference.search(query, k)
+            assert expected
+            assert scan_query(corpus, query, k) == expected
+            assert scan_query(loaded, query, k) == expected
 
 
 class TestQueryEncoding:

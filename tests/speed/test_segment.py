@@ -36,7 +36,7 @@ QUERIES = [("Berlino", 2), ("Bon", 1), ("Hamborg", 2), ("Ulm", 0)]
 
 @pytest.fixture()
 def corpus_segment(tmp_path):
-    corpus = CompiledCorpus(DATASET, packed=True)
+    corpus = CompiledCorpus(DATASET)
     path = str(tmp_path / "corpus.seg")
     save_segment(corpus, path)
     return corpus, path
@@ -54,17 +54,10 @@ class TestCorpusRoundTrip:
             assert mapped.search(query, k) == fresh.search(query, k)
         assert mapped.counters_snapshot() == fresh.counters_snapshot()
 
-    def test_unpacked_corpus_is_packed_on_save(self, tmp_path):
-        path = str(tmp_path / "plain.seg")
-        save_segment(CompiledCorpus(DATASET), path)
-        loaded = load_segment(path)
-        assert loaded.packed
-        assert tuple(loaded.strings) == CompiledCorpus(DATASET).strings
-
     def test_packed_dna_is_at_least_twice_as_small(self, tmp_path):
         # The paper's section-6 dictionary compression, in bulk: 3-bit
         # symbols against a byte each, and a segment keeps the saving.
-        corpus = CompiledCorpus(generate_reads(200, seed=2013), packed=True)
+        corpus = CompiledCorpus(generate_reads(200, seed=2013))
         profile = corpus.storage_profile()
         assert profile["byte_code_bytes"] >= 2 * profile["packed_bytes"] > 0
         path = str(tmp_path / "reads.seg")

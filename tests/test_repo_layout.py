@@ -18,6 +18,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.bench.registry import EXPERIMENTS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -111,9 +113,17 @@ def test_the_e2e_benchmark_finds_what_it_patches_and_calls(monkeypatch):
         assert attribute in owner.__dict__, (owner, attribute)
     # The two constructors the pools and sharding probes call.
     from repro import IndexedSearcher
+    from repro.exceptions import ReproError
+    from repro.scan.corpus import CompiledCorpus
     from repro.traffic import ShardPools
 
     strings = ["Berlin", "Bern", "Ulm"]
     with ShardPools(strings, shards=2, kind="thread"):
         pass
     IndexedSearcher(strings, index="flat")
+    # The segment probe's compile and the code matrix it scores; the
+    # keyword's other value went with the tuple layout.
+    corpus = CompiledCorpus(strings, packed=True)
+    assert corpus.buckets[0].packed.codes.shape == (1, 3)
+    with pytest.raises(ReproError):
+        CompiledCorpus(strings, packed=False)
