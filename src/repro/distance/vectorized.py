@@ -1,27 +1,38 @@
-"""Numpy-vectorized Myers kernel: one query vs a whole length bucket.
+"""Numpy-vectorized Myers kernel: one query vs a whole length window.
 
 The scalar bit-parallel kernel
 (:func:`repro.distance.bitparallel.myers_bounded`) spends most of its
 time in the Python interpreter — roughly a dozen bytecodes per text
 column *per candidate*. This module runs the same Myers recurrence
-across **all candidates of a length bucket at once** as ``numpy`` array
-operations, so the interpreter cost per column is paid once per bucket
-instead of once per candidate:
+across **every survivor of a query's length window at once** as
+``numpy`` array operations, so the interpreter cost per column is paid
+once per window instead of once per candidate (or once per bucket):
 
-* the ``Peq`` table is a ``(alphabet_size, words)`` ``uint64`` matrix;
-  each text column gathers every active candidate's ``eq`` row with one
-  fancy-indexing lookup on the bucket's code matrix;
-* ``Pv``/``Mv`` live as ``(active, words)`` ``uint64`` arrays, updated
+* survivors of every bucket in the window form one
+  ``(longest length, rows)`` code matrix, rows ordered longest first;
+  row ``r`` is valid for its first ``lengths[r]`` columns, and each
+  text column is one contiguous row of that matrix;
+* the ``Peq`` table is a ``(words, alphabet_size)`` ``uint64`` matrix;
+  each text column gathers every active row's ``eq`` word(s) with one
+  ``take`` along the alphabet axis;
+* ``Pv``/``Mv`` live as ``(words, active)`` ``uint64`` arrays, updated
   per column with carry-propagating word arithmetic, so queries longer
   than 64 symbols work (multi-word Myers, exactly like the big-int
   scalar kernel);
-* the paper's early abort (``score - remaining > k`` can never recover)
-  is a shrinking *active set*: provably-dead candidates are compacted
-  out, and the bucket finishes early when nobody survives.
+* a row finishes at its own last column. Rows are sorted by length, so
+  the finishing rows are always the tail of the active set and leave
+  by slicing;
+* the paper's early abort (``score - remaining > k`` can never
+  recover) removes dead rows from the active set, lazily: they are
+  compacted out only once at least a quarter of the active rows are
+  dead, and the window finishes early when nobody survives. A dead row
+  left in the set still finishes above ``k``, because
+  ``score - remaining`` never decreases.
 
 Parity with the scalar kernel is exact — identical match sets and
-identical distances — enforced by the hypothesis suite in
-``tests/distance/test_vectorized.py``. Counter parity follows from an
+identical distances — enforced by the hypothesis suites in
+``tests/distance/test_vectorized.py`` and
+``tests/distance/test_myers_kernel.py``. Counter parity follows from an
 invariant of the scalar loop: ``score - remaining`` is non-decreasing
 and is checked after every column, and at the last column
 ``remaining == 0``, so *every* non-match trips the abort check and
@@ -30,9 +41,9 @@ reports exactly that identity.
 
 Deadlines are polled **between column blocks** (the kernel has no
 per-candidate loop to count in): every :data:`DEFAULT_COLUMN_BLOCK`
-columns the bucket's work is charged pro-rata against the deadline, so
-a :class:`repro.core.deadline.Budget` sees the same total unit count
-(one unit per candidate) a scalar scan of the bucket would charge.
+columns the window's rows are charged pro rata against the deadline,
+so a :class:`repro.core.deadline.Budget` sees the same total unit count
+(one unit per candidate) a scalar scan of the rows would charge.
 """
 
 from __future__ import annotations
@@ -42,53 +53,57 @@ import numpy as np
 from repro.core.deadline import Budget, Deadline
 from repro.exceptions import DeadlineExceeded
 
-#: Minimum candidates (post-prefilter survivors) of a bucket for
-#: :func:`repro.scan.executor.scan_query` to pick the vectorized kernel.
-#: The vectorized cost is nearly flat in candidate count (~a fixed set
-#: of numpy ops per text column) while the scalar loop is linear with a
-#: strong early-abort advantage, so the measured crossover on
-#: length-100 DNA reads sits around 700-900 candidates (the e2e
-#: ``dna_batch`` run times both kernels per pair:
-#: ``distance.scalar_ns_per_pair``, ``distance.vectorized_ns_per_pair``);
-#: 1024 picks vectorized only where it clearly wins.
-DEFAULT_VECTOR_MIN_BUCKET = 1024
+#: Minimum survivors (post-prefilter, summed over every bucket of the
+#: query's length window) for :func:`repro.scan.executor.scan_query` to
+#: score them in one :func:`window_distances` pass rather than with
+#: :func:`repro.distance.bitparallel.myers_bounded` row by row. The
+#: vectorized cost per text column is a fixed set of numpy calls plus a
+#: small per-row term, the scalar cost is linear in rows. The measured
+#: crossover sits near 128 rows on ~11-symbol names and between 32 and
+#: 64 rows on ~100-symbol DNA reads, so at 128 neither engine loses
+#: (docs/SPEED.md, "The threshold").
+DEFAULT_VECTOR_MIN_ROWS = 128
 
 #: Text columns processed between deadline polls.
 DEFAULT_COLUMN_BLOCK = 32
 
-_U0 = np.uint64(0)
+#: Most rows scored at once; a larger window is scored in consecutive
+#: row blocks of this size, which bounds the kernel's working set.
+_WINDOW_ROWS = 1 << 17
+
+#: A dead row leaves the active set once this share of it is dead.
+_COMPACT_SHARE = 4
+
 _U1 = np.uint64(1)
 _U63 = np.uint64(63)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class VectorQuery:
-    """One query compiled for vectorized scanning, reusable per bucket.
+    """One query compiled for vectorized scanning, reusable per window.
 
-    Built once per ``(query, k)`` scan by :func:`prepare_query` and then
-    applied to every length bucket in the window — the vector analog of
-    hoisting :func:`repro.distance.bitparallel.build_peq` out of the
-    candidate loop.
+    Built once per ``(query, k)`` scan by :func:`prepare_query` — the
+    vector analog of hoisting
+    :func:`repro.distance.bitparallel.build_peq` out of the candidate
+    loop.
 
     Attributes
     ----------
     peq:
-        ``(alphabet_size, words)`` ``uint64`` bit table; row ``c`` holds
-        the positions where the query's symbol code equals ``c``.
+        ``(words, alphabet_size)`` ``uint64`` bit table; column ``c``
+        holds the positions where the query's symbol code equals ``c``.
     n:
         Query length in symbols (``>= 1``).
     words:
         ``ceil(n / 64)`` — the state width per candidate.
     """
 
-    __slots__ = ("peq", "n", "words", "mask_top", "last_word", "last_bit")
+    __slots__ = ("peq", "n", "words", "last_word", "last_bit")
 
     def __init__(self, peq: np.ndarray, n: int) -> None:
         self.peq = peq
         self.n = n
-        self.words = peq.shape[1]
-        top_bits = n - 64 * (self.words - 1)
-        self.mask_top = np.uint64((1 << top_bits) - 1)
+        self.words = peq.shape[0]
         self.last_word = (n - 1) >> 6
         self.last_bit = np.uint64((n - 1) & 63)
 
@@ -105,25 +120,25 @@ def prepare_query(query_codes, alphabet_size: int) -> VectorQuery:
     if n == 0:
         raise ValueError("prepare_query needs a non-empty query")
     words = (n + 63) >> 6
-    peq = np.zeros((max(alphabet_size, 1), words), dtype=np.uint64)
+    peq = np.zeros((words, max(alphabet_size, 1)), dtype=np.uint64)
     for position, code in enumerate(query_codes):
         if 0 <= code < alphabet_size:
-            peq[code, position >> 6] |= np.uint64(1 << (position & 63))
+            peq[position >> 6, code] |= np.uint64(1 << (position & 63))
     return VectorQuery(peq, n)
 
 
 def _charge(deadline: Deadline | Budget, units: int, *, count: int,
             column: int, length: int) -> None:
-    """Poll the deadline mid-bucket, raising on expiry.
+    """Poll the deadline mid-window, raising on expiry.
 
-    The raised exception carries no partial matches — no candidate of
-    the in-flight bucket has been fully verified — and the caller
+    The raised exception carries no partial matches — no row of the
+    in-flight window is reported before the pass ends — and the caller
     (:func:`repro.scan.executor.scan_query`) re-raises with the matches
-    proven by *previous* buckets attached.
+    it proved before the pass attached.
     """
     if deadline.spend(units):
         raise DeadlineExceeded(
-            f"vectorized bucket scan exceeded its deadline at column "
+            f"vectorized window scan exceeded its deadline at column "
             f"{column} of {length} ({count} candidates in flight)",
             scope="candidates", completed=0, total=count,
         )
@@ -132,124 +147,167 @@ def _charge(deadline: Deadline | Budget, units: int, *, count: int,
 def bucket_distances(vq: VectorQuery, codes: np.ndarray, k: int, *,
                      deadline: Deadline | Budget | None = None,
                      block: int = DEFAULT_COLUMN_BLOCK) -> np.ndarray:
-    """Bounded distances from one query to every row of a code matrix.
+    """:func:`window_distances` over one ``(count, length)`` code matrix
+    of equal-length rows, e.g.
+    :attr:`repro.distance.packed.PackedBucket.codes`."""
+    count, length = codes.shape
+    return window_distances(vq, np.ascontiguousarray(codes.T),
+                            np.full(count, length, dtype=np.int64), k,
+                            deadline=deadline, block=block)
+
+
+def window_distances(vq: VectorQuery, columns: np.ndarray, lengths, k: int,
+                     *, deadline: Deadline | Budget | None = None,
+                     block: int = DEFAULT_COLUMN_BLOCK) -> np.ndarray:
+    """Bounded distances from one query to rows of mixed lengths.
 
     Parameters
     ----------
     vq:
         The compiled query (see :func:`prepare_query`).
-    codes:
-        ``(count, length)`` unsigned-integer symbol-code matrix — one
-        equal-length candidate per row, e.g.
-        :attr:`repro.distance.packed.PackedBucket.codes`.
+    columns:
+        ``(longest length, rows)`` unsigned-integer symbol-code matrix:
+        ``columns[j, r]`` is symbol ``j`` of row ``r``. Rows are ordered
+        by non-increasing length and row ``r`` is read only in its first
+        ``lengths[r]`` columns.
+    lengths:
+        The row lengths, non-increasing.
     k:
         The distance threshold.
     deadline:
         Optional deadline/budget, polled every ``block`` columns. The
-        whole bucket charges ``count`` work units, pro-rated across the
+        rows charge one work unit each, pro rata across the column
         blocks actually executed, matching the scalar kernel's
         one-unit-per-candidate accounting.
 
     Returns
     -------
     numpy.ndarray
-        ``int64`` array of shape ``(count,)``: the exact edit distance
-        where it is ``<= k``, and ``k + 1`` for every candidate the
-        threshold excluded (whether early-aborted or completed).
+        ``int64`` array of shape ``(rows,)``: the exact edit distance
+        where it is ``<= k``, and ``k + 1`` for every row the threshold
+        excluded (whether early-aborted or completed).
     """
-    count, length = codes.shape
-    words = vq.words
+    lengths = np.asarray(lengths, dtype=np.int64)
+    final = np.full(len(lengths), k + 1, dtype=np.int64)
+    for start in range(0, len(lengths), _WINDOW_ROWS):
+        stop = start + _WINDOW_ROWS
+        final[start:stop] = _score_rows(vq, columns[:, start:stop],
+                                        lengths[start:stop], k,
+                                        deadline, block)
+    return final
+
+
+def _score_rows(vq: VectorQuery, columns: np.ndarray, lengths: np.ndarray,
+                k: int, deadline: Deadline | Budget | None,
+                block: int) -> np.ndarray:
+    """One row block of :func:`window_distances`."""
+    count = len(lengths)
     n = vq.n
     over = k + 1
     final = np.full(count, over, dtype=np.int64)
-    if count == 0:
-        return final
-    if length == 0:
-        # Distance to an empty candidate is the query length.
-        if n <= k:
-            final[:] = n
-        return final
+    # Empty rows sit at the tail; their distance is the query length.
+    live = count - int(np.count_nonzero(lengths == 0))
+    if live < count and n <= k:
+        final[live:] = n
+    longest = int(lengths[0]) if live else 0
 
     peq = vq.peq
-    mask_top = vq.mask_top
+    words = vq.words
     last_word = vq.last_word
     last_bit = vq.last_bit
+    ends = set(lengths[:live].tolist())
 
-    active = np.arange(count)
-    score = np.full(count, n, dtype=np.int64)
-    pv = np.full((count, words), _FULL, dtype=np.uint64)
-    pv[:, -1] = mask_top
-    mv = np.zeros((count, words), dtype=np.uint64)
-    xh = np.empty((count, words), dtype=np.uint64)
+    rows = np.arange(live)       # original index of every active row
+    compacted = False            # False: ``rows`` is still ``0..active-1``
+    active_lengths = lengths[:live]
+    # score - length per row: the abort test becomes one comparison
+    # with a per-column scalar, and the final score is excess + length.
+    excess = n - active_lengths
+    pv = np.full((words, live), _FULL, dtype=np.uint64)
+    mv = np.zeros((words, live), dtype=np.uint64)
 
     charged = 0
-    for column in range(length):
+    for column in range(longest):
         if deadline is not None and column and column % block == 0:
-            # Pro-rata charge: by column j the bucket has done j/length
-            # of its candidate-units of work.
-            due = count * column // length
+            # Pro-rata charge: by column j the rows have done j/longest
+            # of their candidate-units of work.
+            due = count * column // longest
             _charge(deadline, due - charged, count=count,
-                    column=column, length=length)
+                    column=column, length=longest)
             charged = due
 
-        eq = peq[codes[active, column]]
+        codes = (columns[column].take(rows) if compacted
+                 else columns[column, :len(rows)])
+        eq = peq.take(codes.astype(np.intp), axis=1, mode="clip")
         xv = eq | mv
         # (eq & pv) + pv with carry propagation across the word axis —
         # the multi-word form of the scalar kernel's big-int addition.
-        carry = np.zeros(len(active), dtype=np.uint64)
-        for w in range(words):
-            addend = eq[:, w] & pv[:, w]
-            total = addend + pv[:, w]
-            overflow = total < addend
-            total += carry
-            overflow |= total < carry
-            carry = overflow.astype(np.uint64)
-            xh[:, w] = (total ^ pv[:, w]) | eq[:, w]
-        ph = mv | ~(xh | pv)
-        ph[:, -1] &= mask_top
+        addend = eq & pv
+        total = addend + pv
+        if words > 1:
+            overflow = total[:-1] < addend[:-1]
+            carry = overflow[0]
+            for word in range(1, words):
+                total[word] += carry
+                if word + 1 < words:
+                    carry = overflow[word] | (carry & (total[word] == 0))
+        xh = total
+        xh ^= pv
+        xh |= eq
+        ph = xh | pv
+        np.invert(ph, out=ph)
+        ph |= mv
         mh = pv & xh
 
-        inc = (ph[:, last_word] >> last_bit) & _U1
-        dec = (mh[:, last_word] >> last_bit) & _U1
-        score += inc.astype(np.int64)
-        score -= dec.astype(np.int64)
-
-        remaining = length - column - 1
-        dead = score - remaining > k
-        if dead.any():
-            keep = ~dead
-            if not keep.any():
-                if deadline is not None:
-                    _charge(deadline, count - charged, count=count,
-                            column=column, length=length)
-                return final
-            active = active[keep]
-            score = score[keep]
-            pv = pv[keep]
-            mv = mv[keep]
-            xv = xv[keep]
-            ph = ph[keep]
-            mh = mh[keep]
-            xh = xh[: len(active)]
+        step = (ph[last_word] >> last_bit) & _U1
+        step -= (mh[last_word] >> last_bit) & _U1
+        excess += step.view(np.int64)
 
         # Shift ph/mh left one bit across the word boundary, then close
         # the column exactly like the scalar kernel.
-        spill_ph = ph >> _U63
-        spill_mh = mh >> _U63
+        if words > 1:
+            spill_ph = ph[:-1] >> _U63
+            spill_mh = mh[:-1] >> _U63
         ph <<= _U1
         mh <<= _U1
         if words > 1:
-            ph[:, 1:] |= spill_ph[:, :-1]
-            mh[:, 1:] |= spill_mh[:, :-1]
-        ph[:, 0] |= _U1
-        ph[:, -1] &= mask_top
-        mh[:, -1] &= mask_top
-        pv = mh | ~(xv | ph)
-        pv[:, -1] &= mask_top
+            ph[1:] |= spill_ph
+            mh[1:] |= spill_mh
+        ph[0] |= _U1
         mv = ph & xv
+        xv |= ph
+        pv = np.invert(xv, out=xv)
+        pv |= mh
+
+        done = column + 1
+        if done in ends:
+            # The rows of this length are the active tail: score them
+            # and slice them off.
+            stay = int(np.searchsorted(-active_lengths, -done))
+            scores = excess[stay:] + done
+            final[rows[stay:]] = np.minimum(scores, over)
+            rows = rows[:stay]
+            active_lengths = active_lengths[:stay]
+            excess = excess[:stay]
+            pv = pv[:, :stay]
+            mv = mv[:, :stay]
+            if not stay:
+                break
+
+        dead = excess > k - done
+        casualties = int(np.count_nonzero(dead))
+        if casualties and casualties * _COMPACT_SHARE >= len(rows):
+            keep = ~dead
+            rows = rows[keep]
+            compacted = True
+            if not len(rows):
+                break
+            active_lengths = active_lengths[keep]
+            excess = excess[keep]
+            pv = pv[:, keep]
+            mv = mv[:, keep]
 
     if deadline is not None:
         _charge(deadline, count - charged, count=count,
-                column=length, length=length)
-    final[active] = score
+                column=longest, length=longest)
     return final

@@ -7,9 +7,9 @@ runner fan-out, deadlines and all bookkeeping are the shared
 :class:`repro.core.batch.BatchExecutor`; this module supplies the scan
 as its probe:
 
-* :func:`scan_query` builds the Myers ``peq`` table and the query's
-  frequency vector once per distinct query and reuses them across every
-  length bucket in the ``[len(q) - k, len(q) + k]`` window;
+* :func:`scan_query` builds the query's frequency vector once per
+  distinct query, selects the survivors of every length bucket in the
+  ``[len(q) - k, len(q) + k]`` window, and scores them together;
 * :class:`ScanProbe` can split that bucket window, so a single
   expensive query fans out over a runner too — the compiled corpus is
   built once in the parent and chunk-scanned in workers.
@@ -34,9 +34,9 @@ from repro.core.searcher import QueryRunner
 from repro.distance.banded import check_threshold
 from repro.distance.bitparallel import build_peq, myers_bounded
 from repro.distance.vectorized import (
-    DEFAULT_VECTOR_MIN_BUCKET,
-    bucket_distances,
+    DEFAULT_VECTOR_MIN_ROWS,
     prepare_query,
+    window_distances,
 )
 from repro.exceptions import DeadlineExceeded
 from repro.scan.corpus import CompiledCorpus, LengthBucket
@@ -58,6 +58,21 @@ def _survivors(bucket: LengthBucket, query_vector: np.ndarray,
     return kept, codes if len(kept) == count else codes[kept]
 
 
+def _window_matrix(selected, survivors: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The window's survivor code rows as one ``(longest, survivors)``
+    column matrix, longest bucket first, and each row's length."""
+    longest = selected[-1][0].length
+    columns = np.zeros((longest, survivors), dtype=selected[-1][2].dtype)
+    lengths = np.empty(survivors, dtype=np.int64)
+    offset = 0
+    for bucket, kept, rows in reversed(selected):
+        columns[:bucket.length, offset:offset + len(kept)] = rows.T
+        lengths[offset:offset + len(kept)] = bucket.length
+        offset += len(kept)
+    return columns, lengths
+
+
 def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
                lo: int | None = None, hi: int | None = None,
                counters: dict | None = None,
@@ -67,14 +82,15 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
     Every query-side cost is hoisted out of the candidate loop: the
     ``peq`` table is built once from the *encoded* query, the length
     filter is the bucket window itself, and the frequency bound reads
-    precomputed vectors. Each bucket in the window then goes through
-    one pipeline:
+    precomputed vectors. The window then goes through one pipeline:
 
-    1. **select survivors** of the (sound) frequency bound — one
-       ``numpy`` expression over the bucket's count matrix;
-    2. **score survivors** — :func:`bucket_distances` over the survivor
-       code matrix when at least
-       :data:`repro.distance.vectorized.DEFAULT_VECTOR_MIN_BUCKET`
+    1. **select survivors** of the (sound) frequency bound in every
+       bucket — one ``numpy`` expression over each bucket's count
+       matrix;
+    2. **score survivors**, with one engine for the whole window: one
+       :func:`window_distances` pass over every survivor of the window
+       when at least
+       :data:`repro.distance.vectorized.DEFAULT_VECTOR_MIN_ROWS`
        survived (where paying the interpreter once per column beats
        paying it once per candidate), :func:`myers_bounded` per
        survivor row otherwise;
@@ -95,11 +111,12 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
     out, expiry included.
 
     ``deadline`` bounds the scan at one work unit per candidate. Each
-    bucket charges what the prefilter and the scalar kernel handle up
-    front and lets the bucket kernel charge its own rows between
-    column blocks. On expiry the function raises
-    :class:`DeadlineExceeded` carrying the matches proven so far (a
-    subset of the exact answer).
+    bucket charges its prefilter rejects as it is selected; the scalar
+    engine charges a bucket's survivors before scoring them, and the
+    window pass charges its rows between column blocks. On expiry the
+    function raises :class:`DeadlineExceeded` carrying the matches
+    proven so far (a subset of the exact answer; an expiry inside the
+    window pass carries none of the window's rows).
     """
     check_threshold(k)
     window_lo, window_hi = corpus.window(len(query), k)
@@ -142,43 +159,56 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
             matches.sort()
             return matches
 
-        peq_get = build_peq(encoded).get
-        mask = (1 << n) - 1
-        last = 1 << (n - 1)
-        vector_query = None  # built lazily, shared by every vectorized bucket
-
+        # 1. Select: every bucket's survivors of the frequency bound,
+        # its rejects charged as it is selected.
+        selected = []
+        survivors = 0
         for bucket in buckets:
-            strings = bucket.strings
-            length = bucket.length
-            done = candidates
-            candidates += len(strings)
-
+            done = candidates - survivors
+            candidates += len(bucket.strings)
             kept, rows = _survivors(bucket, query_vector, k)
-            freq_rejects += len(strings) - len(kept)
-            vectorize = len(kept) >= DEFAULT_VECTOR_MIN_BUCKET
-            # The bucket kernel charges the rows it scores itself.
-            upfront = len(strings) - (len(kept) if vectorize else 0)
-            if deadline is not None and upfront and deadline.spend(upfront):
+            rejects = len(bucket.strings) - len(kept)
+            freq_rejects += rejects
+            if deadline is not None and rejects \
+                    and deadline.spend(rejects):
                 expire(done)
+            if len(kept):
+                selected.append((bucket, kept, rows))
+                survivors += len(kept)
 
-            if vectorize:
-                if vector_query is None:
-                    vector_query = prepare_query(encoded,
-                                                 corpus.alphabet.size)
-                try:
-                    scores = bucket_distances(vector_query, rows, k,
-                                              deadline=deadline)
-                except DeadlineExceeded:
-                    expire(done)
-                hits = np.nonzero(scores <= k)[0]
+        # 2. Score: one engine for the whole window.
+        if survivors >= DEFAULT_VECTOR_MIN_ROWS:
+            try:
+                scores = window_distances(
+                    prepare_query(encoded, corpus.alphabet.size),
+                    *_window_matrix(selected, survivors), k,
+                    deadline=deadline)
+            except DeadlineExceeded:
+                expire(candidates - survivors)
+            offset = 0
+            for bucket, kept, _ in reversed(selected):
+                chunk = scores[offset:offset + len(kept)]
+                offset += len(kept)
+                hits = np.nonzero(chunk <= k)[0]
                 # The scalar kernel's invariant, kept: every non-match
                 # counts as an abort (see myers_bounded).
                 early_aborts += len(kept) - len(hits)
+                strings = bucket.strings
                 matches.extend(
                     Match(strings[index], distance)
                     for index, distance in zip(kept[hits].tolist(),
-                                               scores[hits].tolist()))
-            else:
+                                               chunk[hits].tolist()))
+        else:
+            peq_get = build_peq(encoded).get
+            mask = (1 << n) - 1
+            last = 1 << (n - 1)
+            done = candidates - survivors
+            for bucket, kept, rows in selected:
+                if deadline is not None and deadline.spend(len(kept)):
+                    expire(done)
+                done += len(kept)
+                strings = bucket.strings
+                length = bucket.length
                 for index, codes in zip(kept.tolist(), rows):
                     distance = myers_bounded(peq_get, n, mask, last, codes,
                                              length, k)

@@ -9,10 +9,11 @@ code with either, so it is the reference here:
 
 * kernel vs. DP vs. the numpy bucket kernel, over the three row types
   the scan feeds it (``str``, code tuple, numpy row);
-* ``scan_query`` with each scoring engine forced (the survivor-count
-  threshold ``DEFAULT_VECTOR_MIN_BUCKET`` is the only thing that
-  selects one), against the DP and ``SequentialScanSearcher``:
-  matches *and* ``scan.*`` counters, with and without a ``Budget``.
+* ``scan_query`` with each scoring engine forced (the window's
+  survivor-count threshold ``DEFAULT_VECTOR_MIN_ROWS`` is the only
+  thing that selects one), against the DP and
+  ``SequentialScanSearcher``: matches *and* ``scan.*`` counters, with
+  and without a ``Budget``.
 """
 
 import random
@@ -34,12 +35,13 @@ from repro.distance.bitparallel import (
 )
 from repro.distance.levenshtein import edit_distance
 from repro.distance.vectorized import (
-    DEFAULT_VECTOR_MIN_BUCKET,
+    DEFAULT_VECTOR_MIN_ROWS,
     bucket_distances,
     prepare_query,
 )
 from repro.exceptions import DeadlineExceeded
 from repro.scan.corpus import CompiledCorpus
+from repro.scan import executor
 from repro.scan.executor import scan_query
 
 #: Text alphabet; ``z`` only ever appears in patterns and encodes to the
@@ -149,11 +151,12 @@ CITIES = ["Berlin", "Bern", "Bonn", "Bremen", "Berlingen",
 
 
 def _wide_reads() -> list[str]:
-    """Reads whose length-12 bucket outgrows the vectorized threshold
-    while the length-11 and length-13 buckets stay far below it."""
+    """About 2,000 reads of length 12 between two 40-read buckets of
+    lengths 11 and 13. The size is pinned, not derived from the engine
+    threshold, so the expiry cases below keep expiring."""
     rng = random.Random(21)
     reads = {"".join(rng.choice("ACGT") for _ in range(12))
-             for _ in range(DEFAULT_VECTOR_MIN_BUCKET * 2)}
+             for _ in range(2048)}
     for length in (11, 13):
         reads.update("".join(rng.choice("ACGT") for _ in range(length))
                      for _ in range(40))
@@ -165,9 +168,9 @@ WIDE_QUERY = WIDE[5]
 
 
 #: The scan's survivor-count threshold, pinned to force one scoring
-#: engine on every bucket: ``encoded`` scores survivors one code row at
-#: a time (``myers_bounded``), ``packed`` scores the whole survivor
-#: code matrix at once (``bucket_distances``).
+#: engine on every window: ``encoded`` scores survivors one code row at
+#: a time (``myers_bounded``), ``packed`` scores every survivor of the
+#: window in one pass (``window_distances``).
 ENGINES = {"encoded": sys.maxsize, "packed": 1}
 
 
@@ -176,7 +179,7 @@ def _scan(dataset, query, k, *, engine=None, deadline=None, tracked=None):
     counters: dict = {}
     with pytest.MonkeyPatch.context() as patch:
         if engine is not None:
-            patch.setattr("repro.scan.executor.DEFAULT_VECTOR_MIN_BUCKET",
+            patch.setattr("repro.scan.executor.DEFAULT_VECTOR_MIN_ROWS",
                           ENGINES[engine])
         try:
             outcome = scan_query(corpus, query, k, counters=counters,
@@ -184,6 +187,19 @@ def _scan(dataset, query, k, *, engine=None, deadline=None, tracked=None):
         except DeadlineExceeded as error:
             outcome = error
     return outcome, counters
+
+
+def _count_window_passes(monkeypatch) -> list[int]:
+    """Record the row count of every window pass the scan makes."""
+    passes: list[int] = []
+    real = executor.window_distances
+
+    def counted(vq, columns, lengths, k, **kwargs):
+        passes.append(len(lengths))
+        return real(vq, columns, lengths, k, **kwargs)
+
+    monkeypatch.setattr(executor, "window_distances", counted)
+    return passes
 
 
 def _exact(dataset, query, k) -> list[Match]:
@@ -201,8 +217,8 @@ class TestScanParity:
         (CITIES, "Berlino", 2),
         (CITIES, "Hamborg", 2),
         (CITIES, "", 3),
-        (WIDE, WIDE_QUERY, 1),     # prefilter leaves a handful: kernel
-        (WIDE, WIDE_QUERY, 4),     # > 1024 survive: numpy bucket kernel
+        (WIDE, WIDE_QUERY, 1),     # 128 survive: the threshold itself
+        (WIDE, WIDE_QUERY, 4),     # > 1,600 survive: window pass
     ], ids=["reads-k3", "reads-k0", "reads-k6", "reads-alien",
             "city-Berlino", "city-Hamborg", "city-empty",
             "wide-k1", "wide-k4"])
@@ -219,15 +235,42 @@ class TestScanParity:
             encoded_counters["scan.kernel_calls"] \
             - encoded_counters["scan.matches"]
 
-    def test_both_engines_run_on_the_wide_corpus(self):
-        # The parity cases above only mean something if the wide bucket
-        # really crosses the threshold at k=4 and stays under it at k=1.
-        for k, vectorized in ((1, False), (4, True)):
+    def test_both_engines_run_on_the_wide_corpus(self, monkeypatch):
+        # The parity cases above only mean something if the window's
+        # survivors cross the threshold where the window pass runs, and
+        # stay under it where the scalar kernel runs.
+        passes = _count_window_passes(monkeypatch)
+        for k, vectorized in ((0, False), (1, True), (4, True)):
+            before = len(passes)
             _, counters = _scan(WIDE, WIDE_QUERY, k)
-            narrow = 80  # the two 40-read side buckets
             survivors = counters["scan.kernel_calls"]
-            assert (survivors - narrow >= DEFAULT_VECTOR_MIN_BUCKET) \
-                == vectorized
+            assert (survivors >= DEFAULT_VECTOR_MIN_ROWS) == vectorized
+            assert len(passes) - before == vectorized
+
+    def test_small_buckets_share_one_window_pass(self, monkeypatch):
+        # No bucket reaches the threshold on its own, the window does:
+        # the case whose engine moved from per-row to one window pass.
+        rng = random.Random(8)
+        reads = sorted({"".join(rng.choice("ACGT") for _ in range(length))
+                        for length in (10, 11, 12, 13, 14)
+                        for _ in range(DEFAULT_VECTOR_MIN_ROWS - 28)})
+        query = reads[3][:12].ljust(12, "A")
+        k = 4
+        corpus = CompiledCorpus(reads)
+        window = corpus.buckets_in_window(len(query), k)
+        assert len({bucket.length for bucket in window}) >= 3
+        assert all(len(bucket) < DEFAULT_VECTOR_MIN_ROWS
+                   for bucket in window)
+        passes = _count_window_passes(monkeypatch)
+        chosen, chosen_counters = _scan(reads, query, k)
+        assert passes == [chosen_counters["scan.kernel_calls"]]
+        assert chosen_counters["scan.kernel_calls"] \
+            >= DEFAULT_VECTOR_MIN_ROWS
+        encoded, encoded_counters = _scan(reads, query, k,
+                                          engine="encoded")
+        assert chosen == encoded == _exact(reads, query, k)
+        assert chosen == SequentialScanSearcher(reads).search(query, k)
+        assert chosen_counters == encoded_counters
 
     def test_no_prefilter_all_reach_the_kernel(self):
         # ``tracked=""`` compiles no frequency vectors: the regime the

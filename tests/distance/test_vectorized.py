@@ -1,11 +1,15 @@
-"""Property-based tests for the vectorized Myers bucket kernel.
+"""Property-based tests for the vectorized Myers window kernel.
 
 The vectorized kernel must agree *exactly* with the scalar bit-parallel
-kernel — identical distances for every candidate of every bucket, at
-every threshold — because the scan executor switches between them
-silently. Hypothesis drives the adversarial search; the scalar kernel
-(itself pinned to the full-matrix reference elsewhere) is the oracle.
+kernel — identical distances for every row of every window, at every
+threshold — because the scan executor switches between them silently.
+Hypothesis drives the adversarial search; the scalar kernel (itself
+pinned to the full-matrix reference elsewhere) and the plain DP are the
+oracles. ``bucket_distances`` is the equal-length call of
+``window_distances``, so the bucket cases below cover both.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -13,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deadline import Budget
-from repro.distance.bitparallel import myers_distance
+from repro.distance.bitparallel import build_peq, myers_bounded, myers_distance
+from repro.distance.levenshtein import edit_distance
 from repro.distance.vectorized import (
-    DEFAULT_VECTOR_MIN_BUCKET,
+    DEFAULT_VECTOR_MIN_ROWS,
     bucket_distances,
     prepare_query,
+    window_distances,
 )
 from repro.exceptions import DeadlineExceeded
 
@@ -179,4 +185,159 @@ class TestDeadlines:
 def test_auto_threshold_is_sane():
     # The executor's auto heuristic keys off this constant; pin it so
     # a change is a conscious decision, not a drive-by.
-    assert DEFAULT_VECTOR_MIN_BUCKET >= 2
+    assert DEFAULT_VECTOR_MIN_ROWS >= 2
+
+
+# -- one pass over a whole length window -------------------------------
+
+def _window(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``window_distances`` operands: rows longest first, as columns."""
+    rows = sorted(rows, key=len, reverse=True)
+    longest = len(rows[0]) if rows else 0
+    columns = np.zeros((longest, len(rows)), dtype=np.uint8)
+    for index, row in enumerate(rows):
+        columns[:len(row), index] = [_ALPHABET.index(ch) for ch in row]
+    return columns, np.array([len(row) for row in rows], dtype=np.int64)
+
+
+def _window_scores(query: str, rows: list[str], k: int, **kwargs
+                   ) -> list[int]:
+    """Scores in input order (the kernel's row order is longest first,
+    a stable sort, so each row's input index is recoverable)."""
+    order = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
+    vq = prepare_query(_encode(query), len(_ALPHABET))
+    scores = window_distances(vq, *_window([rows[i] for i in order]), k,
+                              **kwargs)
+    out = [0] * len(rows)
+    for position, index in enumerate(order):
+        out[index] = int(scores[position])
+    return out
+
+
+def _death_column(query: str, row: str, k: int) -> int | None:
+    """The first text column after which ``score - remaining > k`` (the
+    abort test), from the plain DP's last row; ``None`` if never."""
+    previous = list(range(len(query) + 1))
+    for column, symbol in enumerate(row):
+        current = [column + 1]
+        for i, char in enumerate(query):
+            current.append(min(previous[i + 1] + 1, current[i] + 1,
+                               previous[i] + (char != symbol)))
+        previous = current
+        if previous[-1] - (len(row) - column - 1) > k:
+            return column
+    return None
+
+
+@st.composite
+def window_cases(draw, *, min_query: int = 1, max_query: int = 75):
+    query = draw(st.text(alphabet=_ALPHABET + "z", min_size=min_query,
+                         max_size=max_query))
+    rows = draw(st.lists(st.text(alphabet=_ALPHABET, max_size=90),
+                         max_size=14))
+    longest = max((len(row) for row in rows), default=0)
+    k = draw(st.integers(min_value=0, max_value=longest + 2))
+    return query, rows, k
+
+
+class TestWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(window_cases(max_query=64))
+    def test_single_word_matches_dp_and_scalar_kernel(self, case):
+        self._check(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_cases(min_query=65, max_query=140))
+    def test_multi_word_matches_dp_and_scalar_kernel(self, case):
+        self._check(*case)
+
+    @staticmethod
+    def _check(query, rows, k):
+        codes = _encode(query)
+        n = len(codes)
+        peq_get = build_peq(codes).get
+        got = _window_scores(query, rows, k)
+        for row, score in zip(rows, got):
+            exact = edit_distance(query.replace("z", "\0"), row)
+            assert score == min(exact, k + 1)
+            scalar = myers_bounded(peq_get, n, (1 << n) - 1, 1 << (n - 1),
+                                   _encode(row), len(row), k)
+            assert score == (k + 1 if scalar is None else scalar)
+
+    def test_row_finishes_on_the_column_where_others_die(self):
+        query, k = "acgtacgt", 1
+        short = "acgtacg"   # distance 1, finishes at column 6
+        long = "ttttttttttt"
+        assert _death_column(query, long, k) == len(short) - 1
+        rows = [long, long, short, long]
+        assert _window_scores(query, rows, k) == _reference(query, rows, k)
+
+    def test_every_row_dead_before_the_shortest_finishes(self):
+        query, k = "a" * 12, 0
+        rows = ["c" * 14, "c" * 13, "g" * 12, "t" * 12]
+        deaths = [_death_column(query, row, k) for row in rows]
+        assert max(deaths) < 11
+        assert _window_scores(query, rows, k) == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_quarter_dead_is_the_compaction_boundary(self, count):
+        # One dead row of four is compacted out at once; one of five
+        # stays in the set, is scored to its end and still lands > k.
+        query, k = "acgtacgtacgt", 1
+        live = [query, query[:-1] + "a", query + "c", query[1:]]
+        rows = live[:count - 1] + ["tttttttttttt"]
+        assert _death_column(query, rows[-1], k) < len(query) - 1
+        assert all(_death_column(query, row, k) is None
+                   for row in rows[:-1])
+        assert _window_scores(query, rows, k) == _reference(query, rows, k)
+
+    def test_row_blocks_give_identical_output(self, monkeypatch):
+        # Copies of the query with 0-7 random edits: mixed lengths, and
+        # both matches and rejects in every block of 7 rows.
+        rng = random.Random(5)
+        query = "acgtacgtacgtacgtacgt"
+        rows = []
+        for _ in range(40):
+            row = list(query)
+            for _ in range(rng.randrange(8)):
+                at = rng.randrange(len(row) + 1)
+                edit = rng.choice("sid")
+                if edit == "i" or at == len(row):
+                    row.insert(at, rng.choice(_ALPHABET))
+                elif edit == "d":
+                    del row[at]
+                else:
+                    row[at] = rng.choice(_ALPHABET)
+            rows.append("".join(row))
+        whole = _window_scores(query, rows, 3)
+        assert whole == _reference(query, rows, 3)
+        assert len(set(map(len, rows))) > 3 and 4 < whole.count(4) < 36
+        monkeypatch.setattr(
+            "repro.distance.vectorized._WINDOW_ROWS", 7)
+        assert _window_scores(query, rows, 3) == whole
+
+    @pytest.mark.parametrize("limit", [None, 7])
+    def test_ample_budget_spends_one_unit_per_row(self, monkeypatch,
+                                                  limit):
+        if limit:
+            monkeypatch.setattr(
+                "repro.distance.vectorized._WINDOW_ROWS", limit)
+        rows = ["acgt" * 10, "aggt" * 9, "tttt" * 8, "", "ac"] * 5
+        budget = Budget(10 ** 6, check_interval=1)
+        _window_scores("acgt" * 10, rows, 3, deadline=budget, block=4)
+        assert budget.spent == len(rows)
+
+    def test_mid_window_expiry_raises_without_partial(self):
+        rows = ["acgt" * 20, "acgt" * 19, "acgt" * 18] * 10
+        budget = Budget(5, check_interval=1)
+        with pytest.raises(DeadlineExceeded) as caught:
+            _window_scores("acgt" * 20, rows, 2, deadline=budget, block=8)
+        assert caught.value.scope == "candidates"
+        assert caught.value.partial == ()
+        assert caught.value.total == len(rows)
+
+    def test_equal_length_bucket_is_a_window(self):
+        rows = ["acgtac", "aggtac", "tttttt"]
+        vq = prepare_query(_encode("acgta"), len(_ALPHABET))
+        assert bucket_distances(vq, _codes_matrix(rows, 6), 2).tolist() \
+            == window_distances(vq, *_window(rows), 2).tolist()

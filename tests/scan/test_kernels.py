@@ -3,8 +3,8 @@
 Every compiled corpus holds its buckets one way: a ``numpy`` code
 matrix, its bit-packed words and a frequency matrix. The frozen
 ``packed=True`` keyword builds exactly that corpus, and the scan's two
-scoring engines — one code row at a time (``encoded``) or the whole
-survivor matrix at once (``packed``) — return identical match sets
+scoring engines — one code row at a time (``encoded``) or every
+survivor of the window at once (``packed``) — return identical match sets
 *and* identical ``scan.*`` counters over it. The kernel-level suite is
 ``tests/distance/test_myers_kernel.py``.
 """
@@ -35,7 +35,7 @@ READS = [
 def _scan(corpus, query, k, threshold):
     counters: dict = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.scan.executor.DEFAULT_VECTOR_MIN_BUCKET",
+        patch.setattr("repro.scan.executor.DEFAULT_VECTOR_MIN_ROWS",
                       threshold)
         matches = scan_query(corpus, query, k, counters=counters)
     return matches, counters

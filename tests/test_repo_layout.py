@@ -127,3 +127,17 @@ def test_the_e2e_benchmark_finds_what_it_patches_and_calls(monkeypatch):
     assert corpus.buckets[0].packed.codes.shape == (1, 3)
     with pytest.raises(ReproError):
         CompiledCorpus(strings, packed=False)
+    # The bucket kernel call the segment probe times, as it makes it.
+    from repro.distance.bitparallel import build_peq, myers_bounded
+    from repro.distance.vectorized import bucket_distances, prepare_query
+
+    for query in ("Ulm", "Bonn", "Xyz"):
+        codes = corpus.encode_query(query)
+        n = len(codes)
+        rows = corpus.buckets[0].packed.codes
+        scores = bucket_distances(
+            prepare_query(codes, corpus.alphabet.size), rows, 2)
+        expected = [myers_bounded(build_peq(codes).get, n, (1 << n) - 1,
+                                  1 << (n - 1), row, len(row), 2)
+                    for row in rows]
+        assert scores.tolist() == [3 if e is None else e for e in expected]
