@@ -1,33 +1,52 @@
-"""Numpy-vectorized Myers kernel: one query vs a whole length window.
+"""Numpy-vectorized banded Myers kernel: one query vs a whole length window.
 
 The scalar bit-parallel kernel
 (:func:`repro.distance.bitparallel.myers_bounded`) spends most of its
 time in the Python interpreter — roughly a dozen bytecodes per text
-column *per candidate*. This module runs the same Myers recurrence
-across **every survivor of a query's length window at once** as
-``numpy`` array operations, so the interpreter cost per column is paid
-once per window instead of once per candidate (or once per bucket):
+column *per candidate*. This module runs the Myers recurrence across
+**every survivor of a query's length window at once** as ``numpy``
+array operations, so the interpreter cost per column is paid once per
+window instead of once per candidate (or once per bucket). It also
+computes far less of the DP per candidate than the scalar kernel: only
+the diagonal band the paper's §3.2 keeps (Ukkonen's cut-off), held in
+bit vectors the way Hyyrö (2003, "A bit-vector algorithm for computing
+Levenshtein and Damerau edit distances") slides it down the matrix:
 
 * survivors of every bucket in the window form one
   ``(longest length, rows)`` code matrix, rows ordered longest first;
   row ``r`` is valid for its first ``lengths[r]`` columns, and each
   text column is one contiguous row of that matrix;
-* the ``Peq`` table is a ``(words, alphabet_size)`` ``uint64`` matrix;
-  each text column gathers every active row's ``eq`` word(s) with one
-  ``take`` along the alphabet axis;
-* ``Pv``/``Mv`` live as ``(words, active)`` ``uint64`` arrays, updated
-  per column with carry-propagating word arithmetic, so queries longer
-  than 64 symbols work (multi-word Myers, exactly like the big-int
-  scalar kernel);
-* a row finishes at its own last column. Rows are sorted by length, so
-  the finishing rows are always the tail of the active set and leave
-  by slicing;
-* the paper's early abort (``score - remaining > k`` can never
-  recover) removes dead rows from the active set, lazily: they are
-  compacted out only once at least a quarter of the active rows are
-  dead, and the window finishes early when nobody survives. A dead row
-  left in the set still finishes above ``k``, because
-  ``score - remaining`` never decreases.
+* the state is a band of ``W = 64 * ceil((2k + 2) / 64)`` query rows
+  (one ``uint64`` word for every ``k <= 31``), not the whole
+  ``n``-row column. At text column ``j`` bit ``b`` holds query row
+  ``j - k + b``, so bit ``k + d`` always holds DP diagonal
+  ``d = row - column``. Each column the band slides down one row:
+  ``Pv``/``Mv`` shift right, the new bottom row enters with
+  ``Δv = +1`` and the row above the top with ``Δh = +1`` (no carry
+  in). Rows above the query (row ``<= 0``) start with ``Δv = -1``, so
+  row 0 reads ``D[0][j] = j``. Values the band cuts off only ever
+  make a cell larger, and every cell on a path of cost ``<= k`` lies
+  on a diagonal ``|d| <= k`` inside the band, so every distance
+  ``<= k`` comes out exact;
+* the match bits come from a per-``(query, k)`` band table of shape
+  ``(n + k, words, alphabet_size)``; each text column gathers every
+  active row's ``eq`` word(s) with one ``take`` along the alphabet
+  axis. Bands wider than 64 rows carry across words;
+* a row's score lives on its *final diagonal* ``d = n - len(row)``,
+  which ends in the cell ``(n, len(row))`` (the paper's condition 7).
+  It starts at ``|d|`` and adds the diagonal step ``0`` or ``1`` read
+  at band bit ``k + d`` every column, so at the row's last column it
+  is the exact distance with no popcount. Rows with ``|d| > k`` never
+  enter the pass: they score ``k + 1`` up front (equation 5);
+* values on a diagonal never decrease (condition 6), so a row whose
+  diagonal score passes ``k`` can never recover. Such dead rows leave
+  the active set lazily: they are compacted out only once at least a
+  quarter of the active rows are dead, and the window finishes early
+  when nobody survives. A dead row left in the set still finishes
+  above ``k``, because its diagonal score only grows;
+* a row finishes at its own last column. Rows are sorted by length,
+  so the finishing rows are always the tail of the active set and
+  leave by slicing.
 
 Parity with the scalar kernel is exact — identical match sets and
 identical distances — enforced by the hypothesis suites in
@@ -59,8 +78,8 @@ from repro.exceptions import DeadlineExceeded
 #: :func:`repro.distance.bitparallel.myers_bounded` row by row. The
 #: vectorized cost per text column is a fixed set of numpy calls plus a
 #: small per-row term, the scalar cost is linear in rows. The measured
-#: crossover sits near 128 rows on ~11-symbol names and between 32 and
-#: 64 rows on ~100-symbol DNA reads, so at 128 neither engine loses
+#: crossover sits between 64 and 128 rows on ~11-symbol names and below
+#: 32 rows on ~100-symbol DNA reads, so at 128 neither engine loses
 #: (docs/SPEED.md, "The threshold").
 DEFAULT_VECTOR_MIN_ROWS = 128
 
@@ -76,7 +95,7 @@ _COMPACT_SHARE = 4
 
 _U1 = np.uint64(1)
 _U63 = np.uint64(63)
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_TOP = np.uint64(1 << 63)
 
 
 class VectorQuery:
@@ -85,27 +104,57 @@ class VectorQuery:
     Built once per ``(query, k)`` scan by :func:`prepare_query` — the
     vector analog of hoisting
     :func:`repro.distance.bitparallel.build_peq` out of the candidate
-    loop.
+    loop. The band table also depends on ``k``, so
+    :func:`window_distances` builds it (:func:`_band_table`).
 
     Attributes
     ----------
-    peq:
-        ``(words, alphabet_size)`` ``uint64`` bit table; column ``c``
-        holds the positions where the query's symbol code equals ``c``.
+    codes:
+        The encoded query as an ``int64`` array, ``-1`` for symbols
+        outside the alphabet.
     n:
         Query length in symbols (``>= 1``).
-    words:
-        ``ceil(n / 64)`` — the state width per candidate.
+    alphabet_size:
+        Number of symbol codes a candidate row may hold.
     """
 
-    __slots__ = ("peq", "n", "words", "last_word", "last_bit")
+    __slots__ = ("codes", "n", "alphabet_size")
 
-    def __init__(self, peq: np.ndarray, n: int) -> None:
-        self.peq = peq
-        self.n = n
-        self.words = peq.shape[0]
-        self.last_word = (n - 1) >> 6
-        self.last_bit = np.uint64((n - 1) & 63)
+    def __init__(self, codes: np.ndarray, alphabet_size: int) -> None:
+        self.codes = codes
+        self.n = len(codes)
+        self.alphabet_size = max(alphabet_size, 1)
+
+
+def _band_table(vq: VectorQuery, k: int) -> np.ndarray:
+    """The ``(n + k, words, alphabet_size)`` ``uint64`` band table.
+
+    Entry ``[j, w, c]`` holds bits ``64w .. 64w + 63`` of the band's
+    match mask at text column ``j`` (0-based) for symbol code ``c``:
+    bit ``b`` is set when query row ``j + 1 - k + b`` (1-based) exists
+    and holds ``c``. Columns past ``n + k`` are never read, because
+    longer rows never enter the pass.
+    """
+    columns = vq.n + k
+    width = 64 * ((2 * k + 2 + 63) // 64)
+    table = np.zeros((columns, width // 64, vq.alphabet_size),
+                     dtype=np.uint64)
+    codes = vq.codes
+    positions = np.nonzero((codes >= 0) & (codes < vq.alphabet_size))[0]
+    symbols = np.flatnonzero(np.bincount(codes[positions], minlength=1))
+    if not len(symbols):
+        return table
+    # One bit row per query symbol over the padded query: k empty rows
+    # above it, then the query, then room for the band's bottom.
+    # Column j's band is the slice [j, j + width).
+    padded = np.zeros((len(symbols), columns + width - 1), dtype=bool)
+    padded[np.searchsorted(symbols, codes[positions]), k + positions] = True
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width,
+                                                       axis=1)
+    words = np.packbits(windows, axis=-1, bitorder="little")
+    words = np.ascontiguousarray(words).view("<u8").astype(np.uint64)
+    table[:, :, symbols] = words.transpose(1, 2, 0)
+    return table
 
 
 def prepare_query(query_codes, alphabet_size: int) -> VectorQuery:
@@ -113,18 +162,13 @@ def prepare_query(query_codes, alphabet_size: int) -> VectorQuery:
 
     ``query_codes`` may contain ``-1`` for symbols outside the corpus
     alphabet (see :meth:`repro.scan.corpus.CompiledCorpus.encode_query`);
-    such positions set no ``peq`` bit, so they can never match any
+    such positions set no band bit, so they can never match any
     candidate symbol — the raw-string semantics.
     """
-    n = len(query_codes)
-    if n == 0:
+    if len(query_codes) == 0:
         raise ValueError("prepare_query needs a non-empty query")
-    words = (n + 63) >> 6
-    peq = np.zeros((words, max(alphabet_size, 1)), dtype=np.uint64)
-    for position, code in enumerate(query_codes):
-        if 0 <= code < alphabet_size:
-            peq[position >> 6, code] |= np.uint64(1 << (position & 63))
-    return VectorQuery(peq, n)
+    return VectorQuery(np.asarray(query_codes, dtype=np.int64),
+                       alphabet_size)
 
 
 def _charge(deadline: Deadline | Budget, units: int, *, count: int,
@@ -189,42 +233,50 @@ def window_distances(vq: VectorQuery, columns: np.ndarray, lengths, k: int,
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     final = np.full(len(lengths), k + 1, dtype=np.int64)
+    band = _band_table(vq, k)
     for start in range(0, len(lengths), _WINDOW_ROWS):
         stop = start + _WINDOW_ROWS
-        final[start:stop] = _score_rows(vq, columns[:, start:stop],
+        final[start:stop] = _score_rows(vq.n, band, columns[:, start:stop],
                                         lengths[start:stop], k,
                                         deadline, block)
     return final
 
 
-def _score_rows(vq: VectorQuery, columns: np.ndarray, lengths: np.ndarray,
-                k: int, deadline: Deadline | Budget | None,
+def _score_rows(n: int, band: np.ndarray, columns: np.ndarray,
+                lengths: np.ndarray, k: int,
+                deadline: Deadline | Budget | None,
                 block: int) -> np.ndarray:
     """One row block of :func:`window_distances`."""
     count = len(lengths)
-    n = vq.n
     over = k + 1
     final = np.full(count, over, dtype=np.int64)
+    # Only rows whose final diagonal lies in the band can end within k;
+    # lengths are sorted, so they are one slice.
+    descending = -lengths
+    head = int(np.searchsorted(descending, -(n + k), side="left"))
+    stop = int(np.searchsorted(descending, -(n - k), side="right"))
     # Empty rows sit at the tail; their distance is the query length.
-    live = count - int(np.count_nonzero(lengths == 0))
-    if live < count and n <= k:
-        final[live:] = n
-    longest = int(lengths[0]) if live else 0
+    live = stop - int(np.count_nonzero(lengths[head:stop] == 0))
+    final[live:stop] = n
+    longest = int(lengths[head]) if live > head else 0
 
-    peq = vq.peq
-    words = vq.words
-    last_word = vq.last_word
-    last_bit = vq.last_bit
-    ends = set(lengths[:live].tolist())
-
-    rows = np.arange(live)       # original index of every active row
-    compacted = False            # False: ``rows`` is still ``0..active-1``
-    active_lengths = lengths[:live]
-    # score - length per row: the abort test becomes one comparison
-    # with a per-column scalar, and the final score is excess + length.
-    excess = n - active_lengths
-    pv = np.full((words, live), _FULL, dtype=np.uint64)
-    mv = np.zeros((words, live), dtype=np.uint64)
+    words = band.shape[1]
+    rows = np.arange(head, live)  # original index of every active row
+    compacted = False             # False: ``rows`` is still a range
+    active_lengths = lengths[head:live]
+    # Each row's band bit k + d on its final diagonal d = n - length,
+    # and its reach: diagonal hits so far plus k - |d|. The diagonal
+    # score after ``done`` columns is ``done + k - reach``, so a row is
+    # dead once ``reach < done`` and scores that difference at its end.
+    offset = (k + n - active_lengths).astype(np.uint64)
+    word = (offset >> np.uint64(6)).astype(np.intp)
+    bit = offset & _U63
+    reach = k - np.abs(n - active_lengths)
+    # Rows 1 - k .. 0 of the first band lie above the query (Δv = -1).
+    above = np.array([(1 << min(max(k - 64 * index, 0), 64)) - 1
+                      for index in range(words)], dtype=np.uint64)
+    vn = np.repeat(above[:, None], live - head, axis=1)
+    vp = ~vn
 
     charged = 0
     for column in range(longest):
@@ -237,64 +289,64 @@ def _score_rows(vq: VectorQuery, columns: np.ndarray, lengths: np.ndarray,
             charged = due
 
         codes = (columns[column].take(rows) if compacted
-                 else columns[column, :len(rows)])
-        eq = peq.take(codes.astype(np.intp), axis=1, mode="clip")
-        xv = eq | mv
-        # (eq & pv) + pv with carry propagation across the word axis —
-        # the multi-word form of the scalar kernel's big-int addition.
-        addend = eq & pv
-        total = addend + pv
+                 else columns[column, head:head + len(rows)])
+        eq = band[column].take(codes, axis=1, mode="clip")
+        # d0 = (((eq & vp) + vp) ^ vp) | eq | vn, with carry propagation
+        # across the word axis when the band is wider than one word.
+        addend = eq & vp
+        d0 = addend + vp
         if words > 1:
-            overflow = total[:-1] < addend[:-1]
+            overflow = d0[:-1] < addend[:-1]
             carry = overflow[0]
-            for word in range(1, words):
-                total[word] += carry
-                if word + 1 < words:
-                    carry = overflow[word] | (carry & (total[word] == 0))
-        xh = total
-        xh ^= pv
-        xh |= eq
-        ph = xh | pv
-        np.invert(ph, out=ph)
-        ph |= mv
-        mh = pv & xh
+            for index in range(1, words):
+                d0[index] += carry
+                if index + 1 < words:
+                    carry = overflow[index] | (carry & (d0[index] == 0))
+        d0 ^= vp
+        d0 |= eq
+        d0 |= vn
+        hp = d0 | vp
+        np.invert(hp, out=hp)
+        hp |= vn
+        hn = vp & d0
 
-        step = (ph[last_word] >> last_bit) & _U1
-        step -= (mh[last_word] >> last_bit) & _U1
-        excess += step.view(np.int64)
+        # d0 bit k + d: the diagonal did not grow at this column.
+        hits = (d0[0] if words == 1
+                else np.take_along_axis(d0, word[None], axis=0)[0])
+        hits = (hits >> bit) & _U1
+        reach += hits.view(np.int64)
 
-        # Shift ph/mh left one bit across the word boundary, then close
-        # the column exactly like the scalar kernel.
+        # Slide the band down one row: shift d0 right, then close the
+        # column; the new bottom row enters with Δv = +1.
         if words > 1:
-            spill_ph = ph[:-1] >> _U63
-            spill_mh = mh[:-1] >> _U63
-        ph <<= _U1
-        mh <<= _U1
+            spill = d0[1:] << _U63
+        d0 >>= _U1
         if words > 1:
-            ph[1:] |= spill_ph
-            mh[1:] |= spill_mh
-        ph[0] |= _U1
-        mv = ph & xv
-        xv |= ph
-        pv = np.invert(xv, out=xv)
-        pv |= mh
+            d0[:-1] |= spill
+        vn = hp & d0
+        d0 |= hp
+        vp = np.invert(d0, out=d0)
+        vp |= hn
+        vp[-1] |= _TOP
 
         done = column + 1
-        if done in ends:
+        if done == active_lengths[-1]:
             # The rows of this length are the active tail: score them
             # and slice them off.
             stay = int(np.searchsorted(-active_lengths, -done))
-            scores = excess[stay:] + done
+            scores = done + k - reach[stay:]
             final[rows[stay:]] = np.minimum(scores, over)
             rows = rows[:stay]
             active_lengths = active_lengths[:stay]
-            excess = excess[:stay]
-            pv = pv[:, :stay]
-            mv = mv[:, :stay]
+            reach = reach[:stay]
+            word = word[:stay]
+            bit = bit[:stay]
+            vp = vp[:, :stay]
+            vn = vn[:, :stay]
             if not stay:
                 break
 
-        dead = excess > k - done
+        dead = reach < done
         casualties = int(np.count_nonzero(dead))
         if casualties and casualties * _COMPACT_SHARE >= len(rows):
             keep = ~dead
@@ -303,9 +355,11 @@ def _score_rows(vq: VectorQuery, columns: np.ndarray, lengths: np.ndarray,
             if not len(rows):
                 break
             active_lengths = active_lengths[keep]
-            excess = excess[keep]
-            pv = pv[:, keep]
-            mv = mv[:, keep]
+            reach = reach[keep]
+            word = word[keep]
+            bit = bit[keep]
+            vp = vp[:, keep]
+            vn = vn[:, keep]
 
     if deadline is not None:
         _charge(deadline, count - charged, count=count,

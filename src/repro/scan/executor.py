@@ -51,9 +51,9 @@ def _survivors(bucket: LengthBucket, query_vector: np.ndarray,
     if not query_vector.size:
         return np.arange(count), codes
     difference = query_vector - bucket.frequencies
-    positive = difference > 0
-    surplus = np.where(positive, difference, 0).sum(axis=1)
-    deficit = np.where(positive, 0, -difference).sum(axis=1)
+    surplus = np.maximum(difference, 0).sum(axis=1)
+    # The negative parts sum to the positive ones minus the total.
+    deficit = surplus - difference.sum(axis=1)
     kept = np.nonzero((surplus <= k) & (deficit <= k))[0]
     return kept, codes if len(kept) == count else codes[kept]
 

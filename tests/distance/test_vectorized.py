@@ -79,10 +79,10 @@ class TestScalarParity:
         st.integers(min_value=0, max_value=12),
     )
     def test_multi_word_queries(self, query, rows, k):
-        # Queries past 64 symbols exercise the carry propagation and
-        # cross-word shifts; DNA reads live exactly in this regime.
+        # Queries past 64 symbols: the one-word band slides past the
+        # first 64 query rows; DNA reads live exactly in this regime.
         vq = prepare_query(_encode(query), len(_ALPHABET))
-        assert vq.words >= 2
+        assert vq.n > 64
         got = bucket_distances(vq, _codes_matrix(rows, 100), k)
         assert got.tolist() == _reference(query, rows, k)
 
@@ -265,6 +265,10 @@ class TestWindow:
             assert score == (k + 1 if scalar is None else scalar)
 
     def test_row_finishes_on_the_column_where_others_die(self):
+        """Built on the ``score - remaining`` rule (``_death_column``).
+        The long rows lie outside the band (``|n - len| > k``), so the
+        banded kernel scores them up front; ``TestBand`` has the
+        version built on the final-diagonal rule."""
         query, k = "acgtacgt", 1
         short = "acgtacg"   # distance 1, finishes at column 6
         long = "ttttttttttt"
@@ -273,6 +277,8 @@ class TestWindow:
         assert _window_scores(query, rows, k) == _reference(query, rows, k)
 
     def test_every_row_dead_before_the_shortest_finishes(self):
+        """Built on the ``score - remaining`` rule (``_death_column``);
+        ``TestBand`` has the final-diagonal version."""
         query, k = "a" * 12, 0
         rows = ["c" * 14, "c" * 13, "g" * 12, "t" * 12]
         deaths = [_death_column(query, row, k) for row in rows]
@@ -281,6 +287,8 @@ class TestWindow:
 
     @pytest.mark.parametrize("count", [4, 5])
     def test_quarter_dead_is_the_compaction_boundary(self, count):
+        """Built on the ``score - remaining`` rule (``_death_column``);
+        ``TestBand`` has the final-diagonal version."""
         # One dead row of four is compacted out at once; one of five
         # stays in the set, is scored to its end and still lands > k.
         query, k = "acgtacgtacgt", 1
@@ -341,3 +349,145 @@ class TestWindow:
         vq = prepare_query(_encode("acgta"), len(_ALPHABET))
         assert bucket_distances(vq, _codes_matrix(rows, 6), 2).tolist() \
             == window_distances(vq, *_window(rows), 2).tolist()
+
+
+# -- the diagonal band ---------------------------------------------------
+
+def _diagonal_death_column(query: str, row: str, k: int) -> int | None:
+    """The first text column after which the row's final diagonal
+    ``d = len(query) - len(row)`` holds a value above ``k`` (the banded
+    kernel's abort test), from the plain DP; ``None`` if never, and
+    ``-1`` for a row the band excludes up front (``|d| > k``). Rows
+    above the query read ``D[i][j] = j - i``, so the diagonal starts at
+    ``|d|``."""
+    d = len(query) - len(row)
+    if abs(d) > k:
+        return -1
+    previous = list(range(len(query) + 1))
+    for column, symbol in enumerate(row):
+        current = [column + 1]
+        for i, char in enumerate(query):
+            current.append(min(previous[i + 1] + 1, current[i] + 1,
+                               previous[i] + (char != symbol)))
+        previous = current
+        i = column + 1 + d
+        value = previous[i] if i >= 0 else column + 1 - i
+        if value > k:
+            return column
+    return None
+
+
+@st.composite
+def _near_rows(draw, query: str, lengths, edits: int):
+    """Rows of the given lengths made from the query: trimmed or padded
+    at random positions, then up to ``edits`` substitutions, so the
+    distances straddle ``k``."""
+    rows = []
+    for length in lengths:
+        row = [ch if ch in _ALPHABET else "a" for ch in query]
+        while len(row) > length:
+            del row[draw(st.integers(0, len(row) - 1))]
+        while len(row) < length:
+            row.insert(draw(st.integers(0, len(row))),
+                       draw(st.sampled_from(_ALPHABET)))
+        for _ in range(draw(st.integers(0, edits)) if row else 0):
+            row[draw(st.integers(0, len(row) - 1))] = \
+                draw(st.sampled_from(_ALPHABET))
+        rows.append("".join(row))
+    return rows
+
+
+@st.composite
+def band_cases(draw, *, ks, max_query: int, offsets, min_query: int = 1):
+    """A query, a threshold from ``ks`` and rows whose lengths are
+    ``len(query) + offset`` for offsets drawn from ``offsets(k)``."""
+    k = draw(ks)
+    query = draw(st.text(alphabet=_ALPHABET + "z", min_size=min_query,
+                         max_size=max_query))
+    n = len(query)
+    lengths = [max(n + offset, 0) for offset in draw(
+        st.lists(offsets(k), max_size=10))]
+    return query, draw(_near_rows(query, lengths, k + 2)), k
+
+
+class TestBand:
+    @settings(max_examples=40, deadline=None)
+    @given(band_cases(ks=st.integers(32, 70), min_query=64,
+                      max_query=140,
+                      offsets=lambda k: st.integers(-k - 2, k + 2)))
+    def test_bands_wider_than_one_word(self, case):
+        # Long queries give the carry room to cross into the second
+        # word inside the rows that can still end within k.
+        TestWindow._check(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases(
+        ks=st.integers(0, 12), max_query=75,
+        offsets=lambda k: st.one_of(st.integers(-k - 6, -k - 1),
+                                    st.integers(k + 1, k + 6),
+                                    st.integers(-k, k))))
+    def test_rows_outside_the_band_score_k_plus_one(self, case):
+        query, rows, k = case
+        TestWindow._check(query, rows, k)
+        got = _window_scores(query, rows, k)
+        for row, score in zip(rows, got):
+            if abs(len(row) - len(query)) > k:
+                assert score == k + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_queries_shorter_than_k(self, data):
+        # The whole query sits inside the first band, below k rows that
+        # lie above it (rows <= 0).
+        query = data.draw(st.text(alphabet=_ALPHABET + "z", min_size=1,
+                                  max_size=10))
+        k = data.draw(st.integers(len(query) + 1, len(query) + 40))
+        lengths = data.draw(st.lists(st.integers(0, len(query) + k + 2),
+                                     max_size=10))
+        rows = data.draw(_near_rows(query, lengths, k))
+        TestWindow._check(query, rows, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases(ks=st.integers(0, 40), max_query=100,
+                      offsets=lambda k: st.sampled_from([-k, k])))
+    def test_rows_on_the_band_edge(self, case):
+        # d = n - len = -k and +k: the band's first and last diagonal
+        # that can still end within k.
+        TestWindow._check(*case)
+
+    def test_row_finishes_on_the_column_where_others_die(self):
+        """The final-diagonal version: the long rows die on their
+        diagonal exactly where the short row finishes, while the
+        ``score - remaining`` rule would keep them to their end."""
+        query, k = "acgtacgt", 1
+        short = "acgtacg"   # distance 1, finishes at column 6
+        long = "acgtaggtc"
+        assert _diagonal_death_column(query, long, k) == len(short) - 1
+        assert _death_column(query, long, k) == len(long) - 1
+        rows = [long, long, short, long]
+        assert _window_scores(query, rows, k) == _reference(query, rows, k)
+
+    def test_every_row_dead_before_the_shortest_finishes(self):
+        """The final-diagonal version: every row is inside the band and
+        dies on its diagonal before the shortest row's last column."""
+        query, k = "acgtacgtacgt", 2
+        rows = ["t" * 14, "g" * 13, "c" * 12, "t" * 11, "g" * 10]
+        deaths = [_diagonal_death_column(query, row, k) for row in rows]
+        assert all(0 <= death < 9 for death in deaths)
+        assert _window_scores(query, rows, k) == [3] * 5
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_quarter_dead_is_the_compaction_boundary(self, count):
+        """The final-diagonal version: the dead row dies on its diagonal
+        at column 1, seven columns before ``score - remaining`` would
+        notice. One dead row of four is compacted out at once; one of
+        five stays in the set, is scored to its end and still lands
+        above ``k``, because its diagonal never decreases."""
+        query, k = "acgtacgtacgt", 1
+        live = [query, query[:-1] + "a", query + "c", query[1:]]
+        rows = live[:count - 1] + ["ctgtacgtacgt"]
+        assert _diagonal_death_column(query, rows[-1], k) == 1
+        assert _death_column(query, rows[-1], k) == 8
+        assert all(_diagonal_death_column(query, row, k) is None
+                   for row in rows[:-1])
+        assert _window_scores(query, rows, k) == _reference(query, rows, k)
