@@ -84,8 +84,7 @@ class Corpus:
 
     @classmethod
     def frozen(cls, dataset: Iterable[str] | CompiledCorpus, *,
-               alphabet=None, tracked: str | None = None,
-               segment: str | None = None) -> "Corpus":
+               alphabet=None, segment: str | None = None) -> "Corpus":
         """An immutable corpus, compiled once.
 
         ``segment`` names a :mod:`repro.speed` segment file: it is
@@ -97,12 +96,11 @@ class Corpus:
             from repro.speed import load_or_build_corpus_segment
 
             compiled = load_or_build_corpus_segment(
-                dataset, segment, alphabet=alphabet, tracked=tracked)
+                dataset, segment, alphabet=alphabet)
         elif isinstance(dataset, CompiledCorpus):
             compiled = dataset
         else:
-            compiled = CompiledCorpus(dataset, alphabet=alphabet,
-                                      tracked=tracked)
+            compiled = CompiledCorpus(dataset, alphabet=alphabet)
         return cls(_compiled=compiled)
 
     @classmethod

@@ -7,8 +7,9 @@ one immutable dataset, so everything that depends only on the data side
 — symbol encoding, length bucketing, frequency vectors — is computed
 exactly once in :class:`CompiledCorpus`, and everything that depends
 only on the query side — the Myers ``peq`` table, the length window,
-the query's frequency vector — is computed exactly once per *distinct*
-query by :func:`scan_query` and shared across every bucket it probes.
+the query's symbol-group counts — is computed exactly once per
+*distinct* query by :func:`scan_query` and shared across every bucket
+it probes.
 
 Layers
 ------
@@ -17,8 +18,8 @@ Layers
     with sorted offsets (equation 5's length filter becomes one binary
     search instead of a per-candidate branch), and per bucket a
     ``numpy`` matrix of dense symbol codes over an
-    :class:`repro.data.alphabet.Alphabet` plus a frequency matrix for
-    the PETER-style prefilter.
+    :class:`repro.data.alphabet.Alphabet`, plus one symbol-group count
+    matrix for the bag-distance prefilter.
 :func:`scan_query` / :class:`ScanProbe`
     One query against (a bucket slice of) the corpus — the scan as a
     probe of the shared batch core.

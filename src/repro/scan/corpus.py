@@ -17,13 +17,15 @@ data-side cost exactly once, at compile time:
   its bit-packed words (:class:`repro.distance.packed.PackedBucket`,
   the paper's section-6 dictionary compression), so the hot loop
   compares small ints instead of characters.
-* **Frequency matrices** — one ``(count, |tracked|)`` ``int64`` matrix
-  of tracked-symbol counts per bucket (all symbols for tiny alphabets,
-  vowels for large ones — the paper's section 6 suggestion), ready for
-  a whole-bucket :mod:`repro.filters.frequency` lower bound without
-  re-walking any candidate.
+* **Symbol-group counts** — the alphabet is split into at most
+  :data:`MAX_SYMBOL_GROUPS` groups of balanced corpus frequency (one
+  group per symbol for small alphabets such as DNA), and one
+  group-major ``(groups, size)`` count matrix, in bucket order and the
+  narrowest unsigned dtype that holds the longest string, feeds a
+  bag-distance lower bound over the whole alphabet — the paper's
+  section-6 frequency vectors, with every symbol tracked.
 
-Both matrices are built per bucket with array operations (the paper's
+Every matrix is built per bucket with array operations (the paper's
 section 3.4 "simple data types" taken to this language), never string
 by string. The compiled value is immutable; a
 :class:`repro.parallel.executor.ProcessPoolRunner` ships it to workers
@@ -33,6 +35,7 @@ file) and scans never re-encode anything.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
@@ -44,14 +47,11 @@ from repro.data.alphabet import Alphabet
 from repro.distance.packed import PackedBucket, code_dtype, pack_bucket
 from repro.exceptions import ReproError
 
-#: Alphabets at or below this size track every symbol in their
-#: frequency vectors (the DNA regime); larger ones track vowels only.
-SMALL_TRACKED_CUTOFF = 8
+#: Most symbol groups a corpus counts. Alphabets of at most this many
+#: symbols get one group per symbol (DNA keeps its exact per-symbol
+#: bound); larger ones are folded into this many balanced groups.
+MAX_SYMBOL_GROUPS = 16
 
-#: Tracked symbols for large alphabets: the paper's vowel suggestion
-#: (section 6), both cases — corpus counting is case-sensitive, and the
-#: frequency lower bound is sound for any fixed symbol set.
-DEFAULT_LARGE_TRACKED = "AEIOUaeiou"
 
 @dataclass(frozen=True)
 class LengthBucket:
@@ -65,8 +65,9 @@ class LengthBucket:
     strings:
         The distinct strings, in first-occurrence corpus order.
     frequencies:
-        ``(count, |tracked|)`` ``int64`` matrix of tracked-symbol
-        counts, rows parallel to ``strings``.
+        ``(groups, count)`` view into the corpus's
+        :attr:`CompiledCorpus.group_counts`: each string's symbol count
+        per group, columns parallel to ``strings``.
     packed:
         The symbol codes: ``packed.codes`` is the ``(count, length)``
         code matrix, rows parallel to ``strings``.
@@ -81,23 +82,35 @@ class LengthBucket:
         return len(self.strings)
 
 
-def _count_vector(text: str, tracked: str) -> tuple[int, ...]:
-    """Case-sensitive tracked-symbol counts (see module docstring)."""
-    return tuple(text.count(symbol) for symbol in tracked)
+def count_dtype(longest: int) -> np.dtype:
+    """The narrowest unsigned dtype holding a count up to ``longest``."""
+    for dtype in (np.uint8, np.uint16):
+        if longest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint32)
 
 
-def _frequency_matrix(codes: np.ndarray, alphabet: Alphabet,
-                      tracked: str) -> np.ndarray:
-    """A bucket's tracked-symbol counts, one column per tracked symbol.
+def symbol_groups(symbol_counts) -> np.ndarray:
+    """Each alphabet code's group: a frequency-balanced partition.
 
-    Each column compares the whole code matrix against one code; a
-    tracked symbol outside the alphabet occurs nowhere and counts 0.
+    At most :data:`MAX_SYMBOL_GROUPS` symbols keep one group each (the
+    group is the code). Above that, symbols are taken in descending
+    corpus count, ties by code, and each joins the group with the
+    smallest total so far (the lowest group on a tie) — a pure function
+    of the counts, so no hash or set order reaches the grouping.
     """
-    counts = np.zeros((codes.shape[0], len(tracked)), dtype=np.int64)
-    for column, symbol in enumerate(tracked):
-        if symbol in alphabet:
-            counts[:, column] = (codes == alphabet.code(symbol)).sum(axis=1)
-    return counts
+    counts = list(symbol_counts)
+    if len(counts) <= MAX_SYMBOL_GROUPS:
+        return np.arange(len(counts), dtype=np.intp)
+    groups = [0] * len(counts)
+    totals = [(0, group) for group in range(MAX_SYMBOL_GROUPS)]
+    # A stable sort keeps equal counts in code order, also reversed.
+    for code in sorted(range(len(counts)), key=counts.__getitem__,
+                       reverse=True):
+        total, group = totals[0]
+        groups[code] = group
+        heapq.heapreplace(totals, (total + counts[code], group))
+    return np.array(groups, dtype=np.intp)
 
 
 class CompiledCorpus:
@@ -111,10 +124,6 @@ class CompiledCorpus:
     alphabet:
         Optional :class:`Alphabet` the data must conform to. When
         omitted, a minimal alphabet is inferred from the data itself.
-    tracked:
-        Symbols counted into per-string frequency vectors. Defaults to
-        the whole alphabet when it is tiny (DNA) and to vowels for
-        large alphabets.
     packed:
         Accepted only as ``True``, the one layout; kept for callers
         that still pass it. ``False`` raises :class:`ReproError`.
@@ -132,7 +141,6 @@ class CompiledCorpus:
 
     def __init__(self, dataset: Iterable[str], *,
                  alphabet: Alphabet | None = None,
-                 tracked: str | None = None,
                  packed: bool = True) -> None:
         if packed is not True:
             raise ReproError(
@@ -155,35 +163,70 @@ class CompiledCorpus:
         if alphabet is None and unique:
             symbols = sorted(set("".join(unique)))
             alphabet = Alphabet("inferred", "".join(symbols))
-        self._alphabet = alphabet
-
-        if tracked is None and alphabet is not None:
-            if alphabet.size <= SMALL_TRACKED_CUTOFF:
-                tracked = alphabet.symbols
-            else:
-                tracked = DEFAULT_LARGE_TRACKED
-        self._tracked = tracked or ""
-
-        self._total_strings = len(raw)
-        self._strings = unique
-        self._segment_path: str | None = None
 
         by_length: dict[int, list[str]] = {}
         for string in unique:
             by_length.setdefault(len(string), []).append(string)
+        members = [tuple(by_length[length]) for length in sorted(by_length)]
+        packed = [pack_bucket(strings, alphabet) for strings in members]
+
+        size = alphabet.size if alphabet is not None else 0
+        symbol_counts = np.zeros(size, dtype=np.int64)
+        for bulk in packed:
+            symbol_counts += np.bincount(bulk.codes.reshape(-1),
+                                         minlength=size)
+        group_of = symbol_groups(symbol_counts.tolist())
+        groups = min(size, MAX_SYMBOL_GROUPS)
+        counts = np.empty((groups, len(unique)),
+                          dtype=count_dtype(max(by_length, default=0)))
+        offset = 0
+        for bulk in packed:
+            # One bincount per bucket: cell ``group * rows + row``.
+            rows = len(bulk)
+            cells = group_of[bulk.codes]
+            cells *= rows
+            cells += np.arange(rows)[:, None]
+            counts[:, offset:offset + rows] = np.bincount(
+                cells.reshape(-1), minlength=groups * rows
+            ).reshape(groups, rows)
+            offset += rows
+        self._assemble(alphabet, unique, len(raw), members, packed,
+                       group_of, counts)
+
+    def _assemble(self, alphabet: Alphabet | None, strings, total: int,
+                  members, packed, group_of: np.ndarray,
+                  counts: np.ndarray, segment_path: str | None = None
+                  ) -> None:
+        """Set every field from the compiled parts; the one place the
+        in-memory compile and :func:`repro.speed.load_segment` share.
+
+        ``members[i]`` / ``packed[i]`` are bucket ``i``'s strings and
+        codes (buckets sorted by length), and ``counts`` is the
+        group-major count matrix whose columns follow that bucket order.
+        """
+        self._alphabet = alphabet
+        self._strings = strings
+        self._total_strings = total
+        self._segment_path = segment_path
+        self._group_of = tuple(group_of.tolist())
+        self._group_counts = counts
+        offsets = [0]
         buckets = []
-        for length in sorted(by_length):
-            members = tuple(by_length[length])
-            bulk = pack_bucket(members, alphabet)
+        for bucket_strings, bulk in zip(members, packed):
+            start = offsets[-1]
+            offsets.append(start + len(bulk))
             buckets.append(LengthBucket(
-                length=length,
-                strings=members,
-                frequencies=_frequency_matrix(bulk.codes, alphabet,
-                                              self._tracked),
+                length=bulk.length,
+                strings=bucket_strings,
+                frequencies=counts[:, start:offsets[-1]],
                 packed=bulk,
             ))
         self._buckets = tuple(buckets)
-        self._lengths = tuple(bucket.length for bucket in self._buckets)
+        self._lengths = tuple(bucket.length for bucket in buckets)
+        self._offsets = np.array(offsets, dtype=np.int64)
+        self._row_lengths = np.repeat(
+            np.array(self._lengths, dtype=counts.dtype),
+            np.diff(self._offsets))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -209,9 +252,26 @@ class CompiledCorpus:
         return self._alphabet
 
     @property
-    def tracked(self) -> str:
-        """Symbols counted into frequency vectors."""
-        return self._tracked
+    def group_of(self) -> tuple[int, ...]:
+        """Each alphabet code's symbol group (see :func:`symbol_groups`)."""
+        return self._group_of
+
+    @property
+    def group_counts(self) -> np.ndarray:
+        """The ``(groups, size)`` symbol-group counts, one column per
+        distinct string in bucket order (bucket ``i`` owns columns
+        ``offsets[i]:offsets[i + 1]``)."""
+        return self._group_counts
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """``int64`` column offset of every bucket, plus the total."""
+        return self._offsets
+
+    @property
+    def row_lengths(self) -> np.ndarray:
+        """Each column's string length, in :attr:`group_counts`' dtype."""
+        return self._row_lengths
 
     @property
     def segment_path(self) -> str | None:
@@ -290,10 +350,6 @@ class CompiledCorpus:
         codes = self._alphabet._codes
         return tuple(codes.get(symbol, -1) for symbol in query)
 
-    def query_frequencies(self, query: str) -> tuple[int, ...]:
-        """The query's tracked-symbol counts (pairs with bucket vectors)."""
-        return _count_vector(query, self._tracked)
-
     def storage_profile(self) -> dict:
         """Byte accounting of the symbol payload.
 
@@ -328,7 +384,7 @@ class CompiledCorpus:
             "buckets": len(self._buckets),
             "min_length": self.min_length,
             "max_length": self.max_length,
-            "tracked_symbols": self._tracked,
+            "symbol_groups": len(self._group_counts),
         }
 
     def __repr__(self) -> str:

@@ -7,9 +7,10 @@ runner fan-out, deadlines and all bookkeeping are the shared
 :class:`repro.core.batch.BatchExecutor`; this module supplies the scan
 as its probe:
 
-* :func:`scan_query` builds the query's frequency vector once per
-  distinct query, selects the survivors of every length bucket in the
-  ``[len(q) - k, len(q) + k]`` window, and scores them together;
+* :func:`scan_query` counts the query's symbol groups once per distinct
+  query, selects the bag-distance survivors of the whole
+  ``[len(q) - k, len(q) + k]`` window in one pass, and scores them
+  together;
 * :class:`ScanProbe` can split that bucket window, so a single
   expensive query fans out over a runner too — the compiled corpus is
   built once in the parent and chunk-scanned in workers.
@@ -39,23 +40,47 @@ from repro.distance.vectorized import (
     window_distances,
 )
 from repro.exceptions import DeadlineExceeded
-from repro.scan.corpus import CompiledCorpus, LengthBucket
+from repro.scan.corpus import CompiledCorpus
 
 
-def _survivors(bucket: LengthBucket, query_vector: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A bucket's ``(indices, code rows)`` within the frequency bound,
-    as one ``numpy`` expression over its count matrix."""
-    codes = bucket.packed.codes
-    count = len(bucket.strings)
-    if not query_vector.size:
-        return np.arange(count), codes
-    difference = query_vector - bucket.frequencies
-    surplus = np.maximum(difference, 0).sum(axis=1)
-    # The negative parts sum to the positive ones minus the total.
-    deficit = surplus - difference.sum(axis=1)
-    kept = np.nonzero((surplus <= k) & (deficit <= k))[0]
-    return kept, codes if len(kept) == count else codes[kept]
+def _select(corpus: CompiledCorpus, encoded: tuple[int, ...], k: int,
+            start: int, stop: int) -> np.ndarray:
+    """Indices, relative to ``start``, of the corpus columns
+    ``start:stop`` within the bag-distance bound of the query.
+
+    With ``n'`` the query's symbols inside the alphabet and ``common``
+    the per-group overlap ``sum(min(q_g, c_g))`` — only the query's
+    non-zero groups contribute — the groups cover the alphabet, so a
+    string of length ``len`` has surplus ``n' - common`` and deficit
+    ``len - common``. It survives iff ``common >= max(n', len) - k``;
+    folding symbols into groups never increases edit distance, so the
+    bound is sound. One pass over the whole slice, however many buckets
+    it spans.
+    """
+    counts = corpus.group_counts
+    group_of = corpus.group_of
+    query_counts = [0] * len(counts)
+    for code in encoded:
+        if code >= 0:
+            query_counts[group_of[code]] += 1
+    present = sum(query_counts)
+    # No count exceeds the longest string, which the dtype holds, so
+    # capping the query's counts there changes no minimum.
+    longest = corpus.max_length
+    common = np.zeros(stop - start, dtype=counts.dtype)
+    scratch = np.empty_like(common)
+    for group, count in enumerate(query_counts):
+        if count:
+            np.minimum(counts[group, start:stop], min(count, longest),
+                       out=scratch)
+            common += scratch
+    if present > longest:
+        # Longer than every corpus string: max(n', len) is n' throughout.
+        return (common >= present - k).nonzero()[0]
+    # max(n', len) >= len >= common, so the difference cannot wrap.
+    np.maximum(corpus.row_lengths[start:stop], present, out=scratch)
+    scratch -= common
+    return (scratch <= k).nonzero()[0]
 
 
 def _window_matrix(selected, survivors: int
@@ -81,12 +106,13 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
 
     Every query-side cost is hoisted out of the candidate loop: the
     ``peq`` table is built once from the *encoded* query, the length
-    filter is the bucket window itself, and the frequency bound reads
-    precomputed vectors. The window then goes through one pipeline:
+    filter is the bucket window itself, and the bag-distance bound reads
+    the precomputed symbol-group counts. The window then goes through
+    one pipeline:
 
-    1. **select survivors** of the (sound) frequency bound in every
-       bucket — one ``numpy`` expression over each bucket's count
-       matrix;
+    1. **select survivors** of the (sound) bag-distance bound — one
+       pass over the window's contiguous slice of the corpus's
+       group-count matrix (:func:`_select`), split per bucket;
     2. **score survivors**, with one engine for the whole window: one
        :func:`window_distances` pass over every survivor of the window
        when at least
@@ -132,8 +158,6 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
     candidates = 0
     freq_rejects = 0
     early_aborts = 0
-    query_vector = np.asarray(corpus.query_frequencies(query),
-                              dtype=np.int64)
 
     def expire(completed: int) -> NoReturn:
         matches.sort()
@@ -146,6 +170,8 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
         )
 
     try:
+        if not buckets:
+            return matches
         if n == 0:
             # Every bucket in the window has length <= k; the distance
             # to an empty query is the candidate's length.
@@ -159,22 +185,30 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
             matches.sort()
             return matches
 
-        # 1. Select: every bucket's survivors of the frequency bound,
-        # its rejects charged as it is selected.
+        # 1. Select: the bound over the whole window at once, then each
+        # bucket's survivors, its rejects charged as it is selected.
+        bounds = corpus.offsets[window_lo:window_hi + 1]
+        kept = _select(corpus, encoded, k, int(bounds[0]), int(bounds[-1]))
+        bounds = bounds - bounds[0]
+        splits = kept.searchsorted(bounds).tolist()
+        bounds = bounds.tolist()
         selected = []
         survivors = 0
-        for bucket in buckets:
+        for index, bucket in enumerate(buckets):
             done = candidates - survivors
             candidates += len(bucket.strings)
-            kept, rows = _survivors(bucket, query_vector, k)
-            rejects = len(bucket.strings) - len(kept)
+            rows = kept[splits[index]:splits[index + 1]]
+            rejects = len(bucket.strings) - len(rows)
             freq_rejects += rejects
             if deadline is not None and rejects \
                     and deadline.spend(rejects):
                 expire(done)
-            if len(kept):
-                selected.append((bucket, kept, rows))
-                survivors += len(kept)
+            if len(rows):
+                rows = rows - bounds[index]
+                codes = bucket.packed.codes
+                selected.append((bucket, rows, codes if not rejects
+                                 else codes[rows]))
+                survivors += len(rows)
 
         # 2. Score: one engine for the whole window.
         if survivors >= DEFAULT_VECTOR_MIN_ROWS:

@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-def load_or_build_corpus_segment(dataset, path, *, alphabet=None,
-                                 tracked=None):
+def load_or_build_corpus_segment(dataset, path, *, alphabet=None):
     """A segment-backed compiled corpus for ``dataset`` at ``path``.
 
     If ``path`` already holds a segment, it is mmap-loaded through the
@@ -72,7 +71,6 @@ def load_or_build_corpus_segment(dataset, path, *, alphabet=None,
         parent = os.path.dirname(os.path.abspath(path))
         if parent:
             os.makedirs(parent, exist_ok=True)
-        corpus = CompiledCorpus(dataset, alphabet=alphabet,
-                                tracked=tracked)
+        corpus = CompiledCorpus(dataset, alphabet=alphabet)
         save_segment(corpus, path)
     return segment_cache.get(path)

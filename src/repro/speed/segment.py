@@ -28,6 +28,11 @@ File format (version :data:`SEGMENT_VERSION`)::
     then         each array's raw little-endian bytes at its
                  64-byte-aligned absolute ``offset``
 
+A corpus segment holds each bucket's code and bit-packed matrices, the
+``group_of`` symbol-group map and the group-major ``group_counts``
+matrix the scan's bag-distance select reads (version 2; a version-1
+file, which held per-bucket tracked-symbol frequencies, is refused).
+
 Strings are stored as one concatenated UTF-8 blob plus an ``int64``
 offsets array and decoded **on access** (:class:`LazyStrings`), so a
 loaded artifact keeps no per-string Python objects until a match
@@ -52,7 +57,7 @@ import numpy as np
 from repro.exceptions import SegmentError
 
 #: Current segment format version; bumped on any layout change.
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
 
 #: Leading magic bytes of every segment file.
 SEGMENT_MAGIC = b"RSEG"
@@ -248,7 +253,6 @@ def _corpus_payload(corpus) -> tuple[dict, dict]:
     row_bytes = []
     codes_parts = []
     packed_parts = []
-    freq_parts = []
     sid_parts = []
     for bucket in corpus.buckets:
         bulk = bucket.packed
@@ -257,7 +261,6 @@ def _corpus_payload(corpus) -> tuple[dict, dict]:
         row_bytes.append(bulk.packed.shape[1])
         codes_parts.append(bulk.codes.reshape(-1))
         packed_parts.append(bulk.packed.reshape(-1))
-        freq_parts.append(bucket.frequencies.reshape(-1))
         sid_parts.append(np.array([sid[s] for s in bucket.strings],
                                   dtype=np.int64))
 
@@ -268,7 +271,6 @@ def _corpus_payload(corpus) -> tuple[dict, dict]:
     meta = {
         "alphabet": None if alphabet is None else {
             "name": alphabet.name, "symbols": alphabet.symbols},
-        "tracked": corpus.tracked,
         "total_strings": corpus.total_strings,
         "bucket_lengths": lengths,
         "bucket_counts": counts,
@@ -281,8 +283,8 @@ def _corpus_payload(corpus) -> tuple[dict, dict]:
                   else np.zeros(0, dtype=dtype)),
         "packed": (np.concatenate(packed_parts) if packed_parts
                    else np.zeros(0, dtype=np.uint8)),
-        "frequencies": (np.concatenate(freq_parts) if freq_parts
-                        else np.zeros(0, dtype=np.int64)),
+        "group_of": np.array(corpus.group_of, dtype=np.uint8),
+        "group_counts": corpus.group_counts,
         "sids": (np.concatenate(sid_parts) if sid_parts
                  else np.zeros(0, dtype=np.int64)),
     }
@@ -292,22 +294,20 @@ def _corpus_payload(corpus) -> tuple[dict, dict]:
 def _corpus_from_segment(header: dict, arrays: dict, path: str):
     from repro.data.alphabet import Alphabet
     from repro.distance.packed import PackedBucket
-    from repro.scan.corpus import CompiledCorpus, LengthBucket
+    from repro.scan.corpus import CompiledCorpus
 
     meta = header["meta"]
     alphabet = None
     if meta["alphabet"] is not None:
         alphabet = Alphabet(meta["alphabet"]["name"],
                             meta["alphabet"]["symbols"])
-    tracked = meta["tracked"]
-    width = len(tracked)
     table = LazyStrings(arrays["strings_blob"], arrays["strings_offsets"])
 
-    buckets = []
-    code_cursor = bit_cursor = freq_cursor = sid_cursor = 0
+    members = []
+    packed = []
+    code_cursor = bit_cursor = sid_cursor = 0
     codes_flat = arrays["codes"]
     packed_flat = arrays["packed"]
-    freq_flat = arrays["frequencies"]
     sids_flat = arrays["sids"]
     for length, count, rb in zip(meta["bucket_lengths"],
                                  meta["bucket_counts"],
@@ -318,26 +318,15 @@ def _corpus_from_segment(header: dict, arrays: dict, path: str):
         packed_rows = packed_flat[bit_cursor:bit_cursor + count * rb] \
             .reshape(count, rb)
         bit_cursor += count * rb
-        frequencies = freq_flat[freq_cursor:freq_cursor + count * width] \
-            .reshape(count, width)
-        freq_cursor += count * width
-        sids = sids_flat[sid_cursor:sid_cursor + count]
+        members.append(IndexedStrings(
+            table, sids_flat[sid_cursor:sid_cursor + count]))
         sid_cursor += count
-        buckets.append(LengthBucket(
-            length=length,
-            strings=IndexedStrings(table, sids),
-            frequencies=frequencies,
-            packed=PackedBucket(codes, packed_rows, length, alphabet),
-        ))
+        packed.append(PackedBucket(codes, packed_rows, length, alphabet))
 
     corpus = CompiledCorpus.__new__(CompiledCorpus)
-    corpus._alphabet = alphabet
-    corpus._tracked = tracked
-    corpus._total_strings = meta["total_strings"]
-    corpus._strings = table
-    corpus._buckets = tuple(buckets)
-    corpus._lengths = tuple(b.length for b in buckets)
-    corpus._segment_path = os.path.abspath(path)
+    corpus._assemble(alphabet, table, meta["total_strings"], members,
+                     packed, arrays["group_of"], arrays["group_counts"],
+                     segment_path=os.path.abspath(path))
     return corpus
 
 

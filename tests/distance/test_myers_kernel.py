@@ -174,8 +174,8 @@ WIDE_QUERY = WIDE[5]
 ENGINES = {"encoded": sys.maxsize, "packed": 1}
 
 
-def _scan(dataset, query, k, *, engine=None, deadline=None, tracked=None):
-    corpus = CompiledCorpus(dataset, tracked=tracked)
+def _scan(dataset, query, k, *, engine=None, deadline=None):
+    corpus = CompiledCorpus(dataset)
     counters: dict = {}
     with pytest.MonkeyPatch.context() as patch:
         if engine is not None:
@@ -273,13 +273,15 @@ class TestScanParity:
         assert chosen_counters == encoded_counters
 
     def test_no_prefilter_all_reach_the_kernel(self):
-        # ``tracked=""`` compiles no frequency vectors: the regime the
-        # bucket kernel is for, and the scalar kernel must agree on it.
-        encoded, encoded_counters = _scan(WIDE, WIDE_QUERY, 3,
-                                          engine="encoded", tracked="")
-        packed, packed_counters = _scan(WIDE, WIDE_QUERY, 3,
-                                        engine="packed", tracked="")
-        assert encoded == packed == _exact(WIDE, WIDE_QUERY, 3)
+        # With k at least the longest string the bag-distance bound
+        # rejects nothing: the regime the bucket kernel is for, and the
+        # scalar kernel must agree on it.
+        k = max(map(len, WIDE))
+        encoded, encoded_counters = _scan(WIDE, WIDE_QUERY, k,
+                                          engine="encoded")
+        packed, packed_counters = _scan(WIDE, WIDE_QUERY, k,
+                                        engine="packed")
+        assert encoded == packed == _exact(WIDE, WIDE_QUERY, k)
         assert encoded_counters == packed_counters
         assert packed_counters["scan.freq_rejects"] == 0
         assert packed_counters["scan.kernel_calls"] \

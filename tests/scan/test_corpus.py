@@ -8,7 +8,12 @@ import pytest
 from repro.core.sequential import SequentialScanSearcher
 from repro.data.alphabet import DNA_ALPHABET, Alphabet
 from repro.exceptions import AlphabetError, ReproError
-from repro.scan.corpus import CompiledCorpus
+from repro.scan.corpus import (
+    MAX_SYMBOL_GROUPS,
+    CompiledCorpus,
+    count_dtype,
+    symbol_groups,
+)
 from repro.scan.executor import scan_query
 from repro.speed import load_segment, save_segment
 
@@ -96,35 +101,89 @@ class TestBuckets:
 
 
 class TestFrequencyVectors:
+    """The symbol-group counts the bag-distance select reads."""
+
     def test_tiny_alphabet_tracks_everything(self):
         corpus = CompiledCorpus(["ACCA"], alphabet=DNA_ALPHABET)
-        assert corpus.tracked == "ACGNT"
+        assert corpus.group_of == (0, 1, 2, 3, 4)
         frequencies = corpus.buckets[0].frequencies
-        assert frequencies.dtype == np.int64
-        assert frequencies.tolist() == [[2, 2, 0, 0, 0]]
+        assert frequencies.dtype == np.uint8
+        assert frequencies.tolist() == [[2], [2], [0], [0], [0]]
 
-    def test_large_alphabet_tracks_vowels(self):
-        alphabet = Alphabet("wide", "abcdefghij")
-        corpus = CompiledCorpus(["beach"], alphabet=alphabet)
-        assert "a" in corpus.tracked and "e" in corpus.tracked
+    def test_sixteen_symbols_keep_one_group_each(self):
+        symbols = "abcdefghijklmnop"
+        corpus = CompiledCorpus(["aab", "ponm"],
+                                alphabet=Alphabet("sixteen", symbols))
+        assert corpus.group_of == tuple(range(16))
+        assert corpus.group_counts.shape == (16, 2)
+        assert corpus.group_counts[:, 0].tolist() == [2, 1] + [0] * 14
 
-    def test_query_vector_pairs_with_bucket_vectors(self):
-        corpus = CompiledCorpus(["ACCA"], alphabet=DNA_ALPHABET)
-        assert corpus.query_frequencies("CAT") == (1, 1, 0, 0, 1)
+    def test_large_alphabet_folds_into_balanced_groups(self):
+        # Seventeen symbols, q the most frequent: q opens group 0, the
+        # others follow by code into the emptiest group (lowest first),
+        # so p, the last, joins a in group 1.
+        symbols = "abcdefghijklmnopq"
+        corpus = CompiledCorpus([symbols, "qqq"])
+        assert len(corpus.group_counts) == MAX_SYMBOL_GROUPS
+        assert corpus.group_of == tuple(range(1, 16)) + (1, 0)
+        # Columns follow bucket order: "qqq" first.
+        assert corpus.group_counts[:, 0].tolist() == [3] + [0] * 15
+        assert corpus.group_counts[:, 1].tolist() == [1, 2] + [1] * 14
 
-    def test_tracked_override(self):
-        corpus = CompiledCorpus(["abc"], tracked="a")
-        assert corpus.tracked == "a"
-        assert corpus.buckets[0].frequencies.tolist() == [[1]]
+    def test_balanced_and_deterministic_on_city_names(self, city_names):
+        corpus = CompiledCorpus(city_names)
+        again = CompiledCorpus(reversed(city_names))
+        assert corpus.group_of == again.group_of
+        assert len(set(corpus.group_of)) == MAX_SYMBOL_GROUPS
+        totals = corpus.group_counts.sum(axis=1, dtype=np.int64)
+        codes = np.concatenate([bucket.packed.codes.reshape(-1)
+                                for bucket in corpus.buckets])
+        heaviest = np.bincount(codes).max()
+        # Greedy assignment in descending count: no two groups differ
+        # by more than the most frequent symbol's count.
+        assert totals.max() - totals.min() <= heaviest
+        assert totals.sum() == sum(map(len, corpus.strings))
 
-    def test_tracked_symbol_outside_the_alphabet_counts_zero(self):
-        corpus = CompiledCorpus(["ACCA", "GATT"], alphabet=DNA_ALPHABET,
-                                tracked="AX")
-        assert corpus.buckets[0].frequencies.tolist() == [[2, 0], [1, 0]]
+    def test_count_ties_break_by_code(self):
+        counts = [5] * 20
+        assert symbol_groups(counts).tolist() == \
+            list(range(16)) + [0, 1, 2, 3]
+        assert symbol_groups([1, 9] + [0] * 15).tolist()[:2] == [1, 0]
+
+    def test_count_dtype_fits_the_longest_string(self):
+        assert CompiledCorpus(["a" * 255]).group_counts.dtype == np.uint8
+        wide = CompiledCorpus(["a" * 256, "ab"])
+        assert wide.group_counts.dtype == np.uint16
+        assert wide.row_lengths.tolist() == [2, 256]
+        assert count_dtype(70_000) == np.uint32
+
+    def test_layout_is_group_major_in_bucket_order(self):
+        corpus = CompiledCorpus(["abc", "b", "cab", "bb", "ca"])
+        assert corpus.offsets.tolist() == [0, 1, 3, 5]
+        assert corpus.row_lengths.tolist() == [1, 2, 2, 3, 3]
+        assert corpus.group_counts.tolist() == [
+            [0, 0, 1, 1, 1],
+            [1, 2, 0, 1, 1],
+            [0, 0, 1, 1, 1],
+        ]
+        for bucket, start in zip(corpus.buckets, corpus.offsets.tolist()):
+            # Bucket vectors are views, not copies.
+            assert bucket.frequencies.base is not None
+            assert np.shares_memory(bucket.frequencies, corpus.group_counts)
+            assert np.array_equal(
+                bucket.frequencies,
+                corpus.group_counts[:, start:start + len(bucket)])
+
+    def test_unused_alphabet_symbols_count_zero(self):
+        corpus = CompiledCorpus(["ACCA", "GATT"], alphabet=DNA_ALPHABET)
+        assert corpus.buckets[0].frequencies.tolist() == \
+            [[2, 1], [2, 0], [0, 1], [0, 0], [0, 2]]
 
     def test_no_tracked_symbols_is_an_empty_matrix(self):
-        corpus = CompiledCorpus(["abc", "abd"], tracked="")
-        assert corpus.buckets[0].frequencies.shape == (2, 0)
+        corpus = CompiledCorpus([])
+        assert corpus.group_of == ()
+        assert corpus.group_counts.shape == (0, 0)
+        assert scan_query(corpus, "abc", 2) == []
 
 
 class TestWideAlphabet:

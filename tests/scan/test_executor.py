@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.result import Match
 from repro.core.sequential import SequentialScanSearcher
+from repro.distance.levenshtein import edit_distance
 from repro.exceptions import InvalidThresholdError, ReproError
 from repro.parallel.executor import SerialRunner, ThreadPoolRunner
 from repro.core.cache import LRUCache
@@ -41,13 +42,18 @@ class TestScanQuery:
             scan_query(CompiledCorpus(DATASET), "Bern", -1)
 
     def test_frequency_filter_does_not_change_results(self):
-        # ``tracked=""`` compiles no frequency vectors, so that corpus
-        # scans with the prefilter off.
-        filtered = CompiledCorpus(DATASET)
-        unfiltered = CompiledCorpus(DATASET, tracked="")
-        for query in ("Bern", "Brln", "Hamburk"):
-            assert scan_query(filtered, query, 2) == \
-                scan_query(unfiltered, query, 2)
+        # The bag-distance select rejects rows here, and every row it
+        # keeps or drops agrees with the plain DP.
+        corpus = CompiledCorpus(DATASET)
+        for query in ("Bern", "Brln", "Hamburk", "Bxrn"):
+            for k in (1, 2, 3):
+                counters: dict = {}
+                found = scan_query(corpus, query, k, counters=counters)
+                assert found == sorted(
+                    Match(string, edit_distance(query, string))
+                    for string in DATASET
+                    if edit_distance(query, string) <= k)
+                assert counters["scan.freq_rejects"] > 0
 
 
 class TestBucketFanout:

@@ -10,6 +10,7 @@ much: a corrupted or version-skewed file must raise a clear
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.batch import _pool_payload
@@ -18,7 +19,7 @@ from repro.exceptions import SegmentError
 from repro.index.batch import BatchIndexExecutor
 from repro.index.flat import FlatTrie
 from repro.scan.corpus import CompiledCorpus
-from repro.scan.executor import BatchScanExecutor
+from repro.scan.executor import BatchScanExecutor, scan_query
 from repro.speed import (
     SEGMENT_MAGIC,
     SEGMENT_VERSION,
@@ -53,6 +54,33 @@ class TestCorpusRoundTrip:
         for query, k in QUERIES:
             assert mapped.search(query, k) == fresh.search(query, k)
         assert mapped.counters_snapshot() == fresh.counters_snapshot()
+
+    def test_mmap_groups_scan_like_the_heap_corpus(self, tmp_path,
+                                                   city_names):
+        # A 120-symbol corpus folds into 16 groups; the mapped group
+        # map and counts must select, score and count exactly alike.
+        corpus = CompiledCorpus(city_names)
+        path = str(tmp_path / "cities.seg")
+        save_segment(corpus, path)
+        loaded = load_segment(path)
+        assert loaded.group_of == corpus.group_of
+        assert isinstance(loaded.group_counts, np.memmap)
+        assert loaded.group_counts.dtype == corpus.group_counts.dtype
+        assert np.array_equal(loaded.group_counts, corpus.group_counts)
+        assert np.array_equal(loaded.row_lengths, corpus.row_lengths)
+        for mapped, heap in zip(loaded.buckets, corpus.buckets):
+            assert np.shares_memory(mapped.frequencies, loaded.group_counts)
+            assert np.array_equal(mapped.frequencies, heap.frequencies)
+        for query in city_names[:40:4]:
+            for k in (1, 2, 3):
+                heap_counters: dict = {}
+                mapped_counters: dict = {}
+                assert scan_query(loaded, query + "#", k,
+                                  counters=mapped_counters) == \
+                    scan_query(corpus, query + "#", k,
+                               counters=heap_counters)
+                assert mapped_counters == heap_counters
+                assert heap_counters["scan.freq_rejects"] > 0
 
     def test_packed_dna_is_at_least_twice_as_small(self, tmp_path):
         # The paper's section-6 dictionary compression, in bulk: 3-bit
@@ -107,7 +135,18 @@ class TestCorruption:
         with open(path, "r+b") as handle:
             handle.seek(len(SEGMENT_MAGIC))
             handle.write(struct.pack("<I", SEGMENT_VERSION + 41))
-        with pytest.raises(SegmentError, match="version 42"):
+        with pytest.raises(SegmentError,
+                           match=f"version {SEGMENT_VERSION + 41}"):
+            load_segment(path)
+
+    def test_version_1_is_refused(self, corpus_segment):
+        # Version 1 stored tracked-symbol frequencies; there is no
+        # reader for it.
+        _, path = corpus_segment
+        with open(path, "r+b") as handle:
+            handle.seek(len(SEGMENT_MAGIC))
+            handle.write(struct.pack("<I", 1))
+        with pytest.raises(SegmentError, match="version 1 is not supported"):
             load_segment(path)
 
     def test_garbage_header(self, corpus_segment):
