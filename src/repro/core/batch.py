@@ -43,11 +43,14 @@ that workers can mmap) with
     one ``(matches, counters)`` pair per query from a single call; a
     serial batch without a deadline then probes all its distinct misses
     at once, and ``weight`` names the counter that apportions the
-    call's wall time to its queries.
+    call's wall time to its queries;
+``counters`` (optional)
+    counter names reported at zero before the first probe.
 
 :class:`repro.scan.executor.BatchScanExecutor` and
 :class:`repro.index.batch.BatchIndexExecutor` are this class with
-their probe built in.
+their probe built in, and :class:`BatchSearcher` is the one
+:class:`repro.core.searcher.Searcher` adapter over either.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import Iterator, Sequence
 from repro.core.cache import LRUCache
 from repro.core.deadline import Budget, Deadline
 from repro.core.result import Match, ResultSet
-from repro.core.searcher import QueryRunner
+from repro.core.searcher import QueryRunner, Searcher
 from repro.distance.banded import check_threshold
 from repro.exceptions import DeadlineExceeded, ReproError
 from repro.obs.hist import Histogram
@@ -203,7 +206,8 @@ class BatchExecutor:
         self.stats = BatchStats()
         # Cumulative work counters, merged back from every probe
         # (including ones executed in worker processes).
-        self._counters: dict[str, int] = {}
+        self._counters: dict[str, int] = dict.fromkeys(
+            getattr(probe, "counters", ()), 0)
         self._hists = {name: Histogram() for name in probe.histograms}
         # Guards the counters, the histograms and ``stats``.
         self._lock = threading.Lock()
@@ -517,3 +521,55 @@ class BatchExecutor:
         self._offer_exemplar(query, k, wall, len(merged), totals,
                              stages=stages)
         return tuple(merged)
+
+
+class BatchSearcher(Searcher):
+    """The :class:`Searcher` adapter over one :class:`BatchExecutor`.
+
+    Every call forwards to the executor the subclass's constructor
+    stores in ``_executor``: same contract and result sets as the
+    per-query searchers, so it drops in wherever they serve.
+    """
+
+    _executor: BatchExecutor
+
+    @property
+    def executor(self) -> BatchExecutor:
+        """The batch engine answering queries."""
+        return self._executor
+
+    def attach_metrics(self, registry) -> None:
+        """Forward a metrics registry to the underlying executor."""
+        self._executor.attach_metrics(registry)
+
+    def attach_recorder(self, recorder) -> None:
+        """Forward a flight recorder to the underlying executor."""
+        self._executor.attach_recorder(recorder)
+
+    def counters_snapshot(self) -> dict[str, int]:
+        """Cumulative work counters of the underlying executor."""
+        return self._executor.counters_snapshot()
+
+    def hists_snapshot(self) -> dict[str, Histogram]:
+        """Cumulative per-query histograms of the underlying executor."""
+        return self._executor.hists_snapshot()
+
+    def search(self, query: str, k: int, *,
+               deadline: Deadline | Budget | None = None) -> list[Match]:
+        """All distinct dataset strings within distance ``k``."""
+        return self._executor.search(query, k, deadline=deadline)
+
+    def search_many(self, queries: Sequence[str], k: int, *,
+                    runner: QueryRunner | None = None,
+                    deadline: Deadline | Budget | None = None
+                    ) -> ResultSet:
+        """Batch entry point (see :meth:`BatchExecutor.search_many`)."""
+        return self._executor.search_many(queries, k, runner=runner,
+                                          deadline=deadline)
+
+    def run_workload(self, workload, runner: QueryRunner | None = None
+                     ) -> ResultSet:
+        """Execute a workload through the batch path (dedup and memo
+        included; rows still come back one per query, in order)."""
+        return self._executor.search_many(
+            list(workload.queries), workload.k, runner=runner)

@@ -30,7 +30,6 @@ from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.core.deadline import Budget, Deadline
-from repro.core.indexed import IndexedSearcher
 from repro.core.planner import (
     AUTO_POLICY,
     BATCH_STRATEGIES,
@@ -48,8 +47,7 @@ from repro.core.request import (
     as_request,
 )
 from repro.core.result import Match, ResultSet
-from repro.core.searcher import QueryRunner, Searcher
-from repro.core.sequential import SequentialScanSearcher
+from repro.core.searcher import BACKENDS, QueryRunner, Searcher
 from repro.data.workload import Workload
 from repro.exceptions import ReproError
 from repro.obs.hist import hists_delta
@@ -147,7 +145,6 @@ class SearchEngine:
         else:
             self._metrics = MetricsRegistry() if observe else None
         self._recorder = recorder
-        self._batch_index = None
         self._searchers: dict[str, Searcher] = {}
         self._last_call: dict | None = None
         self._last_report_cache: SearchReport | None = None
@@ -155,24 +152,27 @@ class SearchEngine:
             profile = CostProfile.load(profile)
         self._stats = collect_statistics(strings)
         self._planner = Planner(self._stats, profile=profile)
-        segment_reason = None
+        self._segment_reason = None
         if backend != "auto":
             self._default_policy = PlannerPolicy(strategy=backend)
         elif segment is not None:
             self._default_policy = PlannerPolicy(strategy="compiled")
-            segment_reason = ("segment-backed corpus serves the "
-                             "compiled scan")
+            self._segment_reason = ("segment-backed corpus serves the "
+                                    "compiled scan")
         else:
             self._default_policy = AUTO_POLICY
+        self._plan_default()
+
+    def _plan_default(self) -> None:
+        """Plan the dataset-level default and build its searcher."""
         representative = max(1, int(round(self._stats.mean_length)))
         self._default_plan = self._planner.plan(
             length=representative, k=DEFAULT_PLAN_K,
             policy=self._default_policy,
         )
-        if segment_reason is not None:
+        if self._segment_reason is not None:
             self._default_plan = replace(self._default_plan,
-                                         reason=segment_reason)
-        self._segment_reason = segment_reason
+                                         reason=self._segment_reason)
         self._searcher_for(self._default_plan.strategy)
 
     def _sync_with_source(self) -> None:
@@ -195,33 +195,13 @@ class SearchEngine:
         self._strings = source.snapshot()
         self._stats = collect_statistics(self._strings)
         self._planner.refresh_statistics(self._stats)
-        representative = max(1, int(round(self._stats.mean_length)))
-        self._default_plan = self._planner.plan(
-            length=representative, k=DEFAULT_PLAN_K,
-            policy=self._default_policy,
-        )
-        if self._segment_reason is not None:
-            self._default_plan = replace(self._default_plan,
-                                         reason=self._segment_reason)
-        self._batch_index = None
         self._searchers.clear()
-        self._searcher_for(self._default_plan.strategy)
+        self._plan_default()
 
     @property
     def source_corpus(self):
         """The :class:`repro.live.Corpus` behind this engine, if any."""
         return self._source
-
-    def _attach_obs(self, component) -> None:
-        """Attach the engine's registry/recorder where supported."""
-        if self._metrics is not None:
-            attach = getattr(component, "attach_metrics", None)
-            if attach is not None:
-                attach(self._metrics)
-        if self._recorder is not None:
-            attach = getattr(component, "attach_recorder", None)
-            if attach is not None:
-                attach(self._recorder)
 
     # ----------------------------------------------------------------
     # the planner surface
@@ -417,36 +397,6 @@ class SearchEngine:
             )
         return result
 
-    def _make_compiled_searcher(self) -> Searcher:
-        """A compiled-scan searcher, segment-backed when configured."""
-        from repro.scan.searcher import CompiledScanSearcher
-
-        if self._segment is not None:
-            from repro.speed import load_or_build_corpus_segment
-
-            corpus = load_or_build_corpus_segment(self._strings,
-                                                  self._segment)
-            return CompiledScanSearcher(corpus)
-        if self._source is not None and not self._source.mutable:
-            compiled = self._source.compiled_corpus
-            if compiled is not None:
-                # A frozen Corpus already paid the compile; share it.
-                return CompiledScanSearcher(compiled)
-        return CompiledScanSearcher(self._strings)
-
-    def _ensure_batch_index(self):
-        if self._batch_index is None:
-            from repro.index.batch import BatchIndexExecutor
-            from repro.index.flat import FlatTrie
-
-            flat = getattr(self._searchers.get("indexed"), "flat_trie",
-                           None)
-            if flat is None:
-                flat = FlatTrie(self._strings)
-            self._batch_index = BatchIndexExecutor(flat)
-            self._attach_obs(self._batch_index)
-        return self._batch_index
-
     # ----------------------------------------------------------------
     # request plumbing
 
@@ -474,27 +424,27 @@ class SearchEngine:
     def _searcher_for(self, strategy: str) -> Searcher:
         """The searcher serving one planned (or forced) strategy.
 
-        Built (and instrumented) on first use and kept, so one engine
-        can serve any strategy per request; the constructor builds the
-        default plan's.
+        Built through :data:`repro.core.searcher.BACKENDS` (and
+        instrumented) on first use and kept, so one engine can serve
+        any strategy per request; the constructor builds the default
+        plan's. A frozen source corpus is handed over whole, so the
+        compiled scan shares the compile it already paid for.
         """
         searcher = self._searchers.get(strategy)
         if searcher is not None:
             return searcher
-        if strategy == "compiled":
-            searcher = self._make_compiled_searcher()
-        elif strategy == "sequential":
-            searcher = SequentialScanSearcher(
-                self._strings, kernel="bitparallel", order="length"
-            )
-        elif strategy == "indexed":
-            searcher = IndexedSearcher(self._strings, index="flat")
-        else:
+        backend = BACKENDS.get(strategy)
+        if backend is None:
             raise ReproError(
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{STRATEGIES}"
             )
-        self._attach_obs(searcher)
+        source = self._source
+        dataset = source if source is not None and not source.mutable \
+            else self._strings
+        searcher = backend.build(dataset, segment=self._segment)
+        searcher.attach_metrics(self._metrics)
+        searcher.attach_recorder(self._recorder)
         self._searchers[strategy] = searcher
         return searcher
 
@@ -584,14 +534,6 @@ class SearchEngine:
             return results, self.last_report
         return results
 
-    def _batch_executor_for(self, strategy: str):
-        """(executor, engine name, ``search_many``) of a batch strategy."""
-        if strategy == "indexed":
-            executor = self._ensure_batch_index()
-            return executor, "batch-index[flat]", executor.search_many
-        searcher = self._searcher_for("compiled")
-        return searcher.executor, searcher.name, searcher.search_many
-
     def _execute_batch(self, request: SearchRequest, *,
                        mode: str) -> ResultSet:
         """Serve one batch through the batch executor its plan names."""
@@ -612,17 +554,16 @@ class SearchEngine:
                 f"None or one of {BATCH_STRATEGIES} (the per-query scan "
                 "has no batch executor)"
             )
-        executor, name, search_many = self._batch_executor_for(
-            qplan.strategy)
+        searcher = self._searcher_for(qplan.strategy)
         return self._observed_call(
-            component=executor,
+            component=searcher.executor,
             queries=query_list,
-            engine_name=name,
+            engine_name=searcher.name,
             mode=mode,
             k=request.k,
-            call=lambda: search_many(query_list, request.k,
-                                     runner=self._runner,
-                                     deadline=request.deadline),
+            call=lambda: searcher.search_many(query_list, request.k,
+                                              runner=self._runner,
+                                              deadline=request.deadline),
             plan=qplan,
         )
 

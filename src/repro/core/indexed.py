@@ -21,6 +21,12 @@ acyclic DFA), ``"bktree"`` (metric-space tree) and ``"automaton"``
 PETER-style node vectors to the trie kinds (the section-6 future-work
 item). All kinds return identical results; only the work profile
 changes.
+
+This searcher is the survey of index structures. The serving stack
+answers the ``indexed`` strategy with
+:class:`repro.index.batch.FlatIndexSearcher` instead (see
+:data:`repro.core.searcher.BACKENDS`), the class the planner
+calibrates.
 """
 
 from __future__ import annotations
@@ -41,8 +47,10 @@ from repro.index.dawg import Dawg
 from repro.index.flat import FlatTrie, flat_similarity_search
 from repro.index.qgram_index import QGramIndex
 from repro.index.traversal import (
+    INDEX_COUNTERS,
     TraversalStats,
     TrieMatch,
+    add_trie_counters,
     trie_similarity_search,
 )
 from repro.index.trie import PrefixTrie
@@ -61,18 +69,6 @@ _FREQUENCY_CAPABLE = ("trie", "compressed", "flat")
 
 #: What every kind's probe returns: its matches and that call's stats.
 _Found = tuple[list[TrieMatch], TraversalStats]
-
-#: Counter names this searcher reports (dotted ``trie.*`` namespace of
-#: the observability layer; see docs/OBSERVABILITY.md). Cumulative
-#: sums of the per-call :class:`TraversalStats` fields.
-INDEX_COUNTERS = (
-    "trie.searches",
-    "trie.nodes_visited",
-    "trie.symbols_processed",
-    "trie.branches_pruned_by_length",
-    "trie.branches_pruned_by_frequency",
-    "trie.matches",
-)
 
 #: Histogram names this searcher records, once per completed search.
 INDEX_HISTOGRAMS = (
@@ -137,7 +133,6 @@ class IndexedSearcher(Searcher):
         if frequency_pruning:
             self.name += "+freq"
         self._node_count = 0
-        self._flat_trie: FlatTrie | None = None
         # Cumulative work counters (trie.* namespace), flushed once per
         # search under the lock so parallel runners sharing this
         # searcher aggregate correctly.
@@ -153,52 +148,32 @@ class IndexedSearcher(Searcher):
                frequency_pruning: bool, tracked_symbols: str | None,
                q: int) -> Callable[..., _Found]:
         tracked = tracked_symbols if frequency_pruning else None
-        if index in ("trie", "compressed"):
-            structure: PrefixTrie | CompressedTrie
+        if index in _FREQUENCY_CAPABLE:
+            structure: PrefixTrie | CompressedTrie | FlatTrie
+            descend: Callable[..., list[TrieMatch]] = trie_similarity_search
             if index == "trie":
                 structure = PrefixTrie(strings, tracked_symbols=tracked)
-            else:
+            elif index == "compressed":
                 structure = CompressedTrie(strings,
                                            tracked_symbols=tracked)
+            else:
+                structure = FlatTrie(strings, tracked_symbols=tracked)
+                descend = flat_similarity_search
             self._node_count = structure.node_count
 
             def search(query: str, k: int,
                        deadline=None) -> _Found:
                 stats = TraversalStats()
                 try:
-                    matches = trie_similarity_search(
+                    matches = descend(
                         structure, query, k,
                         use_frequency_pruning=frequency_pruning,
                         stats=stats,
                         deadline=deadline,
                     )
-                except DeadlineExceeded:
+                finally:
+                    # An expired descent still did the work it counted.
                     self._record(stats)
-                    raise
-                self._record(stats)
-                return matches, stats
-
-            return search
-        if index == "flat":
-            flat = FlatTrie(strings, compress=True,
-                            tracked_symbols=tracked)
-            self._flat_trie = flat
-            self._node_count = flat.node_count
-
-            def search(query: str, k: int,
-                       deadline=None) -> _Found:
-                stats = TraversalStats()
-                try:
-                    matches = flat_similarity_search(
-                        flat, query, k,
-                        use_frequency_pruning=frequency_pruning,
-                        stats=stats,
-                        deadline=deadline,
-                    )
-                except DeadlineExceeded:
-                    self._record(stats)
-                    raise
-                self._record(stats)
                 return matches, stats
 
             return search
@@ -270,15 +245,7 @@ class IndexedSearcher(Searcher):
     def _record(self, stats: TraversalStats) -> None:
         """Roll one call's traversal stats into the cumulative totals."""
         with self._counters_lock:
-            counters = self._counters
-            counters["trie.searches"] += 1
-            counters["trie.nodes_visited"] += stats.nodes_visited
-            counters["trie.symbols_processed"] += stats.symbols_processed
-            counters["trie.branches_pruned_by_length"] += \
-                stats.branches_pruned_by_length
-            counters["trie.branches_pruned_by_frequency"] += \
-                stats.branches_pruned_by_frequency
-            counters["trie.matches"] += stats.matches
+            add_trie_counters(self._counters, stats)
 
     @property
     def kind(self) -> str:
@@ -289,16 +256,6 @@ class IndexedSearcher(Searcher):
     def node_count(self) -> int:
         """States in the underlying tree/automaton (0 where moot)."""
         return self._node_count
-
-    @property
-    def flat_trie(self) -> FlatTrie | None:
-        """The compiled trie backing ``index="flat"`` (else ``None``).
-
-        Exposed so the engine can put the same compiled structure on
-        the batch path (:class:`repro.index.batch.BatchIndexExecutor`)
-        without building it twice.
-        """
-        return self._flat_trie
 
     def attach_metrics(self, registry) -> None:
         """Attach a :class:`repro.obs.MetricsRegistry` (or ``None``).

@@ -24,37 +24,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.batch import DEFAULT_CACHE_SIZE, BatchExecutor
+from repro.core.batch import (
+    DEFAULT_CACHE_SIZE,
+    BatchExecutor,
+    BatchSearcher,
+)
 from repro.core.deadline import Budget, Deadline
-from repro.core.result import Match, ResultSet
-from repro.core.searcher import QueryRunner, Searcher
+from repro.core.result import Match
+from repro.core.searcher import QueryRunner
 from repro.data.alphabet import Alphabet
-from repro.data.workload import Workload
 from repro.exceptions import DeadlineExceeded
 from repro.index.flat import (
     FlatTrie,
     flat_similarity_search,
     flat_similarity_search_many,
 )
-from repro.index.traversal import TraversalStats
-from repro.obs.hist import Histogram
-
-
-def _flush_trie_counters(counters: dict, stats: TraversalStats) -> None:
-    """Add one traversal's work to an open ``trie.*`` counter mapping."""
-    get = counters.get
-    counters["trie.searches"] = get("trie.searches", 0) + 1
-    counters["trie.nodes_visited"] = get("trie.nodes_visited", 0) \
-        + stats.nodes_visited
-    counters["trie.symbols_processed"] = get("trie.symbols_processed", 0) \
-        + stats.symbols_processed
-    counters["trie.branches_pruned_by_length"] = \
-        get("trie.branches_pruned_by_length", 0) \
-        + stats.branches_pruned_by_length
-    counters["trie.branches_pruned_by_frequency"] = \
-        get("trie.branches_pruned_by_frequency", 0) \
-        + stats.branches_pruned_by_frequency
-    counters["trie.matches"] = get("trie.matches", 0) + stats.matches
+from repro.index.traversal import (
+    INDEX_COUNTERS,
+    TraversalStats,
+    add_trie_counters,
+)
 
 
 def probe_query(flat: FlatTrie, query: str, k: int, *,
@@ -82,8 +71,6 @@ def probe_query(flat: FlatTrie, query: str, k: int, *,
             )
         ]
     except DeadlineExceeded as error:
-        if counters is not None:
-            _flush_trie_counters(counters, stats)
         # Re-surface the partial in the core Match currency every
         # batch layer speaks.
         raise DeadlineExceeded(
@@ -93,8 +80,9 @@ def probe_query(flat: FlatTrie, query: str, k: int, *,
             scope=error.scope, completed=error.completed,
             total=error.total,
         ) from error
-    if counters is not None:
-        _flush_trie_counters(counters, stats)
+    finally:
+        if counters is not None:
+            add_trie_counters(counters, stats)
     return matches
 
 
@@ -107,6 +95,7 @@ class TrieProbe:
     backend = "flat-index"
     what = "flat trie"
     timer = "index.probe"
+    counters = INDEX_COUNTERS
     histograms = {
         "trie.query_seconds": None,
         "trie.nodes_per_query": "trie.nodes_visited",
@@ -131,7 +120,7 @@ class TrieProbe:
                 flat_similarity_search_many(flat, queries, k, stats=stats),
                 stats):
             counters: dict = {}
-            _flush_trie_counters(counters, traversal)
+            add_trie_counters(counters, traversal)
             answers.append(([Match(m.string, m.distance) for m in found],
                             counters))
         return answers
@@ -178,15 +167,13 @@ class BatchIndexExecutor(BatchExecutor):
         return self._probe.artifact
 
 
-class FlatIndexSearcher(Searcher):
+class FlatIndexSearcher(BatchSearcher):
     """The Searcher adapter over the batch index engine.
 
     Drop-in sibling of :class:`repro.scan.searcher.CompiledScanSearcher`
-    on the index side: same constructor shape, same
-    :meth:`search`/:meth:`search_many`/:meth:`run_workload` contract,
-    same result sets — so the engine, the CLI and the benchmark harness
-    can put the *index* on the batch path without touching anything
-    downstream.
+    on the index side, and the searcher serving the ``indexed``
+    strategy everywhere (see :data:`repro.core.searcher.BACKENDS`). A
+    differently built trie is passed in prebuilt.
 
     Examples
     --------
@@ -195,69 +182,24 @@ class FlatIndexSearcher(Searcher):
     ['Berlin']
     """
 
+    name = "flat-index"
+
     def __init__(self, dataset: Iterable[str] | FlatTrie, *,
-                 compress: bool = True,
-                 tracked_symbols: str | None = None,
                  alphabet: Alphabet | None = None,
                  runner: QueryRunner | None = None,
                  cache_size: int = DEFAULT_CACHE_SIZE) -> None:
-        if isinstance(dataset, FlatTrie):
-            self._flat = dataset
-        else:
-            self._flat = FlatTrie(
-                dataset, compress=compress,
-                tracked_symbols=tracked_symbols, alphabet=alphabet,
-            )
+        if not isinstance(dataset, FlatTrie):
+            dataset = FlatTrie(dataset, alphabet=alphabet)
         self._executor = BatchIndexExecutor(
-            self._flat, runner=runner, cache_size=cache_size,
+            dataset, runner=runner, cache_size=cache_size,
         )
-        self.name = "flat-index"
 
     @property
-    def flat(self) -> FlatTrie:
+    def flat_trie(self) -> FlatTrie:
         """The compiled index."""
-        return self._flat
-
-    @property
-    def executor(self) -> BatchIndexExecutor:
-        """The batch engine answering queries."""
-        return self._executor
-
-    def attach_metrics(self, registry) -> None:
-        """Forward a metrics registry to the underlying executor."""
-        self._executor.attach_metrics(registry)
-
-    def counters_snapshot(self) -> dict[str, int]:
-        """Cumulative ``trie.*`` counters of the underlying executor."""
-        return self._executor.counters_snapshot()
-
-    def hists_snapshot(self) -> dict[str, Histogram]:
-        """Cumulative per-probe histograms of the underlying executor."""
-        return self._executor.hists_snapshot()
-
-    def attach_recorder(self, recorder) -> None:
-        """Forward a flight recorder to the underlying executor."""
-        self._executor.attach_recorder(recorder)
+        return self._executor.flat
 
     @property
     def dataset(self) -> tuple[str, ...]:
         """The distinct indexed strings (lexicographic order)."""
-        return self._flat.strings
-
-    def search(self, query: str, k: int, *, deadline=None) -> list[Match]:
-        """All distinct dataset strings within distance ``k``."""
-        return self._executor.search(query, k, deadline=deadline)
-
-    def search_many(self, queries, k: int, *,
-                    runner: QueryRunner | None = None,
-                    deadline=None) -> ResultSet:
-        """Batch entry point (see :meth:`BatchIndexExecutor.search_many`)."""
-        return self._executor.search_many(queries, k, runner=runner,
-                                          deadline=deadline)
-
-    def run_workload(self, workload: Workload,
-                     runner: QueryRunner | None = None) -> ResultSet:
-        """Execute a workload through the batch index path."""
-        return self._executor.search_many(
-            list(workload.queries), workload.k, runner=runner
-        )
+        return self._executor.flat.strings

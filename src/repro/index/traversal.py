@@ -85,6 +85,36 @@ class TraversalStats:
     matches: int = 0
 
 
+#: The cumulative ``trie.*`` counters every trie searcher reports: one
+#: per :class:`TraversalStats` field, plus ``trie.searches`` (see
+#: docs/OBSERVABILITY.md).
+INDEX_COUNTERS = (
+    "trie.searches",
+    "trie.nodes_visited",
+    "trie.symbols_processed",
+    "trie.branches_pruned_by_length",
+    "trie.branches_pruned_by_frequency",
+    "trie.matches",
+)
+
+
+def add_trie_counters(counters: dict, stats: TraversalStats) -> None:
+    """Add one traversal's work to an open ``trie.*`` counter mapping."""
+    get = counters.get
+    counters["trie.searches"] = get("trie.searches", 0) + 1
+    counters["trie.nodes_visited"] = get("trie.nodes_visited", 0) \
+        + stats.nodes_visited
+    counters["trie.symbols_processed"] = get("trie.symbols_processed", 0) \
+        + stats.symbols_processed
+    counters["trie.branches_pruned_by_length"] = \
+        get("trie.branches_pruned_by_length", 0) \
+        + stats.branches_pruned_by_length
+    counters["trie.branches_pruned_by_frequency"] = \
+        get("trie.branches_pruned_by_frequency", 0) \
+        + stats.branches_pruned_by_frequency
+    counters["trie.matches"] = get("trie.matches", 0) + stats.matches
+
+
 def trie_similarity_search(trie: _TrieLike, query: str, k: int, *,
                            use_frequency_pruning: bool = True,
                            stats: TraversalStats | None = None,

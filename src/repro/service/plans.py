@@ -5,11 +5,11 @@ ordered ladder of plans, each cheaper (or more robust) than the one
 above, and walks down when a rung fails or its deadline expires:
 
 1. **flat** — the compiled flat-trie index, the fastest exact path in
-   the index regime;
+   the index regime (the ``indexed`` strategy's searcher);
 2. **compiled** — the compiled-corpus batch scan, exact and immune to
    trie-shaped pathologies (deep common prefixes, huge alphabets);
-3. **filter-only** — the last resort: a k-relaxed, length-filter-only
-   pass that returns *unverified candidates*. It never computes an
+3. **filter-only** — the last resort: a length-filter-only pass at
+   ``k`` that returns *unverified candidates*. It never computes an
    edit distance, costs O(corpus) integer comparisons, and by design
    ignores the deadline — the bottom rung must always produce an
    answer, and its cost is bounded and tiny.
@@ -62,7 +62,8 @@ class PlanResult:
 class BackendPlan:
     """An exact rung: one shard-plan kind run over the sharded corpus.
 
-    ``kind`` is one of :data:`repro.service.sharding.SHARD_PLAN_KINDS`.
+    ``kind`` is one of :data:`repro.service.sharding.SHARD_PLAN_KINDS`,
+    the rungs of :data:`repro.core.searcher.BACKENDS`.
     Raises :class:`repro.exceptions.DeadlineExceeded` (with merged
     per-shard partials) when the shared deadline expires.
     """
@@ -91,20 +92,17 @@ class BackendPlan:
 
 @dataclass(frozen=True)
 class FilterOnlyPlan:
-    """The bottom rung: k-relaxed length filtering, no verification.
+    """The bottom rung: length filtering, no verification.
 
     Admits every dataset string whose length differs from the query's
-    by at most ``k + relax`` — a sound *superset* of the exact answer
-    (length difference lower-bounds edit distance), relaxed by
-    ``relax`` extra edits so borderline strings survive for a later
-    verification pass. The reported ``distance`` of each candidate is
-    its length-difference lower bound, not an edit distance.
+    by at most ``k`` — a sound *superset* of the exact answer (length
+    difference lower-bounds edit distance). The reported ``distance``
+    of each candidate is its length-difference lower bound, not an
+    edit distance.
 
     Deliberately deadline-blind: it is the plan of last resort, runs in
     O(corpus) integer comparisons, and must always return.
     """
-
-    relax: int = 0
 
     @property
     def name(self) -> str:
@@ -112,14 +110,13 @@ class FilterOnlyPlan:
 
     def run(self, corpus: ShardedCorpus, query: str, k: int,
             deadline: Deadline | Budget | None) -> PlanResult:
-        bound = k + self.relax
         length = len(query)
         candidates: dict[str, int] = {}
         for string in corpus.strings:
             gap = len(string) - length
             if gap < 0:
                 gap = -gap
-            if gap <= bound and string not in candidates:
+            if gap <= k and string not in candidates:
                 candidates[string] = gap
         matches = tuple(sorted(
             Match(string, gap) for string, gap in candidates.items()

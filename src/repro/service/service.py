@@ -42,6 +42,7 @@ from repro.core.deadline import Budget, Deadline
 from repro.core.planner import Planner, PlannerPolicy
 from repro.core.request import SearchOptions, SearchRequest, as_request
 from repro.core.result import Match
+from repro.core.searcher import BACKENDS
 from repro.exceptions import (
     DeadlineExceeded,
     PartialResultError,
@@ -60,7 +61,7 @@ from repro.obs.tracing import (
     trace_span,
 )
 from repro.service.plans import default_ladder
-from repro.service.sharding import STRATEGY_PLAN_KIND, ShardedCorpus
+from repro.service.sharding import ShardedCorpus
 
 #: Result statuses, best to worst.
 SERVICE_STATUSES = ("complete", "degraded", "partial", "candidates")
@@ -471,7 +472,7 @@ class Service:
         if strategy is None:
             strategy = self.planner.plan_queries(
                 [request.query], request.k).strategy
-        hint = STRATEGY_PLAN_KIND[strategy]
+        hint = BACKENDS[strategy].rung
         promoted = [plan for plan in self._plans
                     if getattr(plan, "name", "") == hint]
         rest = [plan for plan in self._plans

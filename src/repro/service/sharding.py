@@ -27,26 +27,28 @@ over immutable segments.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Iterable
 
 from repro.core.deadline import Budget, Deadline
-from repro.core.indexed import IndexedSearcher
 from repro.core.result import Match
-from repro.core.searcher import Searcher
-from repro.core.sequential import SequentialScanSearcher
+from repro.core.searcher import BACKENDS, Searcher
 from repro.exceptions import DeadlineExceeded, ReproError
 from repro.obs.tracing import trace_span
 from repro.parallel.partition import round_robin_chunks
 
-#: Plan kinds a shard can serve, mapping 1:1 onto the library's
-#: searchers (see :meth:`ShardedCorpus.searcher_for`).
-SHARD_PLAN_KINDS = ("flat", "compiled", "sequential")
+#: Plan kind (ladder rung) -> the backend a shard builds for it; a
+#: view of :data:`repro.core.searcher.BACKENDS`.
+_RUNG_BACKENDS = {backend.rung: backend for backend in BACKENDS.values()}
+
+#: Plan kinds a shard can serve (see :meth:`ShardedCorpus.searcher_for`).
+SHARD_PLAN_KINDS = tuple(_RUNG_BACKENDS)
 
 #: The shard plan kind serving each planner strategy
 #: (:data:`repro.core.planner.STRATEGIES`): the rung a verdict promotes.
-STRATEGY_PLAN_KIND = {"indexed": "flat", "compiled": "compiled",
-                      "sequential": "sequential"}
+STRATEGY_PLAN_KIND = {strategy: backend.rung
+                      for strategy, backend in BACKENDS.items()}
 
 
 class _Base:
@@ -308,27 +310,14 @@ class ShardedCorpus:
     def _build_searcher(self, plan: str, index: int,
                         part: tuple[str, ...]) -> Searcher:
         """Construct the ``plan`` searcher over one non-empty shard."""
-        if plan == "flat":
-            return IndexedSearcher(part, index="flat")
-        if plan == "compiled":
-            from repro.scan.searcher import CompiledScanSearcher
-
-            # A live source re-partitions on rebase; stale per-shard
-            # segment files would then serve deleted strings, so the
-            # segment path only applies to immutable sources.
-            if self._segment_dir is not None and not self._live:
-                import os
-
-                from repro.speed import load_or_build_corpus_segment
-
-                corpus = load_or_build_corpus_segment(
-                    part, os.path.join(self._segment_dir,
-                                       f"shard-{index:04d}.seg"))
-                return CompiledScanSearcher(corpus)
-            return CompiledScanSearcher(part)
-        return SequentialScanSearcher(
-            part, kernel="bitparallel", order="length"
-        )
+        # A live source re-partitions on rebase; stale per-shard
+        # segment files would then serve deleted strings, so the
+        # segment path only applies to immutable sources.
+        segment = None
+        if self._segment_dir is not None and not self._live:
+            segment = os.path.join(self._segment_dir,
+                                   f"shard-{index:04d}.seg")
+        return _RUNG_BACKENDS[plan].build(part, segment=segment)
 
     def search(self, query: str, k: int, *, plan: str = "flat",
                deadline: Deadline | Budget | None = None

@@ -185,6 +185,9 @@ def _write_segment(path: str | os.PathLike, kind: str, meta: dict,
         for record, array in zip(records, blobs):
             handle.seek(record["offset"])
             handle.write(array.tobytes())
+        # Zero-byte arrays write nothing, yet sit at aligned offsets the
+        # reader bounds-checks: end the file at the last record's end.
+        handle.truncate(cursor)
 
 
 def _read_segment(path: str | os.PathLike) -> tuple[dict, dict]:

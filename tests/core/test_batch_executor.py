@@ -403,7 +403,7 @@ class TestSharedAcrossThreads:
         for batch in batches:
             engine.search_many(batch, 1, plan=policy)
             deltas.append(engine.last_report.batch)
-        executor, _, _ = engine._batch_executor_for(strategy)
+        executor = engine._searcher_for(strategy).executor
         stats = executor.stats
         assert sum(d.queries_seen for d in deltas) == stats.queries_seen \
             == sum(len(batch) for batch in batches)

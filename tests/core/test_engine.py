@@ -82,8 +82,10 @@ class TestSearch:
 
 class TestBatchPath:
     def test_indexed_backend_is_served_by_the_flat_trie(self, dna_reads):
+        from repro.index.batch import FlatIndexSearcher
+
         engine = SearchEngine(dna_reads, backend="indexed")
-        assert engine.searcher.kind == "flat"
+        assert isinstance(engine.searcher, FlatIndexSearcher)
         assert engine.searcher.flat_trie is not None
 
     def test_search_many_equals_per_query_loop(self, dna_reads):

@@ -53,7 +53,7 @@ class TestOneSchemaAcrossBackends:
         _, report = engine.search_many(dna_reads[:3], 2, report=True)
         assert validate_report(report.to_dict()) == []
         assert report.backend == "indexed"
-        assert report.engine == "batch-index[flat]"
+        assert report.engine == "flat-index"
         assert report.mode == "batch"
         assert report.queries == 3
         assert report.counters["trie.nodes_visited"] > 0

@@ -318,6 +318,35 @@ class TestVerdictsAreExecutable:
             == tuple(sorted(STRATEGIES))
         assert set(STRATEGY_PLAN_KIND.values()) <= set(SHARD_PLAN_KINDS)
 
+    def test_the_planner_prices_what_runs(self, city_names, monkeypatch):
+        # The engine and the ladder build every strategy's searcher
+        # through the one backend table, and that is the class
+        # calibrate() times.
+        from repro.core.searcher import BACKENDS
+        from repro.service import Service
+
+        strings = list(city_names[:60])
+        assert set(BACKENDS) == set(STRATEGIES)
+        built = {strategy: type(BACKENDS[strategy].build(strings))
+                 for strategy in STRATEGIES}
+        timed: set[type] = set()
+        with monkeypatch.context() as patch:
+            for cls in set(built.values()):
+                def record(self, *args, _init=cls.__init__, **kwargs):
+                    timed.add(type(self))
+                    _init(self, *args, **kwargs)
+
+                patch.setattr(cls, "__init__", record)
+            calibrate(city_count=40, dna_count=12, queries=2, repeats=1)
+        service = Service(strings, shards=1)
+        for strategy in STRATEGIES:
+            rung = BACKENDS[strategy].rung
+            assert type(SearchEngine(strings, backend=strategy).searcher) \
+                is built[strategy]
+            assert type(service.corpus.searcher_for(rung, 0)) \
+                is built[strategy]
+            assert built[strategy] in timed
+
     def test_the_cli_offers_exactly_the_strategies(self):
         from repro.cli import _build_parser
 

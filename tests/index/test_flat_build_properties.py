@@ -116,7 +116,7 @@ class TestLookupWithExplicitAlphabet:
     def test_through_the_searcher(self):
         searcher = FlatIndexSearcher(self.STRINGS,
                                      alphabet=city_alphabet())
-        assert all(string in searcher.flat for string in self.STRINGS)
+        assert all(string in searcher.flat_trie for string in self.STRINGS)
         for string in self.STRINGS:
             assert [m.string for m in searcher.search(string, 0)] \
                 == [string]

@@ -82,7 +82,7 @@ class TestFlatIndexSearcher:
     def test_accepts_a_prebuilt_flat_trie(self):
         flat = FlatTrie(DATASET)
         searcher = FlatIndexSearcher(flat)
-        assert searcher.flat is flat
+        assert searcher.flat_trie is flat
         assert searcher.executor.flat is flat
 
     def test_dataset_property_lists_distinct_strings(self):

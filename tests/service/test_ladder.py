@@ -151,12 +151,3 @@ class TestFilterOnlyPlan:
         for match in exact:
             assert match.string in candidates
             assert candidates[match.string] <= match.distance
-
-    def test_relaxation_widens_the_net(self):
-        from repro.service.sharding import ShardedCorpus
-
-        corpus = ShardedCorpus(["ab", "abcd", "abcdef"], shards=1)
-        strict = FilterOnlyPlan().run(corpus, "ab", 1, None)
-        relaxed = FilterOnlyPlan(relax=3).run(corpus, "ab", 1, None)
-        assert {m.string for m in strict.matches} \
-            < {m.string for m in relaxed.matches}

@@ -92,6 +92,16 @@ class TestCorpusRoundTrip:
         save_segment(corpus, path)
         assert load_segment(path).storage_profile() == profile
 
+    def test_empty_corpus_round_trips(self, tmp_path):
+        # Zero-byte arrays sit at aligned offsets past the last byte
+        # written; the file must still reach them.
+        corpus = CompiledCorpus([])
+        path = str(tmp_path / "empty.seg")
+        save_segment(corpus, path)
+        loaded = load_segment(path)
+        assert tuple(loaded.strings) == corpus.strings == ()
+        assert BatchScanExecutor(loaded).search("Bern", 2) == []
+
     def test_load_or_build_builds_once_then_loads(self, tmp_path):
         path = str(tmp_path / "nested" / "corpus.seg")
         built = load_or_build_corpus_segment(DATASET, path)

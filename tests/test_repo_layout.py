@@ -93,6 +93,17 @@ def test_the_planner_prices_only_what_the_engine_runs():
             assert gone not in text, f"{gone!r} is back in core/{name}"
 
 
+def test_the_serving_stack_builds_searchers_through_one_table():
+    # ``core.searcher.BACKENDS`` maps a strategy to its searcher; the
+    # engine and the shards name no searcher class of their own.
+    for path in ("core/engine.py", "service/sharding.py"):
+        text = (REPO_ROOT / "src" / "repro" / path).read_text(
+            encoding="utf-8")
+        for name in ("IndexedSearcher", "SequentialScanSearcher",
+                     "CompiledScanSearcher", "FlatIndexSearcher"):
+            assert name not in text, f"{name!r} is back in {path}"
+
+
 def test_the_e2e_benchmark_finds_what_it_patches_and_calls(monkeypatch):
     # ``benchmarks/e2e`` is frozen: a simplification that deletes a
     # method it traces, or a keyword its probes pass, breaks it there.

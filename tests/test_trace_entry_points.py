@@ -81,7 +81,7 @@ def _root(tracer):
 
 
 ENTRY_POINTS = [
-    pytest.param(engine_search, "test", {"index.search"}, 1,
+    pytest.param(engine_search, "test", {"index.probe"}, 1,
                  id="engine.search"),
     pytest.param(engine_search_many(lambda: None), "test",
                  {"scan.query"}, 1, id="engine.search_many-serial"),
@@ -89,9 +89,9 @@ ENTRY_POINTS = [
                  {"scan.query"}, 1, id="engine.search_many-threads"),
     pytest.param(engine_search_many(lambda: ProcessPoolRunner(2)), "test",
                  {"scan.query"}, 2, id="engine.search_many-processes"),
-    pytest.param(service_submit, "service.submit", {"index.search"}, 1,
+    pytest.param(service_submit, "service.submit", {"index.probe"}, 1,
                  id="Service.submit"),
-    pytest.param(gateway_ladder, "gateway.submit", {"index.search"}, 1,
+    pytest.param(gateway_ladder, "gateway.submit", {"index.probe"}, 1,
                  id="AsyncService.submit-ladder"),
     pytest.param(gateway_thread_pools, "gateway.submit",
                  {"pool.shard[0]", "pool.shard[1]"}, 1,

@@ -110,7 +110,7 @@ class TestConcurrentServiceSubmits:
             assert [root.name for root in tree.roots] == ["service.submit"]
             by_id = {span.span_id: span for span in tree.spans}
             searches = [span for span in tree.spans
-                        if span.name == "index.search"]
+                        if span.name == "index.probe"]
             assert len(searches) == 2  # one per shard
             for search in searches:
                 shard = by_id[search.parent_id]
