@@ -88,7 +88,8 @@ def _build_compiled_scan(dataset: Iterable[str], *,
 
         return CompiledScanSearcher(
             load_or_build_corpus_segment(dataset, segment))
-    # A frozen repro.live.Corpus already paid the compile; share it.
+    # A frozen repro.live.Corpus or a live segment already paid the
+    # compile; share it.
     compiled = getattr(dataset, "compiled_corpus", None)
     return CompiledScanSearcher(dataset if compiled is None else compiled)
 

@@ -6,8 +6,8 @@
   and the CLI all accept it.
 * :class:`LiveCorpus` — the write path itself: memtable, tombstone
   multiset, immutable compiled segments, size-tiered compaction
-  (inline or background), epoch + mutation events, deadline-threaded
-  fan-out search.
+  (inline or background), epoch + mutation events, and
+  :meth:`LiveCorpus.view`, the one picture every search reads.
 
 See ``docs/LIVE.md`` for the architecture, compaction policy and the
 API migration table.
@@ -23,6 +23,7 @@ from repro.live.corpus import (
     CorpusEvent,
     LiveCorpus,
     LiveSegment,
+    LiveView,
 )
 from repro.live.facade import Corpus
 
@@ -35,4 +36,5 @@ __all__ = [
     "CorpusEvent",
     "LiveCorpus",
     "LiveSegment",
+    "LiveView",
 ]

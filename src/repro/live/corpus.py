@@ -19,11 +19,13 @@ log-structured merge trees do:
   (deterministic, for tests) or on a background thread that only takes
   the corpus lock for the final segment-list swap, so searches are
   never blocked for the duration of a merge;
-* **search** fans out over the memtable plus every segment and merges
-  the per-part rows with the shard-merge machinery
-  (:func:`repro.service.sharding.merge_matches`), threading one shared
-  deadline through all parts exactly like
-  :class:`repro.service.ShardedCorpus` threads it through shards;
+* **search** takes one :meth:`~LiveCorpus.view` under the lock — the
+  segment tuple, the memtable strings and the tombstoned strings no
+  longer visible — and runs it through
+  :func:`repro.service.sharding.fan_out`, the loop
+  :class:`repro.service.ShardedCorpus` runs over the same segments:
+  one shared deadline, one merge, visibility applied once, one corpus
+  state per answer;
 * every mutation bumps an **epoch** and notifies subscribers, which is
   how the traffic cache (:meth:`repro.traffic.cache.ResultCache.invalidate`)
   and the planner's statistics stay honest as the corpus drifts.
@@ -41,20 +43,19 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple
 
 from repro.core.deadline import Budget, Deadline
 from repro.core.result import Match
-from repro.distance.banded import check_threshold, edit_distance_bounded
+from repro.core.searcher import Searcher
+from repro.distance.banded import check_threshold
 from repro.exceptions import DeadlineExceeded, ReproError, SegmentError
 from repro.obs.events import EventLog
 from repro.obs.registry import NULL, MetricsRegistry
-from repro.obs.tracing import current_trace, emit_span, trace_span, \
-    use_trace
+from repro.obs.tracing import current_trace, trace_span, use_trace
 from repro.scan.corpus import CompiledCorpus
-from repro.scan.searcher import CompiledScanSearcher
-from repro.service.sharding import merge_matches
+from repro.service.sharding import cached_searcher, fan_out
 
 #: Cumulative counters the live corpus maintains once observability is
 #: attached (``live.*`` namespace; see :meth:`LiveCorpus.attach_observability`).
@@ -109,18 +110,57 @@ class CorpusEvent:
 class LiveSegment:
     """One immutable compiled segment of a :class:`LiveCorpus`.
 
+    ``strings`` are the stored strings as Python objects (a corpus
+    mmap-loaded from a segment file decodes each on access), and
     ``members`` gives O(1) membership for tombstone reconciliation;
     ``level`` is the size tier (``size`` in units of the flush
-    threshold, log base ``fanout``).
+    threshold, log base ``fanout``). ``searchers`` caches the searcher
+    each ladder rung built over the segment (see :meth:`searcher`);
+    the builders get the segment itself, which iterates ``strings``.
     """
 
-    corpus: CompiledCorpus
-    searcher: CompiledScanSearcher
+    compiled_corpus: CompiledCorpus
+    strings: tuple[str, ...]
     members: frozenset
     size: int
     level: int
     sequence: int
     path: str | None = None
+    searchers: dict = field(default_factory=dict, compare=False,
+                            repr=False)
+
+    def searcher(self, plan: str) -> Searcher:
+        """The segment's searcher for one ladder rung, built once
+        through :data:`repro.core.searcher.BACKENDS`; the compiled
+        rung's shares :attr:`compiled_corpus`."""
+        return cached_searcher(self.searchers, plan, self)
+
+    def __iter__(self):
+        return iter(self.strings)
+
+
+class LiveView(NamedTuple):
+    """One immutable picture of a :class:`LiveCorpus`, taken under its
+    lock (see :meth:`LiveCorpus.view`).
+
+    ``segments`` are the compiled segments, ``memtable`` the distinct
+    unflushed strings, ``removed`` the tombstoned strings whose visible
+    count is 0: a segment still stores them, no answer may hold them.
+    """
+
+    segments: tuple[LiveSegment, ...]
+    memtable: tuple[str, ...]
+    removed: frozenset[str]
+
+    @property
+    def strings(self) -> tuple[str, ...]:
+        """The distinct visible strings, oldest segment first."""
+        removed = self.removed
+        visible = dict.fromkeys(
+            string for segment in self.segments
+            for string in segment.strings if string not in removed)
+        visible.update(dict.fromkeys(self.memtable))
+        return tuple(visible)
 
 
 class LiveCorpus:
@@ -275,6 +315,16 @@ class LiveCorpus:
         """The distinct visible strings, in stable insertion order."""
         with self._lock:
             return tuple(self._contents)
+
+    def view(self) -> LiveView:
+        """The segments, memtable and hidden strings as of now, read
+        under the lock: one corpus state, whatever writes follow."""
+        with self._lock:
+            contents = self._contents
+            return LiveView(
+                self._segments, tuple(self._memtable),
+                frozenset(string for string in self._tombstones
+                          if not contents.get(string)))
 
     def segment_sizes(self) -> tuple[int, ...]:
         """Per-segment distinct-string counts (newest last)."""
@@ -540,9 +590,14 @@ class LiveCorpus:
                                 f"seg-{sequence:06d}.seg")
             save_segment(corpus, path)
             corpus = segment_cache.get(path)
+        return self._segment(corpus, strings, sequence, path)
+
+    def _segment(self, corpus: CompiledCorpus, strings: tuple[str, ...],
+                 sequence: int, path: str | None) -> LiveSegment:
+        """Wrap one compiled corpus as a segment of this corpus."""
         return LiveSegment(
-            corpus=corpus,
-            searcher=CompiledScanSearcher(corpus),
+            compiled_corpus=corpus,
+            strings=strings,
             members=frozenset(strings),
             size=len(strings),
             level=self._level_for(len(strings)),
@@ -614,8 +669,10 @@ class LiveCorpus:
 
         The contents filter used to collect survivors may be stale by
         swap time, and staleness is *not* symmetric: a string deleted
-        after collection merely rides along dead (search re-filters by
-        contents), but a tombstoned string **re-inserted** while the
+        after collection merely rides along dead (the merged segment
+        holds it, so its tombstone survives the swap and every view
+        keeps it in ``removed``), but a tombstoned string
+        **re-inserted** while the
         merge ran was dropped from the merged segment even though
         insert() cancelled its tombstone expecting the physical segment
         copy to survive. The swap therefore re-validates: any group
@@ -640,7 +697,7 @@ class LiveCorpus:
         seen: set[str] = set()
         contents = self._contents
         for segment in group:
-            for string in segment.corpus.strings:
+            for string in segment.strings:
                 group_members.add(string)
                 if string not in seen and contents.get(string, 0) > 0:
                     seen.add(string)
@@ -730,127 +787,33 @@ class LiveCorpus:
                ) -> tuple[Match, ...]:
         """All visible strings within distance ``k``, merged and sorted.
 
-        Fan-out over the memtable plus every segment, all against the
-        *shared* ``deadline`` (mirroring
-        :meth:`repro.service.ShardedCorpus.search`). On expiry the
-        raised :class:`DeadlineExceeded` carries the merged matches of
-        every completed part — filtered to currently visible strings,
-        still a strict subset of the exact answer — with
-        ``scope="segments"`` and ``completed``/``total`` counting parts
-        (the memtable is part 0).
+        One :meth:`view`, run through
+        :func:`repro.service.sharding.fan_out` on the ``compiled`` rung:
+        the memtable, then every segment, all against the *shared*
+        ``deadline``. On expiry the raised :class:`DeadlineExceeded`
+        carries the merged matches of every completed part, minus the
+        view's hidden strings — still a subset of the exact answer —
+        with ``scope="segments"`` and ``completed``/``total`` counting
+        parts (the memtable is part 0).
         """
         check_threshold(k)
-        with self._lock:
-            segments = self._segments
-            memtable = tuple(self._memtable)
-        total = len(segments) + 1
+        view = self.view()
         self._metrics.inc("live.searches")
-        with trace_span("live.search",
-                        {"segments": str(len(segments)),
-                         "memtable": str(len(memtable))}):
-            rows = self._search_parts(query, k, segments, memtable,
-                                      deadline, total)
-        return self._visible(merge_matches(rows))
-
-    def _search_parts(self, query: str, k: int,
-                      segments: tuple[LiveSegment, ...],
-                      memtable: tuple[str, ...],
-                      deadline, total) -> list[tuple[Match, ...]]:
-        """The per-part fan-out behind :meth:`search`."""
-        rows: list[tuple[Match, ...]] = []
-        started = time.perf_counter()
-        row = self._scan_memtable(query, k, memtable, deadline,
-                                  rows, total)
-        emit_span("live.memtable", time.perf_counter() - started,
-                  {"strings": str(len(memtable))})
-        rows.append(row)
-        visited = 0
+        visited = len(view.segments)
         try:
-            for index, segment in enumerate(segments):
-                if deadline is not None and deadline.spend(0):
-                    raise DeadlineExceeded(
-                        f"live search for {query!r} (k={k}) found its "
-                        f"deadline expired before segment {index} of "
-                        f"{len(segments)}",
-                        partial=self._visible(merge_matches(rows)),
-                        scope="segments", completed=index + 1,
-                        total=total,
-                    )
-                started = time.perf_counter()
-                try:
-                    rows.append(tuple(segment.searcher.search(
-                        query, k, deadline=deadline)))
-                    visited += 1
-                except DeadlineExceeded as error:
-                    visited += 1
-                    partial = self._visible(
-                        merge_matches(rows + [tuple(error.partial)]))
-                    raise DeadlineExceeded(
-                        f"live search for {query!r} (k={k}) exceeded "
-                        f"its deadline on segment {index} of "
-                        f"{len(segments)} "
-                        f"({len(partial)} verified matches kept)",
-                        partial=partial, scope="segments",
-                        completed=index + 1, total=total,
-                    ) from error
-                finally:
-                    emit_span(f"live.segment[{index}]",
-                              time.perf_counter() - started,
-                              {"level": str(segment.level),
-                               "size": str(segment.size)})
+            with trace_span("live.search",
+                            {"segments": str(len(view.segments)),
+                             "memtable": str(len(view.memtable))}):
+                return fan_out(query, k, view.segments, plan="compiled",
+                               deadline=deadline, scope="segments",
+                               memtable=view.memtable,
+                               removed=view.removed)
+        except DeadlineExceeded as error:
+            visited = max(0, error.completed - 1)
+            raise
         finally:
             self._metrics.inc("live.segments_visited", visited)
             self._metrics.hist("live.search_segments_visited", visited)
-        return rows
-
-    def _scan_memtable(self, query: str, k: int,
-                       memtable: tuple[str, ...],
-                       deadline, rows, total) -> tuple[Match, ...]:
-        """Brute-force bounded scan of the (small) memtable."""
-        if deadline is not None and deadline.spend(0):
-            raise DeadlineExceeded(
-                f"live search for {query!r} (k={k}) found its deadline "
-                f"expired before the memtable",
-                partial=(), scope="segments", completed=0, total=total,
-            )
-        found: list[Match] = []
-        interval = (deadline.check_interval
-                    if deadline is not None else 0)
-        pending = 0
-        length = len(query)
-        for string in memtable:
-            if deadline is not None:
-                pending += 1
-                if pending >= interval:
-                    expired = deadline.spend(pending)
-                    pending = 0
-                    if expired:
-                        raise DeadlineExceeded(
-                            f"live search for {query!r} (k={k}) "
-                            f"exceeded its deadline in the memtable "
-                            f"({len(found)} verified matches kept)",
-                            partial=self._visible(
-                                merge_matches(rows + [tuple(found)])),
-                            scope="segments", completed=0, total=total,
-                        )
-            if abs(len(string) - length) > k:
-                continue
-            distance = edit_distance_bounded(query, string, k)
-            if distance is not None:
-                found.append(Match(string, distance))
-        return tuple(found)
-
-    def _visible(self, merged: tuple[Match, ...]) -> tuple[Match, ...]:
-        """Filter merged rows to currently visible strings.
-
-        This is where tombstones take effect: a string still physically
-        present in a segment but logically deleted has ``contents == 0``
-        and drops out here — which also makes tombstoned re-inserts
-        trivially correct.
-        """
-        contents = self._contents
-        return tuple(match for match in merged
-                     if contents.get(match.string, 0) > 0)
 
     # ------------------------------------------------------------------
     # persistence
@@ -936,16 +899,9 @@ class LiveCorpus:
                 raise SegmentError(
                     "live segment is not a corpus segment", path=path,
                 )
-            strings = tuple(compiled.strings)
-            segments.append(LiveSegment(
-                corpus=compiled,
-                searcher=CompiledScanSearcher(compiled),
-                members=frozenset(strings),
-                size=len(strings),
-                level=corpus._level_for(len(strings)),
-                sequence=entry["sequence"],
-                path=path,
-            ))
+            segments.append(corpus._segment(
+                compiled, tuple(compiled.strings), entry["sequence"],
+                path))
         corpus._segments = tuple(segments)
         corpus._seq = manifest["sequence"]
         corpus._epoch = manifest["epoch"]

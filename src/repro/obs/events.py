@@ -16,7 +16,7 @@ kind                      emitted when
 ``cache_miss``            the cache had no complete answer
 ``cache_invalidation``    a corpus mutation dropped cache entries
 ``ladder_rung``           the service finishes one degradation rung
-``corpus_rebase``         a submit re-partitioned the shards of a live corpus
+``corpus_analyze``        a submit re-ran the planner's ANALYZE on a live corpus
 ``flush``                 the live corpus seals its memtable
 ``compaction_start``      a compaction group is picked
 ``compaction_swap``       the merged segment replaces its inputs
@@ -57,7 +57,7 @@ EVENT_KINDS = (
     "cache_miss",
     "cache_invalidation",
     "ladder_rung",
-    "corpus_rebase",
+    "corpus_analyze",
     "flush",
     "compaction_start",
     "compaction_swap",

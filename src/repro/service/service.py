@@ -79,7 +79,7 @@ SERVICE_COUNTERS = (
     "service.deadline_expirations",
     "service.attempts",
     "service.corpus_refreshes",
-    "service.corpus_rebases",
+    "service.corpus_analyzes",
 )
 
 #: Default bounded-queue capacity (concurrent in-flight submits).
@@ -135,13 +135,13 @@ class Service:
     ----------
     dataset:
         The strings to serve, a prebuilt :class:`ShardedCorpus`, or a
-        :class:`repro.live.Corpus` (frozen or live). A live corpus is
-        tracked by epoch: every submit lets the shards catch up with
-        the corpus when it drifted since the last one, and the planner
-        statistics are refreshed whenever that catch-up was a rebase
-        (see :meth:`ShardedCorpus.refresh`).
+        :class:`repro.live.Corpus` (frozen or live). Over a live corpus
+        the shards are its segments and every rung reads its current
+        view; the planner statistics follow the corpus by epoch (see
+        :meth:`_sync_live_corpus`).
     shards:
-        Shard count when building the corpus here.
+        Shard count when building the corpus here over frozen data
+        (a live corpus's shards are its segments).
     capacity:
         Maximum concurrent in-flight submits; the bounded queue. A
         submit beyond it raises :class:`ServiceOverloaded` immediately.
@@ -169,7 +169,7 @@ class Service:
         just add child spans to it.
     events:
         Optional :class:`repro.obs.EventLog` receiving ``admission``,
-        ``ladder_rung`` and ``corpus_rebase`` lines, each stamped with
+        ``ladder_rung`` and ``corpus_analyze`` lines, each stamped with
         the ambient trace_id.
 
     Examples
@@ -215,7 +215,7 @@ class Service:
         self._last_seconds = 0.0
         self._planner: Planner | None = None
         self._planner_lock = threading.Lock()
-        self._analyzed_rebases = 0
+        self._analyzed_epoch = 0
 
     @property
     def corpus(self) -> ShardedCorpus:
@@ -248,6 +248,10 @@ class Service:
         """
         with self._planner_lock:
             if self._planner is None:
+                # The epoch first: a racing write costs an early re-ANALYZE.
+                source = self._corpus.source
+                self._analyzed_epoch = (source.epoch if source is not None
+                                        else 0)
                 self._planner = Planner(self._corpus.strings)
             return self._planner
 
@@ -290,16 +294,17 @@ class Service:
     def gauges_snapshot(self) -> dict[str, float]:
         """Current ``service.*`` gauges.
 
-        Over a live corpus, ``service.delta_strings``: the strings the
-        shards carry as an overlay rather than in their base (see
-        :meth:`ShardedCorpus.refresh`). Empty over a frozen one.
+        Over a live corpus, ``service.delta_strings``: the memtable
+        strings plus the strings tombstones hide — what every read
+        handles besides the segments' searchers. Empty over a frozen
+        corpus.
         """
         source = self._corpus.source
         if source is None or not source.mutable:
             return {}
-        shape = self._corpus.describe()
+        view = source.live_corpus.view()
         return {"service.delta_strings":
-                float(shape["added"] + shape["removed"])}
+                float(len(view.memtable) + len(view.removed))}
 
     def estimate_retry_after_ms(self) -> float | None:
         """How long a rejected caller should wait before retrying.
@@ -322,39 +327,40 @@ class Service:
         self._metrics.inc(name, value)
 
     def _sync_live_corpus(self) -> None:
-        """Track a live source corpus: catch the shards up, re-ANALYZE
-        on a rebase.
+        """Track a live source corpus: count the drift, re-ANALYZE
+        when it has grown.
 
-        When the service serves a mutable :class:`repro.live.Corpus`,
-        each submit first lets the sharded corpus swap in a view of the
-        drifted corpus (``service.corpus_refreshes``, one per swap;
-        the overlay it carries is the ``service.delta_strings``
-        gauge). Only when that swap was a rebase — the overlay folded
-        into a fresh partitioning — are the planner's ANALYZE
-        statistics refreshed too (``service.corpus_rebases`` and a
-        ``corpus_rebase`` event line): between rebases the statistics
-        lag the corpus by at most the overlay, sqrt(2n) of n strings —
-        too little to reorder the ladder, and not worth an O(n) pass
-        on every write.
+        The rungs need no catch-up — every search reads the corpus's
+        current view. A submit that sees a new epoch counts one
+        ``service.corpus_refreshes`` and sets the
+        ``service.delta_strings`` gauge. The planner's ANALYZE pass is
+        O(n), so it re-runs only once ``(epoch - analyzed_epoch) ** 2 >
+        2 * len(corpus)`` (``service.corpus_analyzes`` and a
+        ``corpus_analyze`` event line): O(sqrt(n)) per write amortised,
+        while the statistics lag the corpus by at most sqrt(2n) writes
+        of n strings — too few to reorder the ladder.
         """
         started = time.perf_counter()
         if not self._corpus.refresh():
             return
         self._count("service.corpus_refreshes")
-        shape = self._corpus.describe()
+        source = self._corpus.source
+        epoch = source.epoch
+        view = source.live_corpus.view()
         self._metrics.gauge("service.delta_strings",
-                            shape["added"] + shape["removed"])
+                            len(view.memtable) + len(view.removed))
         with self._planner_lock:
-            # Concurrent submits may both see the new base; the first
-            # one in pays for the ANALYZE, once per rebase.
-            if shape["rebases"] <= self._analyzed_rebases:
+            # Concurrent submits may both see the drift; the first one
+            # in pays for the ANALYZE.
+            drift = epoch - self._analyzed_epoch
+            if self._planner is None or drift * drift <= 2 * len(source):
                 return
-            self._analyzed_rebases = shape["rebases"]
-            if self._planner is not None:
-                self._planner.refresh_statistics(self._corpus.strings)
-        self._count("service.corpus_rebases")
-        self._emit_event("corpus_rebase", base=shape["base"],
-                         delta=shape["folded"],
+            self._analyzed_epoch = epoch
+            strings = view.strings
+            self._planner.refresh_statistics(strings)
+        self._count("service.corpus_analyzes")
+        self._emit_event("corpus_analyze", strings=len(strings),
+                         epochs=drift,
                          seconds=time.perf_counter() - started)
 
     def _record_event(self, query: str, k: int, seconds: float,
@@ -597,8 +603,8 @@ class Service:
         cumulative ``service.*`` series and the ``histograms`` section
         summarizes the cumulative ``service.submit_seconds``
         distribution; over a live corpus the ``gauges`` section holds
-        ``service.delta_strings``, the overlay the shards currently
-        carry. It validates and serializes like any engine report.
+        ``service.delta_strings`` (see :meth:`gauges_snapshot`). It
+        validates and serializes like any engine report.
         """
         return build_report(
             backend="service",

@@ -16,34 +16,33 @@ deterministic — the property the service tests pin down with
 work-unit :class:`repro.core.deadline.Budget` deadlines. Wall-clock
 parallelism across shards belongs to the runner layer, not this one.
 
-Over a mutable :class:`repro.live.Corpus` the partitioning is a *base*
-that outlives writes: drift since the base was cut rides along as a
-small overlay (added strings as one more shard, removed strings
-filtered from results) and is folded into a fresh base only under the
-square-root rule of :meth:`ShardedCorpus.refresh` — the same idea the
-live corpus applies one layer down with its memtable and tombstones
-over immutable segments.
+Over a mutable :class:`repro.live.Corpus` the shards are the live
+corpus's own immutable segments. Every search takes one
+:meth:`repro.live.LiveCorpus.view` — the segment tuple, the memtable
+strings and the strings tombstones hide — and :func:`fan_out`, the
+one loop both kinds of data run through, scans the memtable, runs each
+segment through the searcher that segment caches for the rung, merges
+and drops the hidden strings. A write builds no searcher; a flush or a
+compaction adds one segment, whose searchers the next read builds.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.deadline import Budget, Deadline
 from repro.core.result import Match
 from repro.core.searcher import BACKENDS, Searcher
+from repro.distance.banded import edit_distance_bounded
 from repro.exceptions import DeadlineExceeded, ReproError
 from repro.obs.tracing import trace_span
 from repro.parallel.partition import round_robin_chunks
 
-#: Plan kind (ladder rung) -> the backend a shard builds for it; a
-#: view of :data:`repro.core.searcher.BACKENDS`.
-_RUNG_BACKENDS = {backend.rung: backend for backend in BACKENDS.values()}
-
-#: Plan kinds a shard can serve (see :meth:`ShardedCorpus.searcher_for`).
-SHARD_PLAN_KINDS = tuple(_RUNG_BACKENDS)
+#: Plan kinds a shard can serve (see :meth:`ShardedCorpus.searcher_for`):
+#: the rungs of :data:`repro.core.searcher.BACKENDS`.
+SHARD_PLAN_KINDS = tuple(backend.rung for backend in BACKENDS.values())
 
 #: The shard plan kind serving each planner strategy
 #: (:data:`repro.core.planner.STRATEGIES`): the rung a verdict promotes.
@@ -51,58 +50,54 @@ STRATEGY_PLAN_KIND = {strategy: backend.rung
                       for strategy, backend in BACKENDS.items()}
 
 
-class _Base:
-    """One full partitioning of one snapshot, with its shards' searchers.
+def _check_plan(plan: str) -> None:
+    if plan not in SHARD_PLAN_KINDS:
+        raise ReproError(
+            f"unknown shard plan {plan!r}; expected one of "
+            f"{SHARD_PLAN_KINDS}"
+        )
 
-    Built at construction and at every rebase, then shared unchanged by
-    every :class:`_ShardView` cut until the next rebase — which is what
-    keeps the base shards' searchers alive across writes. ``members``
-    is the snapshot as a ``frozenset`` (what :meth:`ShardedCorpus.refresh`
-    diffs the next snapshot against); it is only built over a mutable
-    source. ``generation`` counts rebases, ``folded`` how many drifted
-    strings the rebase that built this base folded in.
+
+def cached_searcher(cache: dict, plan: str, dataset: Iterable[str], *,
+                    segment: str | None = None) -> Searcher:
+    """``cache[plan]``, built through :data:`BACKENDS` on first use.
+
+    Frozen shards and live segments each keep such a cache, so a
+    searcher lives exactly as long as the strings it was built over.
+    Two threads racing on a miss may both build; ``setdefault`` keeps
+    the first, so every caller gets the same object.
+    """
+    searcher = cache.get(plan)
+    if searcher is None:
+        backend = next(backend for backend in BACKENDS.values()
+                       if backend.rung == plan)
+        searcher = cache.setdefault(
+            plan, backend.build(dataset, segment=segment))
+    return searcher
+
+
+class _Shard:
+    """One partition of frozen data and the searchers built over it.
+
+    ``path`` is the shard's segment file when the corpus was given a
+    ``segment_dir`` (the compiled rung mmap-loads or writes it).
     """
 
-    __slots__ = ("parts", "members", "size", "generation", "folded",
-                 "searchers")
+    __slots__ = ("strings", "path", "searchers")
 
-    def __init__(self, parts: list[tuple[str, ...]],
-                 members: frozenset[str] | None, size: int,
-                 generation: int, folded: int) -> None:
-        self.parts = parts
-        self.members = members
-        self.size = size
-        self.generation = generation
-        self.folded = folded
-        self.searchers: dict[tuple[str, int], Searcher | None] = {}
-
-
-class _ShardView:
-    """One consistent picture of the corpus: a base plus its drift.
-
-    :class:`ShardedCorpus` swaps a whole view atomically on refresh
-    instead of mutating anything in place, so a search that captured a
-    view at entry keeps a coherent old-or-new picture even while a
-    concurrent submit refreshes. ``strings`` is the snapshot the view
-    was cut from; ``added`` (visible strings the base does not hold)
-    is searched as one more shard after the base's, ``removed`` (base
-    strings no longer visible) is filtered out of every merged row.
-    The searcher caches — the base's, shared, and this view's own for
-    the ``added`` shard — are dicts, safe under CPython's atomic dict
-    ops; two threads racing to build the same shard searcher at worst
-    build it twice, which is idempotent.
-    """
-
-    __slots__ = ("strings", "base", "added", "removed", "searchers")
-
-    def __init__(self, strings: tuple[str, ...], base: _Base,
-                 added: tuple[str, ...] = (),
-                 removed: frozenset[str] = frozenset()) -> None:
+    def __init__(self, strings: tuple[str, ...],
+                 path: str | None) -> None:
         self.strings = strings
-        self.base = base
-        self.added = added
-        self.removed = removed
-        self.searchers: dict[tuple[str, int], Searcher | None] = {}
+        self.path = path
+        self.searchers: dict[str, Searcher] = {}
+
+    def searcher(self, plan: str) -> Searcher | None:
+        """``None`` for an empty shard: there is nothing to search and
+        some structures cannot be built over zero strings."""
+        if not self.strings:
+            return None
+        return cached_searcher(self.searchers, plan, self.strings,
+                               segment=self.path)
 
 
 class ShardedCorpus:
@@ -113,18 +108,19 @@ class ShardedCorpus:
     dataset:
         The strings to search (duplicates allowed; every occurrence
         lands in exactly one shard), or a :class:`repro.live.Corpus`.
-        A mutable corpus is tracked by epoch: its drift rides on the
-        shards as a small overlay and is folded into a fresh
-        partitioning only once it has grown (see :meth:`refresh`).
+        Over a live corpus the shards are its segments (see the module
+        docstring) and every search reads the corpus as it stands.
     shards:
-        Number of partitions (``>= 1``); strings are dealt round-robin.
+        Number of partitions of frozen data (``>= 1``); strings are
+        dealt round-robin. A live corpus is partitioned by its own
+        flushes and compactions instead.
     segment_dir:
         Optional directory of per-shard segment files (see
-        :mod:`repro.speed`). With it set, the ``"compiled"`` plan
-        mmap-loads ``shard-NNNN.seg`` when present and compiles + saves
-        it when not — so every cold start after the first is
-        near-instant and shards share page-cache memory across
-        processes.
+        :mod:`repro.speed`) for frozen data. With it set, the
+        ``"compiled"`` plan mmap-loads ``shard-NNNN.seg`` when present
+        and compiles + saves it when not — so every cold start after
+        the first is near-instant and shards share page-cache memory
+        across processes.
 
     Shard searchers are built lazily, per ``(plan, shard)`` pair, and
     cached — a service that only ever runs the flat plan never pays for
@@ -147,37 +143,28 @@ class ShardedCorpus:
             raise ReproError(
                 f"shards must be positive, got {shards}"
             )
-        if isinstance(dataset, Corpus):
-            self._source: Corpus | None = dataset
-            self._source_epoch = dataset.epoch
-            strings = dataset.snapshot()
-        else:
-            self._source = None
-            self._source_epoch = 0
-            strings = tuple(dataset)
-        self._live = self._source is not None and self._source.mutable
-        self._shards = shards
-        self._segment_dir = segment_dir
+        self._source = dataset if isinstance(dataset, Corpus) else None
+        self._live = getattr(self._source, "live_corpus", None)
+        self._source_epoch = (self._live.epoch if self._live is not None
+                              else 0)
         self._refresh_lock = threading.Lock()
-        self._view = self._rebased(strings, generation=0, folded=0)
-
-    def _rebased(self, strings: tuple[str, ...], *, generation: int,
-                 folded: int) -> _ShardView:
-        """A view of ``strings`` freshly partitioned, with no overlay.
-
-        The one place a partitioning is made: construction and every
-        rebase go through here.
-        """
-        parts = [tuple(part)
-                 for part in round_robin_chunks(strings, self._shards)]
-        members = frozenset(strings) if self._live else None
-        return _ShardView(strings, _Base(parts, members, len(strings),
-                                         generation, folded))
+        self._strings: tuple[str, ...] = ()
+        self._shards: tuple[_Shard, ...] = ()
+        if self._live is None:
+            self._strings = tuple(dataset)
+            self._shards = tuple(
+                _Shard(tuple(part), None if segment_dir is None else
+                       os.path.join(segment_dir, f"shard-{index:04d}.seg"))
+                for index, part in enumerate(
+                    round_robin_chunks(self._strings, shards)))
 
     @property
     def strings(self) -> tuple[str, ...]:
-        """The full dataset, in input order."""
-        return self._view.strings
+        """The full dataset: in input order for frozen data, the
+        visible strings of the current view over a live corpus."""
+        if self._live is None:
+            return self._strings
+        return self._live.view().strings
 
     @property
     def source(self):
@@ -185,201 +172,148 @@ class ShardedCorpus:
         return self._source
 
     def refresh(self) -> bool:
-        """Catch up with a live source corpus that drifted.
+        """Whether the live source's epoch moved since the last call.
 
-        Polled at the top of every :meth:`search` (and usable directly
-        by owners such as :class:`repro.service.Service`): when the
-        source's epoch moved since the last snapshot, the strings are
-        re-snapshotted and diffed against the base partitioning, and a
-        fresh :class:`_ShardView` is swapped in atomically. Returns
-        whether a view was swapped.
-
-        Ordinarily the new view keeps the base — its parts and its
-        cached searchers — and carries the difference as an overlay:
-        the ``added`` strings become one more small shard, the
-        ``removed`` ones are filtered out of results. A write then
-        costs one hash diff of the snapshot plus a searcher over the
-        overlay, not a rebuild of every shard. The overlay is folded
-        into a new base — a **rebase**, the same full re-partition
-        construction does — once ``(added + removed) ** 2 > 2 * base``:
-        the square-root rule under which the per-write overlay
-        rebuilds (each proportional to the overlay) and the rebases
-        (each proportional to the corpus) cost about the same in
-        total, so the index-building work a write causes is
-        O(sqrt(corpus)) amortised. :meth:`describe` says which of the
-        two the last swap was.
-
-        Safe under concurrent submits: a lock serializes competing
-        refreshes (with a double-check so the losers return cheaply),
-        and readers only ever see a complete old or new view — never
-        an overlay from one snapshot over the base of another. The
-        epoch is captured *before* the snapshot, so a mutation racing
-        the snapshot at worst triggers one redundant refresh later,
-        never a missed one.
+        Nothing is rebuilt here: every search reads the source's
+        current view, whose segments keep their searchers across
+        writes. :class:`repro.service.Service` polls this at the top of
+        every submit to count reads that follow a write. Of several
+        concurrent callers, one sees a given move.
         """
-        if not self._live:
+        if self._live is None:
             return False
-        if self._source.epoch == self._source_epoch:
+        epoch = self._live.epoch
+        if epoch == self._source_epoch:
             return False
         with self._refresh_lock:
-            epoch = self._source.epoch
-            if epoch == self._source_epoch:
+            if epoch <= self._source_epoch:
                 return False
-            strings = self._source.snapshot()
-            base = self._view.base
-            members = base.members
-            added = tuple(string for string in strings
-                          if string not in members)
-            removed = members.difference(strings)
-            drift = len(added) + len(removed)
-            if drift * drift > 2 * base.size:
-                self._view = self._rebased(
-                    strings, generation=base.generation + 1, folded=drift)
-            else:
-                self._view = _ShardView(strings, base, added, removed)
             self._source_epoch = epoch
         return True
 
-    def describe(self) -> dict:
-        """A JSON-friendly summary of the current view, read atomically.
-
-        ``strings`` is the visible corpus; ``base`` the strings in the
-        base partitioning, ``added``/``removed`` the overlay on it;
-        ``rebases`` counts the full re-partitions since construction
-        and ``folded`` the overlay size the last one folded in.
-        """
-        view = self._view
-        base = view.base
-        return {
-            "shards": len(base.parts),
-            "strings": len(view.strings),
-            "base": base.size,
-            "added": len(view.added),
-            "removed": len(view.removed),
-            "rebases": base.generation,
-            "folded": base.folded,
-        }
+    def _current_shards(self) -> Sequence:
+        if self._live is None:
+            return self._shards
+        return self._live.view().segments
 
     @property
     def shard_count(self) -> int:
-        """Number of partitions of the base (the overlay is not one)."""
-        return len(self._view.base.parts)
+        """Number of shards: the partitions, or the live segments."""
+        return len(self._current_shards())
 
     def shard(self, index: int) -> tuple[str, ...]:
-        """The strings of one shard of the *base* partitioning.
+        """The strings stored in one shard.
 
-        Over a live source the base lags the corpus by the overlay
-        (see :meth:`refresh`); :attr:`strings` is always current.
+        A live segment holds strings deleted since it was written until
+        a compaction drops them; :attr:`strings` is always current.
         """
-        return self._view.base.parts[index]
+        return self._current_shards()[index].strings
 
     def searcher_for(self, plan: str, index: int) -> Searcher | None:
-        """The (cached) searcher serving ``plan`` on base shard ``index``.
+        """The (cached) searcher serving ``plan`` on shard ``index``.
 
-        ``None`` for an empty shard — there is nothing to search and
-        some structures cannot be built over zero strings. The same
-        object is returned until the next rebase, writes or not.
+        ``None`` for an empty frozen shard. A live segment's searchers
+        are the same objects for as long as the segment exists, writes
+        or not.
         """
-        return self._view_searcher(self._view, plan, index)
-
-    def _view_searcher(self, view: _ShardView, plan: str,
-                       index: int) -> Searcher | None:
-        """Build (or fetch) ``view``'s searcher for one (plan, shard).
-
-        Indexes past the base's shards name the overlay shard, whose
-        searchers live (and die) with the view.
-        """
-        if plan not in SHARD_PLAN_KINDS:
-            raise ReproError(
-                f"unknown shard plan {plan!r}; expected one of "
-                f"{SHARD_PLAN_KINDS}"
-            )
-        base = view.base
-        if index < len(base.parts):
-            cache, part = base.searchers, base.parts[index]
-        else:
-            cache, part = view.searchers, view.added
-        key = (plan, index)
-        if key in cache:
-            return cache[key]
-        searcher = self._build_searcher(plan, index, part) if part \
-            else None
-        cache[key] = searcher
-        return searcher
-
-    def _build_searcher(self, plan: str, index: int,
-                        part: tuple[str, ...]) -> Searcher:
-        """Construct the ``plan`` searcher over one non-empty shard."""
-        # A live source re-partitions on rebase; stale per-shard
-        # segment files would then serve deleted strings, so the
-        # segment path only applies to immutable sources.
-        segment = None
-        if self._segment_dir is not None and not self._live:
-            segment = os.path.join(self._segment_dir,
-                                   f"shard-{index:04d}.seg")
-        return _RUNG_BACKENDS[plan].build(part, segment=segment)
+        _check_plan(plan)
+        return self._current_shards()[index].searcher(plan)
 
     def search(self, query: str, k: int, *, plan: str = "flat",
                deadline: Deadline | Budget | None = None
                ) -> tuple[Match, ...]:
         """All dataset strings within distance ``k``, merged over shards.
 
-        Shards run serially — the base's, then the overlay of added
-        strings when there is one — all against the *shared*
-        ``deadline``. On expiry the raised :class:`DeadlineExceeded`
-        carries, as ``partial``, the merged matches of every
-        *completed* shard plus whatever the lagging shard had verified
-        — still a strict subset of the exact answer, removed strings
-        filtered out like anywhere else — with ``scope="shards"`` and
-        ``completed``/``total`` counting shards.
+        One :func:`fan_out` over the partitions, or over one view of a
+        live source — captured at entry, so a write landing mid-search
+        cannot mix two corpus states in one answer. Deadline expiry
+        raises with ``scope="shards"`` (see :func:`fan_out`).
         """
-        self.refresh()
-        # One view captured at entry: a concurrent refresh swapping
-        # self._view mid-loop cannot mix snapshots in this search.
-        view = self._view
-        merged: list[tuple[Match, ...]] = []
-        total = len(view.base.parts) + (1 if view.added else 0)
-        for index in range(total):
-            # Pre-check between shards: a shard small enough never to
-            # hit an amortized poll must not run on a dead deadline.
-            if deadline is not None and deadline.spend(0):
+        if self._live is None:
+            return fan_out(query, k, self._shards, plan=plan,
+                           deadline=deadline)
+        view = self._live.view()
+        return fan_out(query, k, view.segments, plan=plan,
+                       deadline=deadline, memtable=view.memtable,
+                       removed=view.removed)
+
+
+def fan_out(query: str, k: int, shards: Sequence, *, plan: str,
+            deadline: Deadline | Budget | None = None,
+            scope: str = "shards",
+            memtable: tuple[str, ...] | None = None,
+            removed: frozenset[str] = frozenset()) -> tuple[Match, ...]:
+    """The one search loop over shards: frozen partitions or live segments.
+
+    ``shards`` are objects whose ``searcher(plan)`` returns the cached
+    searcher for that rung (or ``None`` when there is nothing to
+    search). A live view's unflushed ``memtable`` strings — at most a
+    flush threshold of them — are scanned first, as part 0, whole, with
+    the bounded reference kernel, and charged one work unit each; then
+    every shard runs, serially, against the *shared* ``deadline``. Rows
+    are merged and ``removed`` — the strings a live view's tombstones
+    hide — dropped.
+
+    On expiry the raised :class:`DeadlineExceeded` carries, as
+    ``partial``, the merged rows of every completed part plus whatever
+    the lagging shard had verified, minus ``removed`` — still a subset
+    of the exact answer — with ``completed``/``total`` counting parts
+    under ``scope``.
+    """
+    _check_plan(plan)
+    offset = 0 if memtable is None else 1
+    total = len(shards) + offset
+    rows: list[tuple[Match, ...]] = []
+    for part in range(total):
+        # Pre-check between parts: a part small enough never to hit an
+        # amortized poll must not run on a dead deadline.
+        if deadline is not None and deadline.spend(0):
+            raise DeadlineExceeded(
+                f"{plan} search for {query!r} (k={k}) found its "
+                f"deadline expired before part {part} of {total}",
+                partial=_visible(rows, removed), scope=scope,
+                completed=part, total=total,
+            )
+        if part < offset:
+            with trace_span("live.memtable",
+                            {"strings": str(len(memtable))}):
+                scored = ((string, edit_distance_bounded(query, string, k))
+                          for string in memtable)
+                rows.append(tuple(Match(string, distance)
+                                  for string, distance in scored
+                                  if distance is not None))
+            if deadline is not None:
+                deadline.spend(len(memtable))
+            continue
+        searcher = shards[part - offset].searcher(plan)
+        if searcher is None:
+            continue
+        tags = {"plan": plan}
+        with trace_span(f"shard[{part - offset}]", tags):
+            try:
+                rows.append(tuple(searcher.search(query, k,
+                                                  deadline=deadline)))
+            except DeadlineExceeded as error:
+                # The span reads its tags as it closes.
+                tags["outcome"] = "deadline"
+                partial = _visible(rows + [tuple(error.partial)], removed)
                 raise DeadlineExceeded(
-                    f"sharded {plan} search for {query!r} (k={k}) "
-                    f"found its deadline expired before shard {index} "
-                    f"of {total}",
-                    partial=_visible(view, merged), scope="shards",
-                    completed=index, total=total,
-                )
-            searcher = self._view_searcher(view, plan, index)
-            if searcher is None:
-                continue
-            tags = {"plan": plan}
-            with trace_span(f"shard[{index}]", tags):
-                try:
-                    row = searcher.search(query, k, deadline=deadline)
-                except DeadlineExceeded as error:
-                    # The span reads its tags as it closes.
-                    tags["outcome"] = "deadline"
-                    partial = _visible(view,
-                                       merged + [tuple(error.partial)])
-                    raise DeadlineExceeded(
-                        f"sharded {plan} search for {query!r} (k={k}) "
-                        f"exceeded its deadline on shard {index} of "
-                        f"{total} ({len(partial)} verified matches kept)",
-                        partial=partial, scope="shards",
-                        completed=index, total=total,
-                    ) from error
-            merged.append(tuple(row))
-        return _visible(view, merged)
+                    f"{plan} search for {query!r} (k={k}) exceeded its "
+                    f"deadline on part {part} of {total} "
+                    f"({len(partial)} verified matches kept)",
+                    partial=partial, scope=scope,
+                    completed=part, total=total,
+                ) from error
+    return _visible(rows, removed)
 
 
-def _visible(view: _ShardView,
-             rows: Iterable[Iterable[Match]]) -> tuple[Match, ...]:
-    """Merge one view's per-shard rows, minus its removed strings."""
+def _visible(rows: Iterable[Iterable[Match]],
+             removed: frozenset[str]) -> tuple[Match, ...]:
+    """Merge per-part rows, minus the ``removed`` strings."""
     matches = merge_matches(rows)
-    if view.removed:
+    if removed:
         matches = tuple(match for match in matches
-                        if match.string not in view.removed)
+                        if match.string not in removed)
     return matches
 
 

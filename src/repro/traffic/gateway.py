@@ -440,8 +440,8 @@ class AsyncService:
         distributions; the ``gauges`` section snapshots
         ``service.queue_depth``, ``service.cache.size``, pool worker
         counts and — when the service fronts a live corpus — the
-        shards' ``service.delta_strings`` overlay and the
-        ``live.memtable_size`` / ``live.segments`` /
+        ``service.delta_strings`` gauge (memtable plus hidden strings)
+        and the ``live.memtable_size`` / ``live.segments`` /
         ``live.compactions_in_flight`` write-path gauges.
         """
         counters: dict[str, float] = dict(self._counters)

@@ -21,6 +21,8 @@ from hypothesis.stateful import (
 
 from repro.distance.levenshtein import edit_distance
 from repro.live import Corpus, LiveCorpus
+from repro.service import Service, ShardedCorpus
+from repro.service.sharding import SHARD_PLAN_KINDS
 
 strings = st.text(alphabet="abc", min_size=1, max_size=5)
 
@@ -108,11 +110,18 @@ def test_tombstoned_reinserts_round_trip(ops):
 
 
 class LiveCorpusMachine(RuleBasedStateMachine):
-    """Stateful model check of the live facade against a ``Counter``."""
+    """Stateful model check of the live facade against a ``Counter``.
+
+    Every search also runs through the shards (one per plan kind) and
+    through the service ladder over the same corpus: all read the
+    segments, so all must agree with the oracle.
+    """
 
     def __init__(self):
         super().__init__()
         self.corpus = Corpus.live(flush_threshold=3, fanout=2)
+        self.sharded = ShardedCorpus(self.corpus)
+        self.service = Service(self.corpus)
         self.model: Counter = Counter()
         self.epochs: list[int] = [0]
 
@@ -146,6 +155,12 @@ class LiveCorpusMachine(RuleBasedStateMachine):
         expected = oracle_search(self.model, query, k)
         actual = [m.string for m in self.corpus.search(query, k)]
         assert actual == expected
+        for plan in SHARD_PLAN_KINDS:
+            assert [m.string for m in self.sharded.search(
+                query, k, plan=plan)] == expected
+        result = self.service.submit(query, k)
+        assert result.status == "complete"
+        assert [m.string for m in result.matches] == expected
 
     @invariant()
     def sizes_agree(self):

@@ -304,6 +304,31 @@ class TestSearch:
         with pytest.raises(ReproError):
             LiveCorpus(DATASET).search("Ulm", -1)
 
+    def test_answers_from_the_state_it_started_on(self, monkeypatch):
+        # Writes landing while a segment is searched must not blend
+        # into the answer: before them it is ['Bern'], after them
+        # ['Berm']; hiding Bern while missing Berm answers [], a
+        # state the corpus never held.
+        from repro.scan.searcher import CompiledScanSearcher
+
+        corpus = LiveCorpus(["anchor", "Bern"])
+        original = CompiledScanSearcher.search
+        writes = []
+
+        def search_then_write(self, query, k, **options):
+            row = original(self, query, k, **options)
+            if not writes:
+                writes.append(None)
+                corpus.insert("Berm")
+                corpus.delete("Bern")
+            return row
+
+        monkeypatch.setattr(CompiledScanSearcher, "search",
+                            search_then_write)
+        assert [m.string for m in corpus.search("Bern", 1)] == ["Bern"]
+        assert writes
+        assert [m.string for m in corpus.search("Bern", 1)] == ["Berm"]
+
 
 class TestEvents:
     def test_mutations_notify_subscribers(self):

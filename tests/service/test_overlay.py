@@ -1,22 +1,24 @@
-"""The shard overlay: a write costs its own size, not the corpus.
+"""The LSM overlay: a write costs its own size, not the corpus.
 
-Over a mutable :class:`repro.live.Corpus`, :class:`ShardedCorpus` keeps
-its base partitioning (and the base shards' searchers) across writes
-and carries the drift as an overlay — ``added`` strings searched as one
-more shard, ``removed`` strings filtered out of every row — folding it
-into a fresh base (a *rebase*) only under the square-root rule. Three
-things are pinned here:
+Over a mutable :class:`repro.live.Corpus`, the shards of
+:class:`ShardedCorpus` are the live corpus's immutable segments, and
+what writes lay over them — the memtable strings, scanned as part 0,
+and the tombstoned strings, filtered out of every row — is read from
+one :meth:`repro.live.LiveCorpus.view` per search. Three things are
+pinned here:
 
 * **the oracle** — any interleaving of writes and searches, on every
   shard plan, answers exactly like a from-scratch reference scan of the
   model multiset, and deadline partials stay verified subsets of it;
-* **the work gate** — counted, not timed: a write followed by a read
-  hands at most the overlay to searcher constructors, the base shards'
-  searchers survive as the same objects, and the planner's ANALYZE pass
-  runs once per rebase and never in between;
+* **the work gate** — counted, not timed, on the
+  :data:`repro.core.searcher.BACKENDS` builders: reads and writes that
+  do not flush build no searcher, the first read after a flush builds
+  one per rung it runs over that flush's strings, the largest
+  segment's searchers survive as the same objects, and the planner's
+  ANALYZE pass runs under the square-root rule;
 * **the telemetry** — ``service.corpus_refreshes`` vs
-  ``service.corpus_rebases``, the ``service.delta_strings`` gauge and
-  the ``corpus_rebase`` event line.
+  ``service.corpus_analyzes``, the ``service.delta_strings`` gauge and
+  the ``corpus_analyze`` event line.
 """
 
 from collections import Counter
@@ -33,6 +35,7 @@ from hypothesis.stateful import (
 
 from repro.core.deadline import Budget
 from repro.core.planner import Planner
+from repro.core.searcher import BACKENDS, Backend
 from repro.core.sequential import SequentialScanSearcher
 from repro.exceptions import DeadlineExceeded
 from repro.live import Corpus
@@ -60,8 +63,8 @@ def base_strings(sharded):
 strings = st.text(alphabet="abc", min_size=1, max_size=4)
 plans = st.sampled_from(SHARD_PLAN_KINDS)
 
-#: Six strings: the rule ``drift ** 2 > 2 * base`` fires at a drift of
-#: four, so a 30-step run crosses it several times.
+#: Six strings; with ``flush_threshold=3`` and ``fanout=2`` a 30-step
+#: run flushes and compacts several times.
 SEED_STRINGS = ["aa", "ab", "abc", "ba", "cab", "ccc"]
 
 
@@ -132,14 +135,14 @@ class OverlayMachine(RuleBasedStateMachine):
 
     @invariant()
     def view_describes_the_model(self):
-        self.sharded.refresh()
-        shape = self.sharded.describe()
+        view = self.corpus.live_corpus.view()
         assert set(self.sharded.strings) == set(self.model)
-        assert shape["strings"] == len(self.model)
-        assert shape["base"] + shape["added"] - shape["removed"] \
-            == shape["strings"]
-        assert (shape["added"] + shape["removed"]) ** 2 \
-            <= 2 * shape["base"]
+        assert self.sharded.shard_count == len(view.segments)
+        # The segments and the memtable hold every visible string; the
+        # hidden ones are stored in a segment and visible nowhere.
+        assert set(self.model) <= base_strings(self.sharded) \
+            | set(view.memtable)
+        assert view.removed <= base_strings(self.sharded) - set(self.model)
 
 
 TestOverlayMachine = OverlayMachine.TestCase
@@ -148,11 +151,11 @@ TestOverlayMachine.settings = settings(
 )
 
 
-def test_the_rebase_rule_is_crossed_and_answers_stay_exact():
-    corpus = Corpus.live(SEED_STRINGS)
+def test_answers_stay_exact_across_flushes_and_compactions():
+    corpus = Corpus.live(SEED_STRINGS, flush_threshold=3, fanout=2)
     sharded = ShardedCorpus(corpus, shards=2)
     model = Counter(SEED_STRINGS)
-    rebases = []
+    layouts = set()
     for index in range(24):
         string = f"a{'bc'[index % 2]}{index % 5}"
         if index % 3 == 2 and model:
@@ -166,14 +169,13 @@ def test_the_rebase_rule_is_crossed_and_answers_stay_exact():
         for plan in SHARD_PLAN_KINDS:
             assert sharded.search("ab", 2, plan=plan) \
                 == reference(model, "ab", 2)
-        rebases.append(sharded.describe()["rebases"])
-    assert rebases == sorted(rebases)
-    assert rebases[-1] >= 3
-    # ... and most writes did not pay for one.
-    assert rebases[-1] < len(rebases) / 2
+        layouts.add(corpus.live_corpus.segment_sizes())
+    shape = corpus.describe()
+    assert shape["flushes"] >= 4 and shape["compactions"] >= 1
+    assert len(layouts) >= 4
 
 
-# -- deadlines over base + overlay --------------------------------------
+# -- deadlines over segments, memtable and tombstones -------------------
 
 QUERY = "Berlino"
 K = 2
@@ -181,17 +183,20 @@ PADS = [f"pad{i:04d}x" for i in range(40)]
 
 
 def overlaid():
-    """Two base shards plus an overlay shard; ``Berlin`` (a match,
-    found in base shard 0) has been removed since the base was cut."""
+    """A base segment, a flushed segment and a memtable; ``Berlin`` (a
+    match, stored in the base segment) has been deleted since."""
     corpus = Corpus.live(["Berlin", "Merlin"] + PADS)
     sharded = ShardedCorpus(corpus, shards=2)
     assert "Berlin" in sharded.shard(0)
     corpus.delete("Berlin")
-    for string in ("Berlina", "Berlinx", "padding", "padlock"):
+    corpus.insert("Berlina")
+    corpus.flush()
+    for string in ("Berlinx", "padding", "padlock"):
         corpus.insert(string)
-    sharded.refresh()
-    shape = sharded.describe()
-    assert (shape["added"], shape["removed"], shape["rebases"]) == (4, 1, 0)
+    view = corpus.live_corpus.view()
+    assert [segment.size for segment in view.segments] == [42, 1]
+    assert view.memtable == ("Berlinx", "padding", "padlock")
+    assert view.removed == {"Berlin"}
     model = Counter(corpus.snapshot())
     return sharded, reference(model, QUERY, K)
 
@@ -213,48 +218,52 @@ class TestDeadlinesOverTheOverlay:
     def test_expiry_in_a_base_shard_hides_removed_matches(self):
         sharded, exact = overlaid()
         first = units(sharded.searcher_for("sequential", 0))
+        # The memtable costs a unit per string; the base segment
+        # finishes — and verifies the deleted "Berlin" — before the
+        # flushed one runs out of budget.
         with pytest.raises(DeadlineExceeded) as caught:
             sharded.search(QUERY, K, plan="sequential",
-                           deadline=Budget(first + 2, check_interval=1))
+                           deadline=Budget(3 + first + 1,
+                                           check_interval=1))
         error = caught.value
-        # Shard 0 finished — and verified the removed "Berlin" —
-        # before shard 1 ran out of budget.
-        assert (error.completed, error.total) == (1, 3)
+        assert (error.completed, error.total) == (2, 3)
         assert set(error.partial) <= set(exact)
-        assert "Berlin" not in [match.string for match in error.partial]
+        partial = [match.string for match in error.partial]
+        assert "Merlin" in partial and "Berlinx" in partial
+        assert "Berlin" not in partial
 
     def test_expiry_in_the_overlay_shard(self):
         sharded, exact = overlaid()
-        base = sum(units(sharded.searcher_for("sequential", index))
-                   for index in range(sharded.shard_count))
+        # The memtable, part 0, is scanned whole and charged a unit per
+        # string: its three use up the budget, and its verified match
+        # is kept.
         with pytest.raises(DeadlineExceeded) as caught:
             sharded.search(QUERY, K, plan="sequential",
-                           deadline=Budget(base + 1, check_interval=1))
+                           deadline=Budget(2, check_interval=1))
         error = caught.value
-        assert (error.completed, error.total) == (2, 3)
+        assert (error.completed, error.total) == (1, 3)
         assert error.scope == "shards"
-        partial = [match.string for match in error.partial]
+        assert [match.string for match in error.partial] == ["Berlinx"]
         assert set(error.partial) <= set(exact)
-        assert "Merlin" in partial and "Berlin" not in partial
 
 
 # -- the work gate: counted, not timed ----------------------------------
 
 BIG = [f"name{i:04d}" for i in range(400)]
+FLUSH = 8
 
 
 @pytest.fixture
-def indexed(monkeypatch):
-    """Every ``len(part)`` handed to a shard searcher constructor."""
-    built = []
-    original = ShardedCorpus._build_searcher
+def built(monkeypatch):
+    """``(rung, strings)`` for every searcher a BACKENDS builder makes."""
+    calls = []
+    for strategy, backend in BACKENDS.items():
+        def spy(dataset, *, segment=None, _backend=backend):
+            calls.append((_backend.rung, len(list(dataset))))
+            return _backend.build(dataset, segment=segment)
 
-    def spy(self, plan, index, part):
-        built.append(len(part))
-        return original(self, plan, index, part)
-
-    monkeypatch.setattr(ShardedCorpus, "_build_searcher", spy)
-    return built
+        monkeypatch.setitem(BACKENDS, strategy, Backend(backend.rung, spy))
+    return calls
 
 
 @pytest.fixture
@@ -273,83 +282,118 @@ def analyzes(monkeypatch):
 
 class TestWorkGate:
     @pytest.mark.parametrize("plan", SHARD_PLAN_KINDS)
-    def test_a_write_then_a_read_indexes_only_the_overlay(self, indexed,
+    def test_a_write_then_a_read_indexes_only_the_overlay(self, built,
                                                          plan):
-        corpus = Corpus.live(BIG)
-        sharded = ShardedCorpus(corpus, shards=2)
+        corpus = Corpus.live(BIG, flush_threshold=FLUSH)
+        sharded = ShardedCorpus(corpus)
         sharded.search("name0001", 1, plan=plan)
-        assert indexed == [200, 200]
-        kept = [sharded.searcher_for(plan, index) for index in range(2)]
-        writes = 0
-        for index in range(12):
-            del indexed[:]
+        assert built == [(plan, 400)]
+        kept = sharded.searcher_for(plan, 0)
+        for index in range(FLUSH - 1):
+            del built[:]
             corpus.insert(f"fresh{index:03d}")
-            writes += 1
-            if index % 4 == 3:
+            if index % 3 == 2:
                 corpus.delete(BIG[index])
-                writes += 1
             sharded.search("name0001", 1, plan=plan)
-            shape = sharded.describe()
-            assert shape["rebases"] == 0
-            assert shape["added"] + shape["removed"] == writes
-            assert sum(indexed) <= shape["added"]
-            for shard, before in enumerate(kept):
-                assert sharded.searcher_for(plan, shard) is before
+            # The memtable is scanned, the hidden strings filtered:
+            # neither costs a searcher.
+            assert built == []
+            assert sharded.shard_count == 1
+            assert sharded.searcher_for(plan, 0) is kept
 
-    def test_reads_between_writes_index_nothing(self, indexed):
-        corpus = Corpus.live(BIG)
-        sharded = ShardedCorpus(corpus, shards=2)
+    def test_reads_between_writes_index_nothing(self, built):
+        corpus = Corpus.live(BIG, flush_threshold=FLUSH)
+        sharded = ShardedCorpus(corpus)
         corpus.insert("fresh")
         sharded.search("name0001", 1)
-        del indexed[:]
+        del built[:]
         for _ in range(5):
-            sharded.search("name0002", 2)
-        assert indexed == []
+            for plan in SHARD_PLAN_KINDS:
+                sharded.search("name0002", 2, plan=plan)
+        del built[:]
+        for _ in range(5):
+            for plan in SHARD_PLAN_KINDS:
+                sharded.search("name0003", 1, plan=plan)
+        assert built == []
 
-    def test_a_rebase_reindexes_the_corpus_once(self, indexed):
-        corpus = Corpus.live(BIG)
-        sharded = ShardedCorpus(corpus, shards=2)
-        sharded.search("name0001", 1)
-        del indexed[:]
-        # 28 ** 2 = 784 <= 800 < 29 ** 2: the 29th drifted string rebases.
-        for index in range(28):
+    def test_a_flush_indexes_the_new_segment_once(self, built):
+        corpus = Corpus.live(BIG, flush_threshold=FLUSH)
+        sharded = ShardedCorpus(corpus)
+        run = ("flat", "compiled")
+        for plan in run:
+            sharded.search("name0001", 1, plan=plan)
+        largest = {plan: sharded.searcher_for(plan, 0) for plan in run}
+        for flush in range(3):
+            for index in range(FLUSH):
+                corpus.insert(f"fresh{flush}{index:03d}")
+            del built[:]
+            for plan in run:
+                sharded.search("name0001", 1, plan=plan)
+                sharded.search("fresh0001", 1, plan=plan)
+            # One searcher per rung that ran, over the flushed strings.
+            assert sorted(rung for rung, _ in built) == sorted(run)
+            assert all(size <= FLUSH for _, size in built)
+            for plan in run:
+                assert sharded.searcher_for(plan, 0) is largest[plan]
+        assert sharded.shard_count == 4
+
+    def test_racing_first_reads_share_one_searcher(self):
+        import sys
+        import threading
+
+        corpus = Corpus.live(BIG, flush_threshold=FLUSH)
+        sharded = ShardedCorpus(corpus)
+        for index in range(FLUSH):
             corpus.insert(f"fresh{index:03d}")
-        sharded.search("name0001", 1)
-        assert indexed == [28]
-        assert sharded.describe()["rebases"] == 0
-        corpus.insert("fresh028")
-        sharded.search("name0001", 1)
-        shape = sharded.describe()
-        assert (shape["rebases"], shape["folded"]) == (1, 29)
-        assert (shape["base"], shape["added"], shape["removed"]) \
-            == (429, 0, 0)
-        assert sorted(indexed[1:]) == [214, 215]
+        expected = reference(Counter(corpus.snapshot()), "fresh001", 1)
+        readers = 6
+        barrier = threading.Barrier(readers)
+        answers, used = [], []
 
-    def test_analyze_runs_once_per_rebase_and_never_between(self, analyzes):
+        def reader():
+            barrier.wait(10)
+            answers.append(sharded.search("fresh001", 1, plan="compiled"))
+            used.append(sharded.searcher_for("compiled", 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader)
+                       for _ in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * readers
+        # Both segments' searchers were built by whichever reader got
+        # there first; every reader sees that one object.
+        assert len({id(searcher) for searcher in used}) == 1
+
+    def test_analyze_follows_the_square_root_rule(self, analyzes):
         corpus = Corpus.live(BIG)
         service = Service(corpus, shards=2)
         service.submit("name0001", 1)   # builds the planner
-        seen = 0
         for index in range(70):
             corpus.insert(f"fresh{index:03d}")
             result = service.submit(f"fresh{index:03d}", 0)
             assert [match.string for match in result.matches] \
                 == [f"fresh{index:03d}"]
-            rebases = service.corpus.describe()["rebases"]
-            assert len(analyzes) == rebases
-            assert rebases - seen in (0, 1)
-            seen = rebases
         counters = service.counters_snapshot()
         assert counters["service.corpus_refreshes"] == 70
-        assert counters["service.corpus_rebases"] == seen == 2
-        # Each ANALYZE saw the corpus as it stood at its rebase.
-        assert analyzes == [429, 459]
+        # 29 ** 2 <= 2 * 429 < 30 ** 2 > 2 * 430: the 30th write
+        # re-ANALYZEs; the next one needs 31 ** 2 > 2 * 461, the 61st.
+        assert counters["service.corpus_analyzes"] == 2
+        # Each ANALYZE saw the corpus as it stood then.
+        assert analyzes == [430, 461]
 
 
 # -- telemetry ----------------------------------------------------------
 
 class TestOverlayTelemetry:
-    def test_rebase_counter_gauge_and_event(self):
+    def test_analyze_counter_gauge_and_event(self):
         corpus = Corpus.live(SEED_STRINGS)
         metrics = MetricsRegistry()
         events = EventLog()
@@ -361,24 +405,32 @@ class TestOverlayTelemetry:
         service.submit("ab", 1)
         counters = service.counters_snapshot()
         assert counters["service.corpus_refreshes"] == 1
-        assert counters["service.corpus_rebases"] == 0
+        assert counters["service.corpus_analyzes"] == 0
         assert metrics.gauges()["service.delta_strings"] == 3
         assert service.gauges_snapshot() == {"service.delta_strings": 3.0}
         assert not [event for event in events.events()
-                    if event["kind"] == "corpus_rebase"]
+                    if event["kind"] == "corpus_analyze"]
 
-        corpus.insert("x4")
+        corpus.delete("aa")
+        corpus.delete("ab")
         service.submit("ab", 1)
         counters = service.counters_snapshot()
+        # 5 ** 2 = 25 > 2 * 7: the fifth write re-ANALYZEs.
         assert counters["service.corpus_refreshes"] == 2
-        assert counters["service.corpus_rebases"] == 1
-        assert metrics.gauges()["service.delta_strings"] == 0
+        assert counters["service.corpus_analyzes"] == 1
+        # Three memtable strings and two hidden ones.
+        assert metrics.gauges()["service.delta_strings"] == 5
         lines = [event for event in events.events()
-                 if event["kind"] == "corpus_rebase"]
+                 if event["kind"] == "corpus_analyze"]
         assert len(lines) == 1
-        assert (lines[0]["base"], lines[0]["delta"]) == (10, 4)
+        assert (lines[0]["strings"], lines[0]["epochs"]) == (7, 5)
         assert lines[0]["seconds"] >= 0.0
         assert validate_event(lines[0]) == []
+
+        # A full compaction flushes the memtable and purges the
+        # tombstones; the snapshot reads the current view.
+        corpus.compact()
+        assert service.gauges_snapshot() == {"service.delta_strings": 0.0}
 
     def test_report_carries_the_gauge_only_over_a_live_corpus(self):
         corpus = Corpus.live(SEED_STRINGS)
