@@ -2,8 +2,9 @@
 
 Debugging a similarity pipeline means answering "which component made
 this decision?". :func:`explain_pair` traces one (query, candidate, k)
-triple through every layer — the length filter, the frequency and
-q-gram bounds, kernel dispatch, the distance itself and the edit
+triple through every layer — the length filter, the two bounds the
+compiled scan's select runs (bag distance over the whole alphabet, and
+shared trigrams), kernel dispatch, the distance itself and the edit
 script — and returns a structured, printable account.
 
 The *plan-level* counterpart — "which execution strategy would serve
@@ -48,11 +49,17 @@ class PairExplanation:
     length_filter:
         Did the pair survive equation 5?
     frequency_bound:
-        The vowel-vector lower bound (AEIOU, case-folded) and whether
-        it alone would have rejected the pair.
+        The bag-distance lower bound over every symbol of the pair (the
+        paper's section-6 frequency vectors with the whole alphabet
+        tracked, case-sensitive) and whether it alone would have
+        rejected the pair.
     qgram_bound:
-        Shared bigrams, the required count, and whether the count
-        filter would have rejected the pair.
+        Shared trigrams, the required count
+        (:func:`repro.filters.qgram.required_overlap` with ``q = 3``),
+        and whether the count filter would have rejected the pair. The
+        scan counts trigrams folded into groups, which can only raise
+        the shared count, so it keeps every pair this keeps, and maybe
+        more.
     kernel:
         Which kernel :func:`repro.distance.dispatch.best_kernel` would
         pick, with its rationale.
@@ -85,10 +92,12 @@ class PairExplanation:
             f"(|{len(self.query)} - {len(self.candidate)}| "
             f"{'<=' if self.length_filter else '>'} {self.k})",
             f"  frequency bound:  {freq_bound} "
-            f"({'REJECT' if freq_rejects else 'pass'}, vowels AEIOU)",
-            f"  q-gram bound:     {shared} shared bigrams, "
+            f"({'REJECT' if freq_rejects else 'pass'}, bag distance "
+            f"over every symbol)",
+            f"  q-gram bound:     {shared} shared trigrams, "
             f"{needed} required "
-            f"({'REJECT' if qgram_rejects else 'pass'})",
+            f"({'REJECT' if qgram_rejects else 'pass'}; the scan's "
+            f"grouped counts can only keep more rows)",
             f"  kernel dispatch:  {self.kernel}",
         ]
         if self.script:
@@ -112,19 +121,23 @@ def explain_pair(query: str, candidate: str, k: int) -> PairExplanation:
     >>> "insert" in explanation.script[0]
     True
     """
+    # The scan sits above the core; import its q where it is used.
+    from repro.scan.corpus import QGRAM_LENGTH
+
     check_threshold(k)
     distance = edit_distance(query, candidate)
     matched = distance <= k
 
     survives_length = length_filter_passes(len(query), len(candidate), k)
 
-    query_vector = frequency_vector(query, "AEIOU")
-    candidate_vector = frequency_vector(candidate, "AEIOU")
-    freq_bound = frequency_lower_bound(query_vector, candidate_vector)
+    symbols = "".join(sorted(set(query + candidate)))
+    freq_bound = frequency_lower_bound(
+        frequency_vector(query, symbols, case_insensitive=False),
+        frequency_vector(candidate, symbols, case_insensitive=False))
 
-    shared = qgram_overlap(qgram_profile(query, 2),
-                           qgram_profile(candidate, 2))
-    needed = required_overlap(len(query), len(candidate), 2, k)
+    shared = qgram_overlap(qgram_profile(query, QGRAM_LENGTH),
+                           qgram_profile(candidate, QGRAM_LENGTH))
+    needed = required_overlap(len(query), len(candidate), QGRAM_LENGTH, k)
     qgram_rejects = needed > 0 and shared < needed
 
     script = tuple(edit_script(query, candidate)) if matched else ()

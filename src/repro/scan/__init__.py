@@ -19,7 +19,9 @@ Layers
     search instead of a per-candidate branch), and per bucket a
     ``numpy`` matrix of dense symbol codes over an
     :class:`repro.data.alphabet.Alphabet`, plus one symbol-group count
-    matrix for the bag-distance prefilter.
+    matrix for the bag-distance prefilter and, on alphabets of at most
+    16 symbols, one trigram-group count matrix for the q-gram count
+    prefilter.
 :func:`scan_query` / :class:`ScanProbe`
     One query against (a bucket slice of) the corpus — the scan as a
     probe of the shared batch core.

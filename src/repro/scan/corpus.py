@@ -24,6 +24,16 @@ data-side cost exactly once, at compile time:
   narrowest unsigned dtype that holds the longest string, feeds a
   bag-distance lower bound over the whole alphabet — the paper's
   section-6 frequency vectors, with every symbol tracked.
+* **Trigram-group counts** — on alphabets of at most
+  :data:`MAX_SYMBOL_GROUPS` symbols, where a bag of symbols says little,
+  each string's trigrams are also counted, folded into at most
+  :data:`MAX_QGRAM_GROUPS` groups by the same balancing rule, in one
+  row-major ``(size, groups)`` matrix: the q-gram count filter (the
+  paper's section 2.3) as a second bound in the same select. Larger
+  alphabets carry no such table. The rule reads the alphabet, not the
+  kind of data: DNA carries the table, and so does any corpus whose
+  inferred alphabet happens to be that small, such as a live segment
+  flushed from a few short names.
 
 Every matrix is built per bucket with array operations (the paper's
 section 3.4 "simple data types" taken to this language), never string
@@ -51,6 +61,12 @@ from repro.exceptions import ReproError
 #: symbols get one group per symbol (DNA keeps its exact per-symbol
 #: bound); larger ones are folded into this many balanced groups.
 MAX_SYMBOL_GROUPS = 16
+
+#: The q of the q-gram count table: trigrams.
+QGRAM_LENGTH = 3
+
+#: Most trigram groups a small-alphabet corpus counts.
+MAX_QGRAM_GROUPS = 64
 
 
 @dataclass(frozen=True)
@@ -90,27 +106,58 @@ def count_dtype(longest: int) -> np.dtype:
     return np.dtype(np.uint32)
 
 
-def symbol_groups(symbol_counts) -> np.ndarray:
+def symbol_groups(symbol_counts, *,
+                  _groups: int = MAX_SYMBOL_GROUPS) -> np.ndarray:
     """Each alphabet code's group: a frequency-balanced partition.
 
     At most :data:`MAX_SYMBOL_GROUPS` symbols keep one group each (the
     group is the code). Above that, symbols are taken in descending
     corpus count, ties by code, and each joins the group with the
     smallest total so far (the lowest group on a tie) — a pure function
-    of the counts, so no hash or set order reaches the grouping.
+    of the counts, so no hash or set order reaches the grouping. The
+    trigram table folds trigram ids by the same rule into
+    :data:`MAX_QGRAM_GROUPS` groups (``_groups``).
     """
-    counts = list(symbol_counts)
-    if len(counts) <= MAX_SYMBOL_GROUPS:
+    counts = np.asarray(symbol_counts, dtype=np.int64)
+    if len(counts) <= _groups:
         return np.arange(len(counts), dtype=np.intp)
-    groups = [0] * len(counts)
-    totals = [(0, group) for group in range(MAX_SYMBOL_GROUPS)]
-    # A stable sort keeps equal counts in code order, also reversed.
-    for code in sorted(range(len(counts)), key=counts.__getitem__,
-                       reverse=True):
+    totals = [(0, group) for group in range(_groups)]
+    present = np.flatnonzero(counts)
+    # A stable sort keeps equal counts in code order.
+    order = present[np.argsort(-counts[present], kind="stable")]
+    placed = []
+    for count in counts[order].tolist():
         total, group = totals[0]
-        groups[code] = group
-        heapq.heapreplace(totals, (total + counts[code], group))
-    return np.array(groups, dtype=np.intp)
+        placed.append(group)
+        heapq.heapreplace(totals, (total + count, group))
+    # A code the corpus lacks adds nothing to its group's total, so it
+    # and every later one join the group that is smallest by then.
+    groups = np.full(len(counts), totals[0][1], dtype=np.intp)
+    groups[order] = placed
+    return groups
+
+
+def _trigram_ids(codes: np.ndarray, size: int) -> np.ndarray:
+    """Each row's trigram ids ``a·size² + b·size + c``, ``(rows,
+    length - 2)``, in ``uint16`` (``size`` is at most
+    :data:`MAX_SYMBOL_GROUPS`, so every id is below 4,096)."""
+    ids = codes[:, :-2].astype(np.uint16)
+    ids *= size * size
+    ids += codes[:, 1:-1] * np.uint16(size)
+    ids += codes[:, 2:]
+    return ids
+
+
+def _row_group_counts(group_of: np.ndarray, items: np.ndarray,
+                      groups: int) -> np.ndarray:
+    """How many of each row's ``items`` fall in each group: a row-major
+    ``(rows, groups)`` matrix from one ``bincount`` over the cells
+    ``row * groups + group``."""
+    rows = len(items)
+    cells = group_of[items]
+    cells += np.arange(0, rows * groups, groups)[:, None]
+    return np.bincount(cells.reshape(-1),
+                       minlength=rows * groups).reshape(rows, groups)
 
 
 class CompiledCorpus:
@@ -171,38 +218,53 @@ class CompiledCorpus:
         packed = [pack_bucket(strings, alphabet) for strings in members]
 
         size = alphabet.size if alphabet is not None else 0
+        # Trigrams only where symbols alone say little: a fixed rule.
+        with_trigrams = 0 < size <= MAX_SYMBOL_GROUPS
         symbol_counts = np.zeros(size, dtype=np.int64)
+        trigram_counts = np.zeros(size ** 3 if with_trigrams else 0,
+                                  dtype=np.int64)
         for bulk in packed:
             symbol_counts += np.bincount(bulk.codes.reshape(-1),
                                          minlength=size)
-        group_of = symbol_groups(symbol_counts.tolist())
-        groups = min(size, MAX_SYMBOL_GROUPS)
-        counts = np.empty((groups, len(unique)),
-                          dtype=count_dtype(max(by_length, default=0)))
+            if with_trigrams and bulk.length >= QGRAM_LENGTH:
+                trigram_counts += np.bincount(
+                    _trigram_ids(bulk.codes, size).reshape(-1),
+                    minlength=len(trigram_counts))
+        group_of = symbol_groups(symbol_counts)
+        trigram_group_of = symbol_groups(trigram_counts,
+                                         _groups=MAX_QGRAM_GROUPS)
+        dtype = count_dtype(max(by_length, default=0))
+        counts = np.empty((min(size, MAX_SYMBOL_GROUPS), len(unique)),
+                          dtype=dtype)
+        trigrams = np.zeros(
+            (len(unique), min(len(trigram_counts), MAX_QGRAM_GROUPS)),
+            dtype=dtype) if with_trigrams else None
         offset = 0
         for bulk in packed:
-            # One bincount per bucket: cell ``group * rows + row``.
-            rows = len(bulk)
-            cells = group_of[bulk.codes]
-            cells *= rows
-            cells += np.arange(rows)[:, None]
-            counts[:, offset:offset + rows] = np.bincount(
-                cells.reshape(-1), minlength=groups * rows
-            ).reshape(groups, rows)
-            offset += rows
+            rows = slice(offset, offset + len(bulk))
+            offset += len(bulk)
+            counts[:, rows] = _row_group_counts(
+                group_of, bulk.codes, len(counts)).T
+            if trigrams is not None and bulk.length >= QGRAM_LENGTH:
+                trigrams[rows] = _row_group_counts(
+                    trigram_group_of, _trigram_ids(bulk.codes, size),
+                    trigrams.shape[1])
         self._assemble(alphabet, unique, len(raw), members, packed,
-                       group_of, counts)
+                       group_of, counts, trigram_group_of, trigrams)
 
     def _assemble(self, alphabet: Alphabet | None, strings, total: int,
                   members, packed, group_of: np.ndarray,
-                  counts: np.ndarray, segment_path: str | None = None
-                  ) -> None:
+                  counts: np.ndarray, trigram_group_of: np.ndarray,
+                  trigrams: np.ndarray | None,
+                  segment_path: str | None = None) -> None:
         """Set every field from the compiled parts; the one place the
         in-memory compile and :func:`repro.speed.load_segment` share.
 
         ``members[i]`` / ``packed[i]`` are bucket ``i``'s strings and
-        codes (buckets sorted by length), and ``counts`` is the
-        group-major count matrix whose columns follow that bucket order.
+        codes (buckets sorted by length), ``counts`` is the group-major
+        count matrix whose columns follow that bucket order, and
+        ``trigrams`` the row-major trigram-group matrix whose rows do
+        (``None`` for alphabets above :data:`MAX_SYMBOL_GROUPS`).
         """
         self._alphabet = alphabet
         self._strings = strings
@@ -210,6 +272,8 @@ class CompiledCorpus:
         self._segment_path = segment_path
         self._group_of = tuple(group_of.tolist())
         self._group_counts = counts
+        self._trigram_group_of = tuple(trigram_group_of.tolist())
+        self._trigram_counts = trigrams
         offsets = [0]
         buckets = []
         for bucket_strings, bulk in zip(members, packed):
@@ -262,6 +326,18 @@ class CompiledCorpus:
         distinct string in bucket order (bucket ``i`` owns columns
         ``offsets[i]:offsets[i + 1]``)."""
         return self._group_counts
+
+    @property
+    def trigram_group_of(self) -> tuple[int, ...]:
+        """Each trigram id's group (empty without a trigram table)."""
+        return self._trigram_group_of
+
+    @property
+    def trigram_counts(self) -> np.ndarray | None:
+        """The row-major ``(size, groups)`` trigram-group counts, one row
+        per distinct string in bucket order, or ``None`` when the
+        alphabet has more than :data:`MAX_SYMBOL_GROUPS` symbols."""
+        return self._trigram_counts
 
     @property
     def offsets(self) -> np.ndarray:

@@ -9,8 +9,9 @@ as its probe:
 
 * :func:`scan_query` counts the query's symbol groups once per distinct
   query, selects the bag-distance survivors of the whole
-  ``[len(q) - k, len(q) + k]`` window in one pass, and scores them
-  together;
+  ``[len(q) - k, len(q) + k]`` window in one pass (and, on a corpus
+  with a trigram table, those of them within the q-gram count bound),
+  and scores them together;
 * :class:`ScanProbe` can split that bucket window, so a single
   expensive query fans out over a runner too — the compiled corpus is
   built once in the parent and chunk-scanned in workers.
@@ -40,13 +41,14 @@ from repro.distance.vectorized import (
     window_distances,
 )
 from repro.exceptions import DeadlineExceeded
-from repro.scan.corpus import CompiledCorpus
+from repro.scan.corpus import QGRAM_LENGTH, CompiledCorpus
 
 
 def _select(corpus: CompiledCorpus, encoded: tuple[int, ...], k: int,
             start: int, stop: int) -> np.ndarray:
     """Indices, relative to ``start``, of the corpus columns
-    ``start:stop`` within the bag-distance bound of the query.
+    ``start:stop`` within the bag-distance bound of the query, and
+    within its trigram bound where the corpus counts trigrams.
 
     With ``n'`` the query's symbols inside the alphabet and ``common``
     the per-group overlap ``sum(min(q_g, c_g))`` — only the query's
@@ -55,7 +57,7 @@ def _select(corpus: CompiledCorpus, encoded: tuple[int, ...], k: int,
     ``len - common``. It survives iff ``common >= max(n', len) - k``;
     folding symbols into groups never increases edit distance, so the
     bound is sound. One pass over the whole slice, however many buckets
-    it spans.
+    it spans. The survivors then face :func:`_trigram_select`.
     """
     counts = corpus.group_counts
     group_of = corpus.group_of
@@ -76,11 +78,56 @@ def _select(corpus: CompiledCorpus, encoded: tuple[int, ...], k: int,
             common += scratch
     if present > longest:
         # Longer than every corpus string: max(n', len) is n' throughout.
-        return (common >= present - k).nonzero()[0]
-    # max(n', len) >= len >= common, so the difference cannot wrap.
-    np.maximum(corpus.row_lengths[start:stop], present, out=scratch)
-    scratch -= common
-    return (scratch <= k).nonzero()[0]
+        kept = (common >= present - k).nonzero()[0]
+    else:
+        # max(n', len) >= len >= common, so the difference cannot wrap.
+        np.maximum(corpus.row_lengths[start:stop], present, out=scratch)
+        scratch -= common
+        kept = (scratch <= k).nonzero()[0]
+    if corpus.trigram_counts is None or not len(kept):
+        return kept
+    return _trigram_select(corpus, encoded, k, start, kept)
+
+
+def _trigram_select(corpus: CompiledCorpus, encoded: tuple[int, ...],
+                    k: int, start: int, kept: np.ndarray) -> np.ndarray:
+    """The rows of ``kept`` (relative to ``start``) within the q-gram
+    count bound of the query.
+
+    One edit destroys at most ``q`` of a string's q-grams, so strings
+    within ``k`` share at least ``max(n, len) - q + 1 - k·q`` of them
+    (Ukkonen 1992), ``n`` the full query length. ``common`` is the
+    per-group overlap ``sum(min(q_g, c_g))`` of the survivors' gathered
+    trigram-group rows; a query trigram holding a symbol outside the
+    alphabet occurs in no string and counts for nothing, and folding
+    trigrams into groups can only raise ``common``, so the bound is
+    sound.
+    """
+    n = len(encoded)
+    lengths = corpus.row_lengths[start + kept]
+    slack = QGRAM_LENGTH - 1 + k * QGRAM_LENGTH
+    if max(n, int(lengths[-1])) <= slack:
+        return kept  # Vacuous: every row needs at most nothing.
+    size = corpus.alphabet.size
+    group_of = corpus.trigram_group_of
+    table = corpus.trigram_counts
+    query_counts = [0] * table.shape[1]
+    for a, b, c in zip(encoded, encoded[1:], encoded[2:]):
+        if a >= 0 and b >= 0 and c >= 0:
+            query_counts[group_of[(a * size + b) * size + c]] += 1
+    # No row count, nor any row's total, reaches the longest string,
+    # which the dtype holds: capping the query changes no minimum, and
+    # the sum cannot wrap in the dtype.
+    longest = corpus.max_length
+    query_counts = np.array([min(count, longest) for count in query_counts],
+                            dtype=table.dtype)
+    rows = table.take(start + kept, axis=0)
+    np.minimum(rows, query_counts, out=rows)
+    common = rows.sum(1, dtype=table.dtype)
+    needed = lengths.astype(np.int64)
+    np.maximum(needed, n, out=needed)
+    needed -= slack
+    return kept[common >= needed]
 
 
 def _window_matrix(selected, survivors: int
@@ -106,13 +153,15 @@ def scan_query(corpus: CompiledCorpus, query: str, k: int, *,
 
     Every query-side cost is hoisted out of the candidate loop: the
     ``peq`` table is built once from the *encoded* query, the length
-    filter is the bucket window itself, and the bag-distance bound reads
-    the precomputed symbol-group counts. The window then goes through
-    one pipeline:
+    filter is the bucket window itself, and the bag-distance and
+    trigram bounds read the precomputed group counts. The window then
+    goes through one pipeline:
 
     1. **select survivors** of the (sound) bag-distance bound — one
        pass over the window's contiguous slice of the corpus's
-       group-count matrix (:func:`_select`), split per bucket;
+       group-count matrix (:func:`_select`) — and, where the corpus
+       counts trigrams, of the q-gram count bound over their gathered
+       trigram rows, split per bucket;
     2. **score survivors**, with one engine for the whole window: one
        :func:`window_distances` pass over every survivor of the window
        when at least

@@ -30,13 +30,17 @@ File format (version :data:`SEGMENT_VERSION`)::
 
 A corpus segment holds each bucket's code and bit-packed matrices, the
 ``group_of`` symbol-group map and the group-major ``group_counts``
-matrix the scan's bag-distance select reads (version 2; a version-1
-file, which held per-bucket tracked-symbol frequencies, is refused).
+matrix the scan's bag-distance select reads, and the
+``trigram_group_of`` map and row-major ``trigram_counts`` matrix its
+trigram bound reads — both empty for an alphabet of more than 16
+symbols, which carries no trigram table (version 3). Older files are
+refused: version 2 lacked the trigram table, version 1 held per-bucket
+tracked-symbol frequencies.
 
 Strings are stored as one concatenated UTF-8 blob plus an ``int64``
 offsets array and decoded **on access** (:class:`LazyStrings`), so a
 loaded artifact keeps no per-string Python objects until a match
-actually needs one.
+actually needs one; a full iteration copies the blob once.
 
 The public entry points are :func:`save_segment` / :func:`load_segment`
 (dispatching on artifact type), the process-global :data:`segment_cache`
@@ -57,7 +61,7 @@ import numpy as np
 from repro.exceptions import SegmentError
 
 #: Current segment format version; bumped on any layout change.
-SEGMENT_VERSION = 2
+SEGMENT_VERSION = 3
 
 #: Leading magic bytes of every segment file.
 SEGMENT_MAGIC = b"RSEG"
@@ -76,8 +80,10 @@ class LazyStrings(Sequence):
     ``blob`` is a ``uint8`` array (typically an ``mmap`` view) holding
     every string's UTF-8 bytes back to back; ``offsets`` is an
     ``int64`` array of ``count + 1`` boundaries. Strings materialize
-    per access and are not cached — a match decodes its one string, a
-    full iteration decodes each exactly once.
+    per access and are not cached — a match decodes its one string.
+    Iteration and step-1 slices copy the bytes they span out of the blob
+    once and cut every string from that copy, so a full pass costs one
+    ``tobytes()``, not one array access per string.
     """
 
     __slots__ = ("_blob", "_offsets")
@@ -91,7 +97,10 @@ class LazyStrings(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return tuple(self._decode(start, stop))
+            return tuple(self[i] for i in range(start, stop, step))
         index = int(index)
         if index < 0:
             index += len(self)
@@ -100,6 +109,20 @@ class LazyStrings(Sequence):
         start = int(self._offsets[index])
         end = int(self._offsets[index + 1])
         return self._blob[start:end].tobytes().decode("utf-8")
+
+    def __iter__(self):
+        return self._decode(0, len(self))
+
+    def _decode(self, start: int, stop: int):
+        """Strings ``start`` to ``stop - 1``, cut from one copy of the
+        blob bytes they span."""
+        if start >= stop:
+            return iter(())
+        bounds = np.array(self._offsets[start:stop + 1])
+        data = self._blob[int(bounds[0]):int(bounds[-1])].tobytes()
+        bounds = (bounds - bounds[0]).tolist()
+        return (data[lo:hi].decode("utf-8")
+                for lo, hi in zip(bounds, bounds[1:]))
 
     def __repr__(self) -> str:
         return f"LazyStrings(count={len(self)})"
@@ -288,6 +311,11 @@ def _corpus_payload(corpus) -> tuple[dict, dict]:
                    else np.zeros(0, dtype=np.uint8)),
         "group_of": np.array(corpus.group_of, dtype=np.uint8),
         "group_counts": corpus.group_counts,
+        "trigram_group_of": np.array(corpus.trigram_group_of,
+                                     dtype=np.uint8),
+        "trigram_counts": (corpus.trigram_counts
+                           if corpus.trigram_counts is not None
+                           else np.zeros((0, 0), dtype=np.uint8)),
         "sids": (np.concatenate(sid_parts) if sid_parts
                  else np.zeros(0, dtype=np.int64)),
     }
@@ -326,9 +354,14 @@ def _corpus_from_segment(header: dict, arrays: dict, path: str):
         sid_cursor += count
         packed.append(PackedBucket(codes, packed_rows, length, alphabet))
 
+    # An empty trigram map means the corpus carries no trigram table.
+    trigram_group_of = arrays["trigram_group_of"]
     corpus = CompiledCorpus.__new__(CompiledCorpus)
     corpus._assemble(alphabet, table, meta["total_strings"], members,
                      packed, arrays["group_of"], arrays["group_counts"],
+                     trigram_group_of,
+                     arrays["trigram_counts"] if len(trigram_group_of)
+                     else None,
                      segment_path=os.path.abspath(path))
     return corpus
 

@@ -151,14 +151,17 @@ CITIES = ["Berlin", "Bern", "Bonn", "Bremen", "Berlingen",
 
 
 def _wide_reads() -> list[str]:
-    """About 2,000 reads of length 12 between two 40-read buckets of
-    lengths 11 and 13. The size is pinned, not derived from the engine
-    threshold, so the expiry cases below keep expiring."""
+    """About 2,000 reads of length 16 between two 40-read buckets of
+    lengths 15 and 17, over two symbols: a two-symbol corpus has eight
+    trigrams, so enough rows pass the trigram bound at k=1 for the
+    window pass to run (over ``ACGT`` about one does). The size is
+    pinned, not derived from the engine threshold, so the expiry cases
+    below keep expiring."""
     rng = random.Random(21)
-    reads = {"".join(rng.choice("ACGT") for _ in range(12))
+    reads = {"".join(rng.choice("AC") for _ in range(16))
              for _ in range(2048)}
-    for length in (11, 13):
-        reads.update("".join(rng.choice("ACGT") for _ in range(length))
+    for length in (15, 17):
+        reads.update("".join(rng.choice("AC") for _ in range(length))
                      for _ in range(40))
     return sorted(reads)
 
@@ -217,8 +220,8 @@ class TestScanParity:
         (CITIES, "Berlino", 2),
         (CITIES, "Hamborg", 2),
         (CITIES, "", 3),
-        (WIDE, WIDE_QUERY, 1),     # 128 survive: the threshold itself
-        (WIDE, WIDE_QUERY, 4),     # > 1,600 survive: window pass
+        (WIDE, WIDE_QUERY, 1),     # 181 survive: window pass
+        (WIDE, WIDE_QUERY, 4),     # 1,640 survive: window pass
     ], ids=["reads-k3", "reads-k0", "reads-k6", "reads-alien",
             "city-Berlino", "city-Hamborg", "city-empty",
             "wide-k1", "wide-k4"])

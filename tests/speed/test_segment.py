@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.batch import _pool_payload
+from repro.data.alphabet import dna_alphabet
 from repro.data.dna import generate_reads
 from repro.exceptions import SegmentError
 from repro.index.batch import BatchIndexExecutor
 from repro.index.flat import FlatTrie
 from repro.scan.corpus import CompiledCorpus
-from repro.scan.executor import BatchScanExecutor, scan_query
+from repro.scan.executor import BatchScanExecutor, _select, scan_query
 from repro.speed import (
     SEGMENT_MAGIC,
     SEGMENT_VERSION,
@@ -29,6 +30,7 @@ from repro.speed import (
     load_segment,
     save_segment,
 )
+from repro.speed.segment import IndexedStrings, LazyStrings
 
 DATASET = ["Berlin", "Bern", "Bonn", "Ulm", "Hamburg", "Hamm",
            "Bremen", "Berlingen", "Ber", "Uelzen"]
@@ -110,6 +112,138 @@ class TestCorpusRoundTrip:
         again = load_or_build_corpus_segment(DATASET, path)
         assert os.stat(path).st_mtime_ns == stamp
         assert again is built  # served by the process-global cache
+
+
+def _selects(corpus: CompiledCorpus, queries, ks) -> list:
+    """Every query's select over its whole length window, per k."""
+    found = []
+    for query in queries:
+        encoded = corpus.encode_query(query)
+        for k in ks:
+            lo, hi = corpus.window(len(query), k)
+            found.append(_select(corpus, encoded, k,
+                                 int(corpus.offsets[lo]),
+                                 int(corpus.offsets[hi])).tolist())
+    return found
+
+
+class TestFormatV3:
+    """Version 3 adds the trigram-group table; it round-trips whole."""
+
+    def _round_trip(self, tmp_path, corpus):
+        path = str(tmp_path / "corpus.seg")
+        save_segment(corpus, path)
+        loaded = load_segment(path)
+        assert loaded.trigram_group_of == corpus.trigram_group_of
+        if corpus.trigram_counts is None:
+            assert loaded.trigram_counts is None
+        else:
+            # A zero-byte view of the map is a plain array.
+            assert isinstance(loaded.trigram_counts, np.memmap) \
+                == bool(corpus.size)
+            assert loaded.trigram_counts.dtype == \
+                corpus.trigram_counts.dtype
+            assert np.array_equal(loaded.trigram_counts,
+                                  corpus.trigram_counts)
+        return loaded
+
+    def test_dna_corpus_selects_alike(self, tmp_path):
+        reads = generate_reads(400, seed=2013)
+        corpus = CompiledCorpus(reads)
+        assert corpus.trigram_counts.shape == (corpus.size, 64)
+        loaded = self._round_trip(tmp_path, corpus)
+        queries = [read[:50] + "N" + read[52:] for read in reads[:6]] \
+            + [reads[7][:30] + "#" + reads[7][30:]]
+        selects = _selects(corpus, queries, (0, 4, 8, 16))
+        assert _selects(loaded, queries, (0, 4, 8, 16)) == selects
+        assert any(selects)
+
+    def test_city_corpus_carries_no_table(self, tmp_path, city_names):
+        corpus = CompiledCorpus(city_names)
+        assert corpus.trigram_counts is None
+        assert corpus.trigram_group_of == ()
+        loaded = self._round_trip(tmp_path, corpus)
+        queries = [name + "e" for name in city_names[:40:4]]
+        assert _selects(loaded, queries, (1, 2, 3)) == \
+            _selects(corpus, queries, (1, 2, 3))
+
+    @pytest.mark.parametrize("alphabet", [None, dna_alphabet()],
+                             ids=["inferred", "dna"])
+    def test_empty_corpus(self, tmp_path, alphabet):
+        corpus = CompiledCorpus([], alphabet=alphabet)
+        loaded = self._round_trip(tmp_path, corpus)
+        assert (loaded.trigram_counts is None) == (alphabet is None)
+        assert _selects(loaded, ["ACGT"], (0, 2)) == \
+            _selects(corpus, ["ACGT"], (0, 2)) == [[], []]
+
+    def test_version_2_is_refused(self, corpus_segment):
+        # Version 2 had no trigram table; there is no reader for it.
+        _, path = corpus_segment
+        with open(path, "r+b") as handle:
+            handle.seek(len(SEGMENT_MAGIC))
+            handle.write(struct.pack("<I", 2))
+        with pytest.raises(SegmentError, match="version 2 is not supported"):
+            load_segment(path)
+
+
+class TestLazyStrings:
+    NAMES = ["Zürich", "Bern", "Genève", "Malmö", "Łódź", "Ulm", "京都",
+             "São Paulo"]
+
+    @pytest.fixture()
+    def counted(self, tmp_path, monkeypatch):
+        """A loaded segment's string table, and a list that records
+        every ``memmap`` access made after loading."""
+        path = str(tmp_path / "names.seg")
+        save_segment(CompiledCorpus(self.NAMES * 50 + [
+            f"{name} {index}" for index, name in enumerate(self.NAMES * 50)
+        ]), path)
+        loaded = load_segment(path)
+        accesses: list = []
+        real = np.memmap.__getitem__
+
+        def spy(array, index):
+            accesses.append(index)
+            return real(array, index)
+
+        monkeypatch.setattr(np.memmap, "__getitem__", spy)
+        return loaded, accesses
+
+    def test_full_iteration_copies_the_blob_once(self, counted):
+        loaded, accesses = counted
+        table = loaded.strings
+        assert isinstance(table, LazyStrings)
+        strings = list(table)
+        # Two accesses (the offsets and one blob copy), not one per
+        # string.
+        assert len(accesses) == 2
+        assert len(strings) == len(set(self.NAMES * 50)) + 400
+        accesses.clear()
+        assert strings == [table[i] for i in range(len(table))]
+        assert strings[:8] == self.NAMES
+        assert len(accesses) >= len(strings)
+
+    def test_slices_and_bucket_views(self, counted):
+        loaded, accesses = counted
+        table = loaded.strings
+        expected = [table[i] for i in range(len(table))]
+        for window in (slice(None), slice(3, 40), slice(700, 5),
+                       slice(-9, None)):
+            # A step-1 slice is one contiguous span: one copy.
+            accesses.clear()
+            assert table[window] == tuple(expected[window])
+            assert len(accesses) <= 2
+        for window in (slice(None, None, -3), slice(-9, None, 2)):
+            assert table[window] == tuple(expected[window])
+        for bucket in loaded.buckets:
+            # A bucket's ids are scattered over the table, so its view
+            # decodes string by string rather than copy their span.
+            assert isinstance(bucket.strings, IndexedStrings)
+            assert list(bucket.strings) == [
+                bucket.strings[i] for i in range(len(bucket.strings))]
+            assert bucket.strings[1::2] == tuple(bucket.strings)[1::2]
+        assert tuple(loaded.strings) == CompiledCorpus(
+            expected).strings
 
 
 class TestTrieRoundTrip:
